@@ -23,6 +23,7 @@ from .model_core import (
     ValidationError,
     design_from_json,
     design_to_json,
+    feature_matrix,
     features,
     information_matrix,
     intensity,

@@ -24,11 +24,12 @@ from .model_core import (
     NonpositivePredictor,
     RegionKind,
     ValidationError,
+    _intensity_arrays,
     design_to_json,
-    features,
+    region_vertices,
     validate_positivity,
 )
-from .equivalence import region_vertices
+from .equivalence import orthant_axis_points
 
 __all__ = [
     "ThreeFactorLabel",
@@ -166,16 +167,7 @@ def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
     """
     if nu < 2:
         raise ValidationError("nu must be at least 2")
-    if scale is None:
-        scale = [1.0] * nu
-    if len(scale) != nu or any(s <= 0.0 for s in scale):
-        raise ValidationError("scale must contain nu positive entries")
-    points = []
-    for i in range(nu):
-        pt = [0.0] * nu
-        pt[i] = float(scale[i])
-        points.append(pt)
-    return _equal_weight(points)
+    return _equal_weight(orthant_axis_points(nu, scale))
 
 
 def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = None) -> Design:
@@ -190,17 +182,8 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
         raise ValidationError("beta must have at least two entries")
     if any(c <= 0.0 for c in vec):
         raise NonpositivePredictor("orthant positivity requires every beta_i > 0")
-    if scale is None:
-        scale = [1.0] * nu
-    if len(scale) != nu or any(s <= 0.0 for s in scale):
-        raise ValidationError("scale must contain nu positive entries")
     total = sum(vec)
-    points = []
-    for i in range(nu):
-        pt = [0.0] * nu
-        pt[i] = float(scale[i])
-        points.append(pt)
-    return Design(points, [c / total for c in vec])
+    return Design(orthant_axis_points(nu, scale), [c / total for c in vec])
 
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
@@ -261,13 +244,10 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
         raise NonpositivePredictor("predictor is not positive on the whole cube")
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
-    for vertex in region_vertices(region):
-        x = np.asarray(vertex)
-        lhs = float(((x - q * x.sum()) ** 2 @ c**2))
-        rhs = (b - a) ** 2 * float(vec @ x) ** 2
-        if lhs > rhs * (1.0 + _VERTEX_CONDITION_RTOL):
-            return False
-    return True
+    X = np.asarray(region_vertices(region))
+    lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
+    rhs = (b - a) ** 2 * (X @ vec) ** 2
+    return bool(np.all(lhs <= rhs * (1.0 + _VERTEX_CONDITION_RTOL)))
 
 
 def equal_beta_threshold(nu: int) -> float:
@@ -345,10 +325,7 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     if vec.shape != (3,):
         raise ValidationError("beta must have three entries")
     v = interaction_vertices(a, b)
-    model = GammaModel.interaction()
-    for pt in v:
-        if float(features(model, pt) @ vec) <= 0.0:
-            raise NonpositivePredictor(f"predictor is not positive at vertex {pt}")
+    _intensity_arrays(GammaModel.interaction(), vec, v)  # raises unless positive at every vertex
     tol = _DROP_CONDITION_RTOL * float(vec @ vec)
     forms = _drop_vertex_forms(a, b, vec)
     supports = (
@@ -405,11 +382,9 @@ def intensity_ranking(
     """
     if region.kind is not RegionKind.HYPERCUBE:
         raise ValidationError("intensity ranking is defined on hypercube regions")
-    vec = np.asarray(beta, dtype=float)
-    if not validate_positivity(model, vec, region):
-        raise NonpositivePredictor("predictor is not positive on the whole cube")
     vertices = region_vertices(region)
-    values = [(pt, float(features(model, pt) @ vec) ** -2) for pt in vertices]
+    _, u = _intensity_arrays(model, beta, vertices)
+    values = list(zip(vertices, u.tolist()))
     values.sort(key=lambda item: -item[1])
     groups: list[list[tuple[tuple[float, ...], float]]] = []
     for pt, val in values:

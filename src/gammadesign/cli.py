@@ -28,7 +28,9 @@ from .model_core import (
     ModelKind,
     RegionKind,
     ValidationError,
+    _points_from_json,
     design_from_json,
+    design_to_json,
     validate_design_region,
     validate_positivity,
 )
@@ -131,12 +133,9 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     return values
 
 
-def _design_payload(design: Design, provenance: str) -> dict:
-    return {
-        "points": [list(pt) for pt in design.points],
-        "weights": list(design.weights),
-        "provenance": provenance,
-    }
+def _load_points(path: str) -> list[tuple[float, ...]]:
+    """Candidate points from a JSON file holding a list of coordinate lists."""
+    return _points_from_json(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +174,13 @@ def _require_beta(args, model: GammaModel) -> tuple[float, ...]:
 # Subcommands.
 
 def _cmd_design(args) -> int:
+    design, provenance = _construct_design(args)
+    _emit({**design_to_json(design), "provenance": provenance}, args.output)
+    return 0
+
+
+def _construct_design(args) -> tuple[Design, str]:
+    """The requested design and how it was made: "analytic" or "numerical"."""
     model = _make_model(args)
     region = _make_region(args, model)
     criterion = Criterion(args.criterion)
@@ -188,48 +194,35 @@ def _cmd_design(args) -> int:
         beta = _require_beta(args, model)
         result = d_optimal_interaction(region.a, region.b, beta)
         if result.design is not None:
-            _emit(_design_payload(result.design, "analytic"), args.output)
-            return 0
-        design, _ = multiplicative(model, beta, region_vertices(region))
-        _emit(_design_payload(design, "numerical"), args.output)
-        return 0
+            return result.design, "analytic"
+        return multiplicative(model, beta, region_vertices(region))[0], "numerical"
 
     if region.kind is RegionKind.ORTHANT:
         if criterion is Criterion.D:
             if args.beta is not None and not validate_positivity(model, _require_beta(args, model), region):
                 raise ValidationError("beta violates positivity on the orthant")
-            design = d_optimal_orthant(model.nu, scale)
-        else:
-            design = a_optimal_orthant(_require_beta(args, model), scale)
-        _emit(_design_payload(design, "analytic"), args.output)
-        return 0
+            return d_optimal_orthant(model.nu, scale), "analytic"
+        return a_optimal_orthant(_require_beta(args, model), scale), "analytic"
 
     # first-order model on a hypercube
     if criterion is Criterion.A:
         if model.nu != 2:
             raise ValidationError("A-optimal hypercube designs are available for nu = 2 only")
-        design = a_optimal_two_factor(region.a, region.b, _require_beta(args, model))
-        _emit(_design_payload(design, "analytic"), args.output)
-        return 0
+        return a_optimal_two_factor(region.a, region.b, _require_beta(args, model)), "analytic"
     if model.nu == 2:
         if args.beta is not None and not validate_positivity(model, _require_beta(args, model), region):
             raise ValidationError("beta violates positivity on the square")
-        _emit(_design_payload(d_optimal_two_factor(region.a, region.b), "analytic"), args.output)
-        return 0
+        return d_optimal_two_factor(region.a, region.b), "analytic"
     beta = _require_beta(args, model)
     if not validate_positivity(model, beta, region):
         raise ValidationError("beta violates positivity on the cube")
     if is_simplex_design_d_optimal(model.nu, region.a, region.b, beta):
-        _emit(_design_payload(simplex_design(model.nu, region.a, region.b), "analytic"), args.output)
-        return 0
+        return simplex_design(model.nu, region.a, region.b), "analytic"
     if model.nu == 3 and region.a == 1.0 and region.b == 2.0 and beta[1] == beta[2]:
         result = classify_three_factor(ThreeFactorScenario(beta[0], beta[1]))
         if result.design is not None:
-            _emit(_design_payload(result.design, "analytic"), args.output)
-            return 0
-    design, _ = multiplicative(model, beta, region_vertices(region))
-    _emit(_design_payload(design, "numerical"), args.output)
-    return 0
+            return result.design, "analytic"
+    return multiplicative(model, beta, region_vertices(region))[0], "numerical"
 
 
 def _cmd_classify(args) -> int:
@@ -249,7 +242,7 @@ def _cmd_verify(args) -> int:
     beta = _require_beta(args, model)
     design = design_from_json(_load_json(args.design))
     if args.candidates is not None:
-        candidates = [tuple(float(c) for c in pt) for pt in _load_json(args.candidates)]
+        candidates = _load_points(args.candidates)
     elif args.region is not None:
         region = _make_region(args, model)
         validate_design_region(design, region)
@@ -270,7 +263,7 @@ def _cmd_solve(args) -> int:
     model = _make_model(args)
     beta = _require_beta(args, model)
     if args.candidates is not None:
-        candidates = [tuple(float(c) for c in pt) for pt in _load_json(args.candidates)]
+        candidates = _load_points(args.candidates)
     elif args.region is not None:
         region = _make_region(args, model)
         candidates = region_vertices(region)
@@ -284,7 +277,7 @@ def _cmd_solve(args) -> int:
     design, trace = multiplicative(model, beta, candidates, params)
     if args.trace is not None:
         Path(args.trace).write_text(render_json(trace.to_json()) + "\n")
-    _emit(_design_payload(design, "numerical"), args.output)
+    _emit({**design_to_json(design), "provenance": "numerical"}, args.output)
     return 0
 
 

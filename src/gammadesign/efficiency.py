@@ -18,8 +18,8 @@ import numpy as np
 from .model_core import (
     Design,
     GammaModel,
-    SingularInformation,
     ValidationError,
+    _factor,
     information_matrix,
 )
 from .analytic_designs import (
@@ -49,19 +49,14 @@ __all__ = [
 _REFERENCE_TOL = 1e-10
 
 
-def _checked_logdet(M: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(M)
-    row_norms = np.abs(M).max(axis=1)
-    scale = float(np.sum(np.log(row_norms))) if np.all(row_norms > 0.0) else -np.inf
-    if sign <= 0.0 or logdet < np.log(1e-14) + scale:
-        raise SingularInformation("information matrix is numerically singular")
-    return float(logdet)
+def _design_logdet(model: GammaModel, beta: Sequence[float], design: Design) -> float:
+    return _factor(information_matrix(model, beta, design))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
     """Efficiency of ``design`` relative to ``optimal`` at the point ``beta``."""
-    ld_design = _checked_logdet(information_matrix(model, beta, design))
-    ld_optimal = _checked_logdet(information_matrix(model, beta, optimal))
+    ld_design = _design_logdet(model, beta, design)
+    ld_optimal = _design_logdet(model, beta, optimal)
     return float(np.exp((ld_design - ld_optimal) / model.p))
 
 
@@ -204,10 +199,10 @@ def efficiency_sweep(
             continue
         beta = family.beta(gamma)
         reference = family.reference(gamma)
-        ld_ref = _checked_logdet(information_matrix(family.model, beta, reference))
+        ld_ref = _design_logdet(family.model, beta, reference)
         row = []
         for name in names:
-            ld = _checked_logdet(information_matrix(family.model, beta, designs[name]))
+            ld = _design_logdet(family.model, beta, designs[name])
             row.append(float(np.exp((ld - ld_ref) / family.model.p)))
         kept.append(float(gamma))
         rows.append(tuple(row))

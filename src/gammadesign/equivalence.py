@@ -7,12 +7,19 @@ below tr(M^-1). Both bounds are attained at the support points of an
 optimal design. Verification here is over finite candidate sets; for
 hypercubes the vertices form an essentially complete class, so they are
 the canonical candidates.
+
+Both sensitivities come from the Cholesky factor L of M, built by the
+kernel in ``model_core`` (``feature_matrix`` gives the rows f(x) of a
+batch of points): psi(x) = u(x) |L^-1 f(x)|^2 for D, and
+u(x) |L^-T L^-1 f(x)|^2 with bound |L^-1|_F^2 for A. The package has one
+singularity rule, applied there: M is singular when its Cholesky
+factorization fails or min diag(L)^2 <= 1e-12 * max diag(M), and
+verification then raises ``SingularInformation``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,13 +27,14 @@ import numpy as np
 
 from .model_core import (
     Design,
-    ExperimentalRegion,
     GammaModel,
-    NonpositivePredictor,
-    RegionKind,
-    SingularInformation,
     ValidationError,
-    features,
+    _a_sensitivities,
+    _d_sensitivities,
+    _factor,
+    _information,
+    _intensity_arrays,
+    region_vertices,
 )
 
 __all__ = [
@@ -41,8 +49,6 @@ __all__ = [
 
 # Default ceiling on the sensitivity excess accepted as "optimal".
 DEFAULT_TOL = 1e-9
-# |det M| below this multiple of the row-norm product counts as singular.
-_SINGULARITY_RTOL = 1e-14
 
 
 class Criterion(str, enum.Enum):
@@ -76,14 +82,6 @@ class VerificationReport:
         }
 
 
-def region_vertices(region: ExperimentalRegion) -> list[tuple[float, ...]]:
-    """All 2**nu vertices of a hypercube, in lexicographic order (a < b,
-    first coordinate varying slowest). Orthants have no vertices."""
-    if region.kind is not RegionKind.HYPERCUBE:
-        raise ValidationError("only hypercube regions have vertices")
-    return [pt for pt in itertools.product((region.a, region.b), repeat=region.nu)]
-
-
 def orthant_axis_points(nu: int, scale: Sequence[float] | None = None) -> list[tuple[float, ...]]:
     """The canonical orthant candidates a_i * e_i (unit axis points by default)."""
     if nu < 1:
@@ -102,45 +100,6 @@ def orthant_axis_points(nu: int, scale: Sequence[float] | None = None) -> list[t
     return pts
 
 
-def _checked_inverse(M: np.ndarray) -> np.ndarray:
-    row_norms = np.abs(M).max(axis=1)
-    det = float(np.linalg.det(M))
-    if abs(det) < _SINGULARITY_RTOL * float(np.prod(row_norms)) or det == 0.0:
-        raise SingularInformation(f"information matrix is numerically singular (det {det:.3e})")
-    return np.linalg.inv(M)
-
-
-def _design_arrays(model: GammaModel, beta: np.ndarray, design: Design) -> tuple[np.ndarray, np.ndarray]:
-    F = np.array([features(model, pt) for pt in design.points])
-    eta = F @ beta
-    if np.any(eta <= 0.0):
-        k = int(np.nonzero(eta <= 0.0)[0][0])
-        raise NonpositivePredictor(f"predictor {eta[k]:.6g} at support point {design.points[k]} is not positive")
-    return F, eta**-2
-
-
-def _candidate_arrays(model: GammaModel, beta: np.ndarray, points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
-    F = np.array([features(model, pt) for pt in points])
-    eta = F @ beta
-    if np.any(eta <= 0.0):
-        k = int(np.nonzero(eta <= 0.0)[0][0])
-        raise NonpositivePredictor(f"predictor {eta[k]:.6g} at candidate {tuple(points[k])} is not positive")
-    return F, eta**-2
-
-
-def _sensitivity_values(M: np.ndarray, F: np.ndarray, u: np.ndarray, criterion: Criterion) -> tuple[np.ndarray, float]:
-    """Sensitivities of the candidates (rows of F) and the criterion bound."""
-    inv = _checked_inverse(M)
-    if criterion is Criterion.D:
-        core = inv
-        bound = float(M.shape[0])
-    else:
-        core = inv @ inv
-        bound = float(np.trace(inv))
-    vals = u * np.einsum("ij,jk,ik->i", F, core, F)
-    return vals, bound
-
-
 def sensitivity(
     model: GammaModel,
     beta: Sequence[float],
@@ -149,24 +108,26 @@ def sensitivity(
     criterion: Criterion = Criterion.D,
 ) -> float:
     """Sensitivity of the design at one point under the given criterion."""
-    vec = np.asarray(beta, dtype=float)
-    Fd, ud = _design_arrays(model, vec, design)
-    w = np.asarray(design.weights, dtype=float)
-    M = (Fd * (w * ud)[:, None]).T @ Fd
-    Fc, uc = _candidate_arrays(model, vec, [x])
-    vals, _ = _sensitivity_values((M + M.T) / 2.0, Fc, uc, criterion)
-    return float(vals[0])
+    return verify_optimality(model, beta, design, criterion, [x]).sensitivities[0]
 
 
 def _report_from_arrays(
-    M: np.ndarray,
+    F_design: np.ndarray,
+    u_design: np.ndarray,
+    weights: Sequence[float],
     F_cand: np.ndarray,
     u_cand: np.ndarray,
     cand_points: Sequence[Sequence[float]],
     criterion: Criterion,
     tol: float,
 ) -> VerificationReport:
-    vals, bound = _sensitivity_values(M, F_cand, u_cand, criterion)
+    """Report for the design with feature rows F_design, intensities
+    u_design and weights, over candidates with rows F_cand and u_cand."""
+    L, _ = _factor(_information(F_design, u_design, np.asarray(weights)))
+    if criterion is Criterion.D:
+        vals, bound = _d_sensitivities(L, F_cand, u_cand), float(L.shape[0])
+    else:
+        vals, bound = _a_sensitivities(L, F_cand, u_cand)
     worst = int(np.argmax(vals))  # ties resolved by first index
     excess = float(vals[worst] - bound)
     return VerificationReport(
@@ -195,9 +156,6 @@ def verify_optimality(
     """
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
-    vec = np.asarray(beta, dtype=float)
-    Fd, ud = _design_arrays(model, vec, design)
-    w = np.asarray(design.weights, dtype=float)
-    M = (Fd * (w * ud)[:, None]).T @ Fd
-    Fc, uc = _candidate_arrays(model, vec, candidates)
-    return _report_from_arrays((M + M.T) / 2.0, Fc, uc, candidates, criterion, tol)
+    Fd, ud = _intensity_arrays(model, beta, design.points)
+    Fc, uc = _intensity_arrays(model, beta, candidates)
+    return _report_from_arrays(Fd, ud, design.weights, Fc, uc, candidates, criterion, tol)

@@ -5,6 +5,10 @@ interaction predictor, both without intercept), experimental regions,
 approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
+The solver, verification, efficiencies and transforms share one numeric
+kernel here: a batch of points gives F and u, these and the weights give
+M, and one Cholesky factor of M gives log det M and the sensitivities.
+
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
 All mean-related constants drop out after normalization, so the
@@ -17,6 +21,7 @@ Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,6 +41,7 @@ __all__ = [
     "ExperimentalRegion",
     "Design",
     "features",
+    "feature_matrix",
     "intensity",
     "information_matrix",
     "validate_positivity",
@@ -55,6 +61,8 @@ __all__ = [
 COINCIDENCE_TOL = 1e-12
 # Design weights must sum to one within this absolute tolerance.
 WEIGHT_SUM_TOL = 1e-12
+# Relative pivot floor of the singularity rule in ``_factor``.
+_SINGULARITY_RTOL = 1e-12
 
 
 class GammaDesignError(Exception):
@@ -227,20 +235,32 @@ class Design:
         return np.asarray(self.points, dtype=float), np.asarray(self.weights, dtype=float)
 
 
+def feature_matrix(model: GammaModel, points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Regression vectors f(x) of a batch of points, one row per point.
+
+    Returns an (n, p) array: the points themselves for the first-order
+    model and rows ``(x1, x2, x1*x2)`` for the interaction model.
+    """
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points must be equal-length lists of numbers: {exc}") from exc
+    if pts.ndim != 2 or pts.shape[1] != model.nu:
+        raise ValidationError(f"points have shape {pts.shape}, expected (n, {model.nu})")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("point coordinates must be finite")
+    if model.kind is ModelKind.FIRST_ORDER:
+        return pts
+    return np.column_stack((pts[:, 0], pts[:, 1], pts[:, 0] * pts[:, 1]))
+
+
 def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
     """Regression vector f(x) of the model at the point ``x``.
 
     Returns ``x`` itself for the first-order model and
     ``(x1, x2, x1*x2)`` for the interaction model.
     """
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (model.nu,):
-        raise ValidationError(f"point has dimension {pt.shape}, expected ({model.nu},)")
-    if not np.all(np.isfinite(pt)):
-        raise ValidationError("point coordinates must be finite")
-    if model.kind is ModelKind.FIRST_ORDER:
-        return pt
-    return np.array([pt[0], pt[1], pt[0] * pt[1]])
+    return feature_matrix(model, [x])[0]
 
 
 def _check_beta(model: GammaModel, beta: Sequence[float]) -> np.ndarray:
@@ -252,6 +272,60 @@ def _check_beta(model: GammaModel, beta: Sequence[float]) -> np.ndarray:
     return vec
 
 
+def _intensity_arrays(
+    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix F of a batch of points and intensities u = (F beta)**-2;
+    raises NonpositivePredictor where f(x)' beta <= 0."""
+    F = feature_matrix(model, points)
+    eta = F @ _check_beta(model, beta)
+    bad = np.nonzero(eta <= 0.0)[0]
+    if bad.size:
+        k = int(bad[0])
+        raise NonpositivePredictor(f"predictor {eta[k]:.6g} at {tuple(float(c) for c in points[k])} is not positive")
+    return F, eta**-2
+
+
+def _information(F: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M = sum_i w_i u_i f_i f_i' over the rows f_i of F. Not symmetrized:
+    ``_factor`` reads only the lower triangle."""
+    return (F * (w * u)[:, None]).T @ F
+
+
+def _factor(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor L of M, and log det M = 2 sum(log diag L).
+
+    This is the package's one singularity rule: SingularInformation is
+    raised when the factorization fails or
+    min diag(L)**2 <= 1e-12 * max diag(M).
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformation("information matrix is numerically singular (not positive definite)") from exc
+    # Python floats: with a handful of parameters they cost less than
+    # numpy reductions, and the solver factors once per iteration.
+    pivots = L.diagonal().tolist()
+    smallest = min(pivots)
+    if not smallest * smallest > _SINGULARITY_RTOL * max(M.diagonal().tolist()):
+        raise SingularInformation(f"information matrix is numerically singular (smallest pivot {smallest:.3e})")
+    return L, 2.0 * math.fsum(map(math.log, pivots))
+
+
+def _d_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """D-sensitivities u(x) f(x)' M^-1 f(x) = u(x) |L^-1 f(x)|^2 of the rows of F."""
+    G = np.linalg.inv(L) @ F.T
+    return u * (G * G).sum(axis=0)
+
+
+def _a_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """A-sensitivities u(x) |M^-1 f(x)|^2 = u(x) |L^-T L^-1 f(x)|^2 of the
+    rows of F, and their bound tr(M^-1) = |L^-1|_F^2."""
+    Linv = np.linalg.inv(L)
+    H = Linv.T @ (Linv @ F.T)
+    return u * (H * H).sum(axis=0), float((Linv * Linv).sum())
+
+
 def intensity(model: GammaModel, beta: Sequence[float], x: Sequence[float]) -> float:
     """GLM intensity u(x, beta) = (f(x)' beta)**-2.
 
@@ -260,11 +334,7 @@ def intensity(model: GammaModel, beta: Sequence[float], x: Sequence[float]) -> f
     NonpositivePredictor
         If f(x)' beta <= 0, where the gamma mean is undefined.
     """
-    vec = _check_beta(model, beta)
-    eta = float(features(model, x) @ vec)
-    if eta <= 0.0:
-        raise NonpositivePredictor(f"predictor {eta:.6g} at {tuple(float(c) for c in x)} is not positive")
-    return eta**-2
+    return float(_intensity_arrays(model, beta, [x])[1][0])
 
 
 def information_matrix(model: GammaModel, beta: Sequence[float], design: Design) -> np.ndarray:
@@ -273,15 +343,17 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
-    vec = _check_beta(model, beta)
-    pts, w = design.as_arrays()
-    F = np.array([features(model, pt) for pt in pts])
-    eta = F @ vec
-    bad = np.nonzero(eta <= 0.0)[0]
-    if bad.size:
-        raise NonpositivePredictor(f"predictor {eta[bad[0]]:.6g} at support point {design.points[bad[0]]} is not positive")
-    M = (F * (w * eta**-2)[:, None]).T @ F
+    F, u = _intensity_arrays(model, beta, design.points)
+    M = _information(F, u, np.asarray(design.weights))
     return (M + M.T) / 2.0
+
+
+def region_vertices(region: ExperimentalRegion) -> list[tuple[float, ...]]:
+    """All 2**nu vertices of a hypercube, in lexicographic order (a < b,
+    first coordinate varying slowest). Orthants have no vertices."""
+    if region.kind is not RegionKind.HYPERCUBE:
+        raise ValidationError("only hypercube regions have vertices")
+    return list(itertools.product((region.a, region.b), repeat=region.nu))
 
 
 def validate_positivity(model: GammaModel, beta: Sequence[float], region: ExperimentalRegion) -> bool:
@@ -300,11 +372,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         if model.kind is ModelKind.FIRST_ORDER:
             return bool(np.all(vec > 0.0))
         return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    for corner in np.ndindex(*(2,) * region.nu):
-        vertex = np.where(np.asarray(corner) == 0, region.a, region.b)
-        if float(features(model, vertex) @ vec) <= 0.0:
-            return False
-    return True
+    return bool(np.all(feature_matrix(model, region_vertices(region)) @ vec > 0.0))
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:
@@ -394,9 +462,19 @@ def design_to_json(design: Design) -> dict:
     return {"points": [list(pt) for pt in design.points], "weights": list(design.weights)}
 
 
+def _points_from_json(obj) -> list[tuple[float, ...]]:
+    """Points from a JSON list of coordinate lists."""
+    if not isinstance(obj, list) or not all(isinstance(pt, list) for pt in obj):
+        raise ValidationError("points must be a list of coordinate lists")
+    try:
+        return [tuple(float(c) for c in pt) for pt in obj]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"point coordinates must be numbers: {exc}") from exc
+
+
 def design_from_json(obj: dict) -> Design:
     try:
-        points = obj["points"]
+        points = _points_from_json(obj["points"])
         weights = obj["weights"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad design object: {exc}") from exc

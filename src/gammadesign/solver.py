@@ -19,10 +19,13 @@ from .model_core import (
     Design,
     GammaModel,
     IterationCapExceeded,
-    NonpositivePredictor,
     RankDeficientCandidates,
+    SingularInformation,
     ValidationError,
-    features,
+    _d_sensitivities,
+    _factor,
+    _information,
+    _intensity_arrays,
 )
 
 __all__ = ["SolverParams", "SolverTrace", "multiplicative"]
@@ -77,30 +80,23 @@ def multiplicative(
     """
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
-    vec = np.asarray(beta, dtype=float)
-    if vec.shape != (model.p,):
-        raise ValidationError(f"beta has dimension {vec.shape}, expected ({model.p},)")
-    F = np.array([features(model, pt) for pt in candidates])
-    eta = F @ vec
-    if np.any(eta <= 0.0):
-        k = int(np.nonzero(eta <= 0.0)[0][0])
-        raise NonpositivePredictor(f"predictor {eta[k]:.6g} at candidate {tuple(candidates[k])} is not positive")
-    u = eta**-2.0
+    F, u = _intensity_arrays(model, beta, candidates)
     p = model.p
-    if np.linalg.matrix_rank(np.sqrt(u)[:, None] * F) < p:
-        raise RankDeficientCandidates("candidate set does not span the parameter dimension")
-
     m = len(candidates)
     w = np.full(m, 1.0 / m)
+    try:
+        _factor(_information(F, u, w))
+    except SingularInformation as exc:
+        raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
+
     log_dets: list[float] = []
     converged = False
     excess = np.inf
     # one evaluation per visited weight vector: at most max_iterations updates
     for step in range(params.max_iterations + 1):
-        M = (F * (w * u)[:, None]).T @ F
-        sign, logdet = np.linalg.slogdet(M)
-        log_dets.append(logdet if sign > 0 else -np.inf)
-        psi = u * np.einsum("ij,ji->i", F, np.linalg.solve(M, F.T))
+        L, logdet = _factor(_information(F, u, w))
+        log_dets.append(logdet)
+        psi = _d_sensitivities(L, F, u)
         excess = float(psi.max() - p)
         if excess <= params.convergence_tol:
             converged = True

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, NonpositivePredictor, ValidationError
+from .model_core import Design, GammaModel, NonpositivePredictor, ValidationError, _intensity_arrays
 from .equivalence import Criterion, VerificationReport, _report_from_arrays
 
 __all__ = [
@@ -143,16 +143,14 @@ def verify_intercept_design(
         candidates = UNIT_SQUARE_VERTICES
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
-    pts, w = design.as_arrays()
-    if pts.shape[1] != 2:
-        raise ValidationError("design must live on the two-factor square")
-    F_design = np.column_stack([np.ones(len(pts)), pts])
-    u_design = np.array([transform.intensity(pt) for pt in pts])
-    M = (F_design * (w * u_design)[:, None]).T @ F_design
-    cand = np.asarray(candidates, dtype=float)
-    F_cand = np.column_stack([np.ones(len(cand)), cand])
-    u_cand = np.array([transform.intensity(pt) for pt in cand])
-    return _report_from_arrays((M + M.T) / 2.0, F_cand, u_cand, candidates, criterion, tol)
+    # f(z) = (1, z1, z2) is the first-order regression vector of the point
+    # (1, z1, z2), so the intercept model is a first-order model in three
+    # factors and shares its kernel.
+    lifted = GammaModel.first_order(3)
+    beta = (transform.beta0, transform.beta1, transform.beta2)
+    F_design, u_design = _intensity_arrays(lifted, beta, [(1.0, *pt) for pt in design.points])
+    F_cand, u_cand = _intensity_arrays(lifted, beta, [(1.0, *pt) for pt in candidates])
+    return _report_from_arrays(F_design, u_design, design.weights, F_cand, u_cand, candidates, criterion, tol)
 
 
 def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,36 @@ def test_verify_requires_candidate_source(capsys, tmp_path):
     assert "candidates" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("content", ["[1, 2, 3]", '{"x": 1}', '[[1, 2, "a"]]', "[[1, 2, 3], [1, 2]]"])
+def test_malformed_candidate_file(capsys, tmp_path, command, content):
+    design_file = tmp_path / "design.json"
+    design_file.write_text(
+        json.dumps({"points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "weights": [0.25, 0.25, 0.5]})
+    )
+    cand_file = tmp_path / "cands.json"
+    cand_file.write_text(content)
+    argv = [command, "--nu", "3", "--beta", "1,1,1", "--candidates", str(cand_file)]
+    if command == "verify":
+        argv += ["--design", str(design_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+def test_malformed_design_points(capsys, tmp_path):
+    design_file = tmp_path / "design.json"
+    design_file.write_text(json.dumps({"points": [1, 2, 3], "weights": [0.25, 0.25, 0.5]}))
+    code, _, err = run_cli(
+        capsys,
+        "verify", "--nu", "3", "--region", "orthant", "--beta", "1,1,1",
+        "--design", str(design_file),
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_verify_missing_design_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -328,6 +359,16 @@ def test_reproduce_example1(capsys, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["gamma", "xi1"]
     assert len(lines) == 126  # 125 grid points plus the header
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "bench" / "golden"
+
+
+@pytest.mark.parametrize("target", ["table2", "example1", "example2"])
+def test_reproduce_matches_golden_bytes(capsys, tmp_path, target):
+    code, _, err = run_cli(capsys, "reproduce", target, "--outdir", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / f"{target}.csv").read_bytes() == (GOLDEN_DIR / f"{target}.csv").read_bytes()
 
 
 # ----------------------------------------------------------- console script

@@ -13,9 +13,11 @@ from gammadesign import (
     NonpositivePredictor,
     SingularInformation,
     ValidationError,
+    is_simplex_design_d_optimal,
     orthant_axis_points,
     region_vertices,
     sensitivity,
+    simplex_design,
     verify_optimality,
 )
 
@@ -245,6 +247,25 @@ def test_singular_information_rejected():
     thin = Design(points=[(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)], weights=[0.5, 0.5])
     with pytest.raises(SingularInformation):
         verify_optimality(m3, (1.0, 1.0, 1.0), thin, Criterion.D, [(1.0, 1.0, 1.0)])
+
+
+def test_narrow_simplex_designs_are_not_called_singular():
+    # On a narrow cube the simplex design's information matrix is well
+    # conditioned (about 1e4 at nu=6, b/a=1.05), so verification must give
+    # a verdict, and the verdict must be the closed-form rule's.
+    rng = np.random.default_rng(2026)
+    cases = [(6, 1.0, 1.05, (1.0,) * 6)]
+    for _ in range(400):
+        nu = int(rng.integers(3, 7))
+        a = float(rng.uniform(0.5, 2.0))
+        b = a * float(rng.uniform(1.01, 5.0))
+        cases.append((nu, a, b, tuple(rng.uniform(0.2, 3.0, nu))))
+    for nu, a, b, beta in cases:
+        cube = ExperimentalRegion.hypercube(a, b, nu)
+        report = verify_optimality(
+            GammaModel.first_order(nu), beta, simplex_design(nu, a, b), Criterion.D, region_vertices(cube)
+        )
+        assert report.passed == is_simplex_design_d_optimal(nu, a, b, beta), (nu, a, b, beta)
 
 
 def test_nonpositive_candidate_rejected():
