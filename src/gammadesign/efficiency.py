@@ -4,7 +4,8 @@ The D-efficiency of a design against the locally optimal one is
 (det M(design) / det M(optimal))**(1/p). Sweeps trace this value over a
 grid of the ratio gamma that indexes the optimality subregions, using
 the closed-form reference design where one exists and the multiplicative
-solver elsewhere.
+solver elsewhere. A sweep evaluates each design over the whole grid with
+one stacked Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ import numpy as np
 from .model_core import (
     Design,
     GammaModel,
+    NonpositivePredictor,
+    SingularInformation,
     ValidationError,
+    _check_beta,
     _factor,
-    information_matrix,
+    _information,
+    _intensity_arrays,
 )
 from .analytic_designs import (
     Classification,
@@ -49,15 +54,19 @@ __all__ = [
 _REFERENCE_TOL = 1e-10
 
 
-def _design_logdet(model: GammaModel, beta: Sequence[float], design: Design) -> float:
-    return _factor(information_matrix(model, beta, design))[1]
+def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
+    """log det M of one support at each row of the (G, p) stack ``betas``, with
+    one weight vector or a (G, n) stack of them: one factorization in all."""
+    F, u = _intensity_arrays(model, betas, points, stacked=True)
+    return _factor(_information(F, u, np.asarray(weights)))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
     """Efficiency of ``design`` relative to ``optimal`` at the point ``beta``."""
-    ld_design = _design_logdet(model, beta, design)
-    ld_optimal = _design_logdet(model, beta, optimal)
-    return float(np.exp((ld_design - ld_optimal) / model.p))
+    betas = _check_beta(model, beta)[None]
+    ld_design = _logdets(model, betas, design.points, design.weights)
+    ld_optimal = _logdets(model, betas, optimal.points, optimal.weights)
+    return float(np.exp((ld_design - ld_optimal) / model.p)[0])
 
 
 @dataclass(frozen=True)
@@ -185,28 +194,42 @@ def efficiency_sweep(
 ) -> EfficiencySweep:
     """Efficiency of each design against the local optimum at every ratio.
 
-    Inadmissible grid points are skipped and recorded in ``skipped``.
+    Inadmissible grid points are skipped and recorded in ``skipped``. A
+    singular or nonpositive row raises, naming its gamma and design.
     """
     if not designs:
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
+    model = family.model
     kept: list[float] = []
-    rows: list[tuple[float, ...]] = []
     skipped: list[str] = []
     for gamma in gammas:
-        if not family.admissible(gamma):
+        if family.admissible(gamma):
+            kept.append(float(gamma))
+        else:
             skipped.append(f"gamma={gamma:g} is outside the admissible range")
-            continue
-        beta = family.beta(gamma)
-        reference = family.reference(gamma)
-        ld_ref = _design_logdet(family.model, beta, reference)
-        row = []
-        for name in names:
-            ld = _design_logdet(family.model, beta, designs[name])
-            row.append(float(np.exp((ld - ld_ref) / family.model.p)))
-        kept.append(float(gamma))
-        rows.append(tuple(row))
-    return EfficiencySweep(family.name, tuple(kept), names, tuple(rows), tuple(skipped))
+    betas = np.array([family.beta(gamma) for gamma in kept], dtype=float).reshape(-1, model.p)
+    references = [family.reference(gamma) for gamma in kept]
+    # Reference designs change with gamma; rows sharing a support share one factorization.
+    by_support: dict[tuple, list[int]] = {}
+    for row, reference in enumerate(references):
+        by_support.setdefault(reference.points, []).append(row)
+    ld_ref = np.empty(len(kept))
+    try:
+        for points, rows in by_support.items():
+            ld_ref[rows] = _logdets(model, betas[rows], points, [references[r].weights for r in rows])
+        ld = np.column_stack([_logdets(model, betas, d.points, d.weights) for d in designs.values()])
+    except (SingularInformation, NonpositivePredictor):
+        # Name the first failing row by evaluating the rows one at a time.
+        for gamma, beta, reference in zip(kept, betas, references):
+            for name, design in (("reference", reference), *designs.items()):
+                try:
+                    _logdets(model, beta[None], design.points, design.weights)
+                except (SingularInformation, NonpositivePredictor) as exc:
+                    raise type(exc)(f"gamma={gamma!r}, design {name}: {exc}") from exc
+        raise
+    values = np.exp((ld - ld_ref[:, None]) / model.p)
+    return EfficiencySweep(family.name, tuple(kept), names, tuple(map(tuple, values.tolist())), tuple(skipped))
 
 
 def three_factor_benchmark_designs() -> dict[str, Design]:

@@ -8,6 +8,8 @@ intensity function and the normalized information matrix.
 The solver, verification, efficiencies and transforms share one numeric
 kernel here: a batch of points gives F and u, these and the weights give
 M, and one Cholesky factor of M gives log det M and the sensitivities.
+F, u, M and the factor also come as stacks over many parameter points, so
+an efficiency sweep factors one stack per design.
 
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
@@ -263,53 +265,65 @@ def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
     return feature_matrix(model, [x])[0]
 
 
-def _check_beta(model: GammaModel, beta: Sequence[float]) -> np.ndarray:
+def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False) -> np.ndarray:
+    """beta as a (p,) array, or as a (G, p) stack of parameter points when ``stacked``."""
     vec = np.asarray(beta, dtype=float)
-    if vec.shape != (model.p,):
-        raise ValidationError(f"beta has dimension {vec.shape}, expected ({model.p},)")
+    if vec.ndim != 1 + stacked or vec.shape[-1] != model.p:
+        raise ValidationError(f"beta has dimension {vec.shape}, expected {('G', model.p) if stacked else (model.p,)}")
     if not np.all(np.isfinite(vec)):
         raise ValidationError("beta entries must be finite")
     return vec
 
 
 def _intensity_arrays(
-    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]]
+    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix F of a batch of points and intensities u = (F beta)**-2;
-    raises NonpositivePredictor where f(x)' beta <= 0."""
+    raises NonpositivePredictor where f(x)' beta <= 0. With ``stacked``,
+    beta is a (G, p) stack of parameter points and u is (G, n)."""
     F = feature_matrix(model, points)
-    eta = F @ _check_beta(model, beta)
-    bad = np.nonzero(eta <= 0.0)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise NonpositivePredictor(f"predictor {eta[k]:.6g} at {tuple(float(c) for c in points[k])} is not positive")
+    B = _check_beta(model, beta, stacked)
+    eta = B @ F.T if stacked else F @ B
+    bad = np.nonzero(eta <= 0.0)
+    if bad[0].size:
+        at = tuple(int(axis[0]) for axis in bad)  # (k,), or (g, k) for a stack
+        raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(map(float, points[at[-1]]))} is not positive")
     return F, eta**-2
 
 
 def _information(F: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M = sum_i w_i u_i f_i f_i' over the rows f_i of F. Not symmetrized:
-    ``_factor`` reads only the lower triangle."""
-    return (F * (w * u)[:, None]).T @ F
+    """M = sum_i w_i u_i f_i f_i' over the rows f_i of F, or the (G, p, p) stack
+    of these sums for (G, n) stacks of u or w. Not symmetrized: ``_factor``
+    reads only the lower triangle."""
+    return (F.T * (w * u)[..., None, :]) @ F
 
 
-def _factor(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor L of M, and log det M = 2 sum(log diag L).
+def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Lower Cholesky factor L of M, and log det M = 2 sum(log diag L); a
+    (G, p, p) stack is factored in one call and gives (G,) log-dets.
 
     This is the package's one singularity rule: SingularInformation is
     raised when the factorization fails or
-    min diag(L)**2 <= 1e-12 * max diag(M).
+    min diag(L)**2 <= 1e-12 * max diag(M), for any matrix of a stack.
     """
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation("information matrix is numerically singular (not positive definite)") from exc
-    # Python floats: with a handful of parameters they cost less than
-    # numpy reductions, and the solver factors once per iteration.
-    pivots = L.diagonal().tolist()
+    # Python floats, one matrix at a time: with a handful of parameters they
+    # cost less than numpy reductions, and the solver factors one matrix per
+    # iteration.
+    if M.ndim == 2:
+        return L, _pivot_logdet(L.diagonal().tolist(), M.diagonal().tolist())
+    return L, np.array(list(map(_pivot_logdet, L.diagonal(0, -2, -1).tolist(), M.diagonal(0, -2, -1).tolist())))
+
+
+def _pivot_logdet(pivots: list[float], scales: list[float]) -> float:
+    """The pivot test of the singularity rule, then 2 sum(log pivots)."""
     smallest = min(pivots)
-    if not smallest * smallest > _SINGULARITY_RTOL * max(M.diagonal().tolist()):
+    if not smallest * smallest > _SINGULARITY_RTOL * max(scales):
         raise SingularInformation(f"information matrix is numerically singular (smallest pivot {smallest:.3e})")
-    return L, 2.0 * math.fsum(map(math.log, pivots))
+    return 2.0 * math.fsum(map(math.log, pivots))
 
 
 def _d_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:

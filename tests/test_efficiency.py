@@ -11,9 +11,11 @@ from gammadesign import (
     ExperimentalRegion,
     GammaModel,
     InteractionFamily,
+    NonpositivePredictor,
     SingularInformation,
     ThreeFactorFamily,
     ValidationError,
+    classify_three_factor,
     d_efficiency,
     efficiency_sweep,
     gamma_grid,
@@ -174,6 +176,66 @@ def test_sweep_serialization():
         sweep.column("nope")
     with pytest.raises(ValidationError):
         efficiency_sweep(POS, {}, (0.5,))
+
+
+@pytest.mark.parametrize(
+    "family, designs, gammas",
+    [
+        (POS, three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)),
+        (SQUARE, interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)),
+        (NEG, three_factor_benchmark_designs(), (-2.5, -2.0, -1.5)),
+    ],
+    ids=["example1", "example2", "negative_band"],
+)
+def test_sweep_matches_per_row_d_efficiency(family, designs, gammas):
+    sweep = efficiency_sweep(family, designs, gammas)
+    assert sweep.gammas == tuple(gammas) and not sweep.skipped
+    expected = []
+    for gamma in gammas:
+        reference = family.reference(gamma)
+        expected.append([d_efficiency(family.model, family.beta(gamma), d, reference) for d in designs.values()])
+    np.testing.assert_allclose(sweep.values, expected, rtol=1e-12, atol=0.0)
+
+
+def test_negative_band_rows_use_solver_references():
+    assert all(classify_three_factor(NEG.scenario(g)).design is None for g in (-2.5, -2.0, -1.5))
+
+
+def test_singular_sweep_row_is_named():
+    """One ulp past beta = 1 the predictor at (2, 1, 1) is about 4e-16."""
+    designs = three_factor_benchmark_designs()
+    for gammas in ((-1.0000000000000002,), (-1.1, -1.0000000000000002)):
+        with pytest.raises(SingularInformation, match=r"gamma=-1\.0000000000000002, design reference"):
+            efficiency_sweep(NEG, designs, gammas)
+
+
+def test_nonpositive_sweep_row_is_named():
+    designs = {
+        "xi1": interaction_benchmark_designs()["xi1"],
+        "far": Design([(1.0, 1.0), (4.0, 1.0), (10.0, 0.1)], [1 / 3] * 3),
+    }
+    with pytest.raises(NonpositivePredictor, match=r"gamma=-0\.4, design far"):
+        efficiency_sweep(SQUARE, designs, (1.0, -0.4))
+
+
+def test_sweep_factors_once_per_design_and_reference_support(monkeypatch):
+    """A count, not a timing: a fallback to one factorization per row
+    would make it grow with the grid."""
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    designs = interaction_benchmark_designs()
+    for step in (0.01, 0.005):  # 550 and 1099 ratios
+        grid = gamma_grid(-0.49, 5.0, step)
+        supports = {SQUARE.reference(gamma).points for gamma in grid}
+        calls.clear()
+        efficiency_sweep(SQUARE, designs, grid)
+        assert len(calls) <= len(designs) + len(supports) == 7
 
 
 # ---------------------------------------------------------------- benchmarks

@@ -1,6 +1,8 @@
 """Property tests of the numeric kernel: batched features, the Cholesky
 factor with its log-determinant, and the D- and A-sensitivities, each
-against the explicit formula rebuilt in ``oracles``."""
+against the explicit formula rebuilt in ``oracles``; and the stacked
+forms of the intensities and the factor, each against a loop of
+one-point calls."""
 
 from __future__ import annotations
 
@@ -8,8 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gammadesign import Design, GammaModel, ValidationError, feature_matrix, features, information_matrix
-from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor
+from gammadesign import (
+    Design,
+    GammaModel,
+    NonpositivePredictor,
+    SingularInformation,
+    ValidationError,
+    feature_matrix,
+    features,
+    information_matrix,
+)
+from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor, _intensity_arrays
 
 from oracles import raw_features, raw_information, raw_intensities
 
@@ -85,3 +96,86 @@ def test_sensitivities_match_inverse_formula(case):
     values, bound = _a_sensitivities(L, F, u)
     np.testing.assert_allclose(values, u * np.einsum("ij,jk,ik->i", F, inv @ inv, F), rtol=1e-10)
     assert bound == pytest.approx(np.trace(inv), rel=1e-10)
+
+
+# ---------------------------------------------------------------- stacks
+
+
+@st.composite
+def information_stacks(draw):
+    """A stack of 1..8 information matrices of one model, each from its own
+    design and positive beta on [0.5, 2]^nu with cond(M) < 1e4, and a
+    drawn member index."""
+    model = draw(MODELS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = model.p + int(rng.integers(0, 7))
+        design = Design([tuple(pt) for pt in rng.uniform(0.5, 2.0, (n, model.nu))], rng.dirichlet(np.ones(n)))
+        M = information_matrix(model, rng.uniform(0.1, 2.0, model.p), design)
+        assume(np.linalg.cond(M) < 1e4)
+        stack.append(M)
+    return np.array(stack), draw(st.integers(0, len(stack) - 1))
+
+
+def _singular(M) -> bool:
+    try:
+        _factor(M)
+    except SingularInformation:
+        return True
+    return False
+
+
+@KERNEL
+@given(information_stacks())
+def test_stacked_factor_matches_per_matrix_loop(case):
+    stack, _ = case
+    L, logdets = _factor(stack)
+    assert logdets.shape == (len(stack),)
+    for M, L_row, logdet in zip(stack, L, logdets):
+        L_one, logdet_one = _factor(M)
+        np.testing.assert_allclose(L_row, L_one, rtol=1e-12, atol=0.0)
+        assert logdet == pytest.approx(logdet_one, rel=1e-12, abs=1e-12)
+
+
+@KERNEL
+@given(information_stacks(), st.sampled_from([-1e-6, 0.0, 1e-17, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-4]))
+def test_stack_with_one_singular_member_raises_as_that_member_does(case, ratio):
+    """One member gets its smallest eigenvalue set to ``ratio`` times its
+    largest, across the pivot floor and into indefiniteness."""
+    stack, bad = case
+    values, vectors = np.linalg.eigh(stack[bad])
+    values[0] = ratio * values[-1]
+    stack[bad] = (vectors * values) @ vectors.T
+    assert not any(_singular(M) for k, M in enumerate(stack) if k != bad)
+    if _singular(stack[bad]):
+        with pytest.raises(SingularInformation):
+            _factor(stack)
+    else:
+        np.testing.assert_allclose(_factor(stack)[1][bad], _factor(stack[bad])[1], rtol=1e-12)
+
+
+@KERNEL
+@given(MODELS, st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_stacked_intensities_match_per_beta_calls(model, seed, size):
+    """Positive betas on [0.5, 2]^nu, except one member whose entries may
+    be negative: the stack raises exactly when that member does."""
+    rng = np.random.default_rng(seed)
+    points = [tuple(pt) for pt in rng.uniform(0.5, 2.0, (int(rng.integers(1, 10)), model.nu))]
+    betas = rng.uniform(0.1, 2.0, (size, model.p))
+    betas[rng.integers(size)] = rng.uniform(-1.5, 2.0, model.p)
+    try:
+        per_beta = [_intensity_arrays(model, beta, points)[1] for beta in betas]
+    except NonpositivePredictor:
+        with pytest.raises(NonpositivePredictor):
+            _intensity_arrays(model, betas, points, stacked=True)
+        return
+    F, u = _intensity_arrays(model, betas, points, stacked=True)
+    np.testing.assert_array_equal(F, feature_matrix(model, points))
+    np.testing.assert_allclose(u, np.array(per_beta), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("betas", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, np.nan]]])
+def test_stacked_intensities_reject_malformed_betas(betas):
+    with pytest.raises(ValidationError):
+        _intensity_arrays(GammaModel.first_order(2), betas, [(1.0, 1.0)], stacked=True)
