@@ -24,10 +24,10 @@ from .model_core import (
     NonpositivePredictor,
     RegionKind,
     ValidationError,
+    _check_bounds,
     _intensity_arrays,
     design_to_json,
     region_vertices,
-    validate_positivity,
 )
 from .equivalence import orthant_axis_points
 
@@ -89,8 +89,7 @@ class InteractionLabel(str, enum.Enum):
 
 def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, float, float], ...]:
     """Vertices of [a,b]^3 in the fixed reporting order v1..v8."""
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     return (
         (a, a, a), (b, a, a), (a, b, a), (a, a, b),
         (a, b, b), (b, a, b), (b, b, a), (b, b, b),
@@ -99,8 +98,7 @@ def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, 
 
 def interaction_vertices(a: float, b: float) -> tuple[tuple[float, float], ...]:
     """Vertices of [a,b]^2 in the fixed reporting order v1..v4."""
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     return ((b, b), (b, a), (a, b), (a, a))
 
 
@@ -188,8 +186,7 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
     """Equal-weight design on (a,b) and (b,a), D-optimal on [a,b]^2."""
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     return _equal_weight([(a, b), (b, a)])
 
 
@@ -200,8 +197,7 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
     value; this pairing (and only this one) attains the equivalence
     bound at both points.
     """
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     b1, b2 = (float(c) for c in beta)
     if b1 * a + b2 * b <= 0.0 or b1 * b + b2 * a <= 0.0:
         raise NonpositivePredictor("predictor must be positive at both support points")
@@ -213,8 +209,7 @@ def simplex_design(nu: int, a: float, b: float) -> Design:
     """Equal-weight design on the nu cube vertices with a single high coordinate."""
     if nu < 3:
         raise ValidationError("nu must be at least 3")
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     points = []
     for j in range(nu):
         pt = [float(a)] * nu
@@ -233,18 +228,11 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     """
     if nu < 3:
         raise ValidationError("nu must be at least 3")
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    X = np.asarray(region_vertices(ExperimentalRegion.hypercube(a, b, nu)))
+    _intensity_arrays(GammaModel.first_order(nu), beta, X)  # raises unless positive at every vertex
     vec = np.asarray(beta, dtype=float)
-    if vec.shape != (nu,):
-        raise ValidationError("beta must have one entry per factor")
-    model = GammaModel.first_order(nu)
-    region = ExperimentalRegion.hypercube(a, b, nu)
-    if not validate_positivity(model, vec, region):
-        raise NonpositivePredictor("predictor is not positive on the whole cube")
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
-    X = np.asarray(region_vertices(region))
     lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
     rhs = (b - a) ** 2 * (X @ vec) ** 2
     return bool(np.all(lhs <= rhs * (1.0 + _VERTEX_CONDITION_RTOL)))
@@ -319,13 +307,9 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     intercept model ties each condition to those supports, which the
     brute-force oracle confirms.
     """
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
-    vec = np.asarray(beta, dtype=float)
-    if vec.shape != (3,):
-        raise ValidationError("beta must have three entries")
     v = interaction_vertices(a, b)
-    _intensity_arrays(GammaModel.interaction(), vec, v)  # raises unless positive at every vertex
+    _intensity_arrays(GammaModel.interaction(), beta, v)  # raises unless positive at every vertex
+    vec = np.asarray(beta, dtype=float)
     tol = _DROP_CONDITION_RTOL * float(vec @ vec)
     forms = _drop_vertex_forms(a, b, vec)
     supports = (
@@ -359,8 +343,7 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     The four-point weight formula also extends beyond the b <= 3a case,
     where no ratio allows dropping v4.
     """
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    _check_bounds(a, b)
     if not math.isfinite(gamma) or gamma <= -a / 2.0:
         raise ValidationError("gamma must exceed -a/2")
     if gamma <= -a * b / (3.0 * b - a):

@@ -28,13 +28,14 @@ from .model_core import (
     ModelKind,
     RegionKind,
     ValidationError,
-    _points_from_json,
+    _canonical_points,
     design_from_json,
     design_to_json,
     validate_design_region,
     validate_positivity,
 )
 from .equivalence import (
+    DEFAULT_TOL,
     Criterion,
     orthant_axis_points,
     region_vertices,
@@ -106,12 +107,16 @@ def render_json(value) -> str:
     return "".join(pieces)
 
 
-def _emit(value, path: str | None) -> None:
-    text = render_json(value) + "\n"
+def _write(text: str, path: str | Path | None) -> None:
+    """Write text to the file at ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _emit(value, path: str | Path | None) -> None:
+    _write(render_json(value) + "\n", path)
 
 
 def _load_json(path: str):
@@ -131,11 +136,6 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     if not values:
         raise ValidationError(f"{what} must be nonempty")
     return values
-
-
-def _load_points(path: str) -> list[tuple[float, ...]]:
-    """Candidate points from a JSON file holding a list of coordinate lists."""
-    return _points_from_json(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def _cmd_verify(args) -> int:
     beta = _require_beta(args, model)
     design = design_from_json(_load_json(args.design))
     if args.candidates is not None:
-        candidates = _load_points(args.candidates)
+        candidates = _canonical_points(_load_json(args.candidates))
     elif args.region is not None:
         region = _make_region(args, model)
         validate_design_region(design, region)
@@ -263,7 +263,7 @@ def _cmd_solve(args) -> int:
     model = _make_model(args)
     beta = _require_beta(args, model)
     if args.candidates is not None:
-        candidates = _load_points(args.candidates)
+        candidates = _canonical_points(_load_json(args.candidates))
     elif args.region is not None:
         region = _make_region(args, model)
         candidates = region_vertices(region)
@@ -276,43 +276,35 @@ def _cmd_solve(args) -> int:
     )
     design, trace = multiplicative(model, beta, candidates, params)
     if args.trace is not None:
-        Path(args.trace).write_text(render_json(trace.to_json()) + "\n")
+        _emit(trace.to_json(), args.trace)
     _emit({**design_to_json(design), "provenance": "numerical"}, args.output)
     return 0
 
 
-def _sweep_for_family(args):
-    if args.family == "three-factor":
-        family = ThreeFactorFamily()
-        designs = three_factor_benchmark_designs()
-        start = -0.24 if args.start is None else args.start
-        stop = 1.0 if args.stop is None else args.stop
+def _sweep_for_family(family: str, a=None, b=None, start=None, stop=None, step: float = 0.01):
+    """The sweep of one family over its benchmark designs; bounds and grid
+    ends left as None take the family's defaults."""
+    if family == "three-factor":
+        sweep_family, designs, ends = ThreeFactorFamily(), three_factor_benchmark_designs(), (-0.24, 1.0)
     else:
-        a = 1.0 if args.a is None else args.a
-        b = 4.0 if args.b is None else args.b
-        family = InteractionFamily(a, b)
-        designs = interaction_benchmark_designs(a, b)
-        start = -0.49 if args.start is None else args.start
-        stop = 5.0 if args.stop is None else args.stop
-    return efficiency_sweep(family, designs, gamma_grid(start, stop, args.step))
+        a, b = 1.0 if a is None else a, 4.0 if b is None else b
+        sweep_family, designs, ends = InteractionFamily(a, b), interaction_benchmark_designs(a, b), (-0.49, 5.0)
+    start, stop = ends[0] if start is None else start, ends[1] if stop is None else stop
+    return efficiency_sweep(sweep_family, designs, gamma_grid(start, stop, step))
 
 
 def _cmd_efficiency(args) -> int:
-    sweep = _sweep_for_family(args)
-    text = sweep.to_csv(_JSON_FLOAT_FORMAT)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    sweep = _sweep_for_family(args.family, args.a, args.b, args.start, args.stop, args.step)
+    _write(sweep.to_csv(_JSON_FLOAT_FORMAT), args.output)
     if args.json is not None:
-        Path(args.json).write_text(render_json(sweep.to_json()) + "\n")
+        _emit(sweep.to_json(), args.json)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
+    path = outdir / f"{args.target}.csv"
     if args.target == "table2":
         vertices = three_factor_vertices(1.0, 2.0)
         lines = ["gamma," + ",".join(f"v{k}" for k in range(1, 9))]
@@ -322,24 +314,11 @@ def _cmd_reproduce(args) -> int:
             by_point = dict(zip(design.points, design.weights))
             row = [gamma] + [by_point.get(v, 0.0) for v in vertices]
             lines.append(",".join(_CSV_FLOAT_FORMAT % value for value in row))
-        path = outdir / "table2.csv"
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
-    elif args.target == "example1":
-        sweep = efficiency_sweep(
-            ThreeFactorFamily(), three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)
-        )
-        path = outdir / "example1.csv"
-        path.write_text(sweep.to_csv(_CSV_FLOAT_FORMAT))
-        written.append(str(path))
+        _write("\n".join(lines) + "\n", path)
     else:
-        sweep = efficiency_sweep(
-            InteractionFamily(1.0, 4.0), interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)
-        )
-        path = outdir / "example2.csv"
-        path.write_text(sweep.to_csv(_CSV_FLOAT_FORMAT))
-        written.append(str(path))
-    sys.stdout.write(render_json({"written": written}) + "\n")
+        family = "three-factor" if args.target == "example1" else "interaction"
+        _write(_sweep_for_family(family).to_csv(_CSV_FLOAT_FORMAT), path)
+    _emit({"written": [str(path)]}, None)
     return 0
 
 
@@ -380,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--design", required=True, help="design JSON file")
     p_verify.add_argument("--criterion", choices=[c.value for c in Criterion], default="D")
     p_verify.add_argument("--candidates", default=None, help="JSON file with candidate points")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -23,9 +23,11 @@ from .model_core import (
     SingularInformation,
     ValidationError,
     _check_beta,
+    _check_bounds,
     _factor,
     _information,
     _intensity_arrays,
+    _predictor,
 )
 from .analytic_designs import (
     Classification,
@@ -88,18 +90,19 @@ class ThreeFactorFamily:
     def model(self) -> GammaModel:
         return GammaModel.first_order(3)
 
+    @property
+    def vertices(self) -> tuple[tuple[float, float, float], ...]:
+        return three_factor_vertices(1.0, 2.0)
+
     def scenario(self, gamma: float) -> ThreeFactorScenario:
         return ThreeFactorScenario(float(self.beta1_sign), self.beta1_sign * gamma)
 
     def admissible(self, gamma: float) -> bool:
-        try:
-            self.scenario(gamma)
-        except ValidationError:
-            return False
-        return True
+        return bool(_admissible(self, (gamma,))[0][0])
 
     def beta(self, gamma: float) -> tuple[float, float, float]:
-        return self.scenario(gamma).beta_vector()
+        sign = float(self.beta1_sign)
+        return (sign, sign * gamma, sign * gamma)
 
     def reference(self, gamma: float) -> Design:
         """Locally D-optimal design at this ratio, solved numerically on
@@ -110,7 +113,7 @@ class ThreeFactorFamily:
         design, _ = multiplicative(
             self.model,
             self.beta(gamma),
-            three_factor_vertices(1.0, 2.0),
+            self.vertices,
             SolverParams(convergence_tol=_REFERENCE_TOL),
         )
         return design
@@ -124,8 +127,7 @@ class InteractionFamily:
     b: float = 4.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < self.b:
-            raise ValidationError("bounds must satisfy 0 < a < b")
+        _check_bounds(self.a, self.b)
 
     @property
     def name(self) -> str:
@@ -135,8 +137,12 @@ class InteractionFamily:
     def model(self) -> GammaModel:
         return GammaModel.interaction()
 
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return interaction_vertices(self.a, self.b)
+
     def admissible(self, gamma: float) -> bool:
-        return gamma > -self.a / 2.0
+        return bool(_admissible(self, (gamma,))[0][0])
 
     def beta(self, gamma: float) -> tuple[float, float, float]:
         return (float(gamma), float(gamma), 1.0)
@@ -145,6 +151,19 @@ class InteractionFamily:
         result = interaction_equal_beta(self.a, self.b, gamma)
         assert result.design is not None
         return result.design
+
+
+def _admissible(family: ThreeFactorFamily | InteractionFamily, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Which ratios are admissible, and the (K, p) stack of betas of the K
+    that are: a ratio is admissible when it is finite and the kernel's
+    positivity rule holds at every vertex of the family's region, decided
+    for the whole grid in one call."""
+    grid = np.fromiter(gammas, dtype=float)
+    ok = np.isfinite(grid)
+    betas = np.array([family.beta(gamma) for gamma in grid[ok].tolist()], dtype=float).reshape(-1, family.model.p)
+    positive = _predictor(family.model, betas, family.vertices, stacked=True)[2].all(axis=1)
+    ok[ok] = positive
+    return ok, betas[positive]
 
 
 @dataclass(frozen=True)
@@ -194,21 +213,18 @@ def efficiency_sweep(
 ) -> EfficiencySweep:
     """Efficiency of each design against the local optimum at every ratio.
 
-    Inadmissible grid points are skipped and recorded in ``skipped``. A
-    singular or nonpositive row raises, naming its gamma and design.
+    Inadmissible grid points, non-finite ones included, are skipped and
+    recorded in ``skipped``. A singular or nonpositive row raises, naming
+    its gamma and design.
     """
     if not designs:
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
-    kept: list[float] = []
-    skipped: list[str] = []
-    for gamma in gammas:
-        if family.admissible(gamma):
-            kept.append(float(gamma))
-        else:
-            skipped.append(f"gamma={gamma:g} is outside the admissible range")
-    betas = np.array([family.beta(gamma) for gamma in kept], dtype=float).reshape(-1, model.p)
+    gammas = [float(gamma) for gamma in gammas]
+    ok, betas = _admissible(family, gammas)
+    kept = [gamma for gamma, keep in zip(gammas, ok) if keep]
+    skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma, keep in zip(gammas, ok) if not keep]
     references = [family.reference(gamma) for gamma in kept]
     # Reference designs change with gamma; rows sharing a support share one factorization.
     by_support: dict[tuple, list[int]] = {}

@@ -162,8 +162,7 @@ class ExperimentalRegion:
         else:
             if self.a is None or self.b is None:
                 raise ValidationError("hypercube regions require bounds a and b")
-            if not (0.0 < self.a < self.b):
-                raise ValidationError("hypercube bounds must satisfy 0 < a < b")
+            _check_bounds(self.a, self.b)
 
     @staticmethod
     def orthant(nu: int) -> "ExperimentalRegion":
@@ -180,12 +179,56 @@ class ExperimentalRegion:
             return False
         if self.kind is RegionKind.ORTHANT:
             return bool(np.all(pt >= 0.0) and np.any(pt > 0.0))
-        slack = 1e-12 * max(1.0, abs(self.b))
-        return bool(np.all(pt >= self.a - slack) and np.all(pt <= self.b + slack))
+        return _in_box(pt.tolist(), self.a, self.b)
+
+
+def _check_bounds(a: float, b: float) -> None:
+    """The cube bounds rule: raise ValidationError unless 0 < a < b."""
+    if not 0.0 < a < b:
+        raise ValidationError("bounds must satisfy 0 < a < b")
+
+
+def _in_box(pt: Sequence[float], a: float, b: float) -> bool:
+    """Whether every coordinate lies in [a, b], with slack 1e-12 * max(1, |b|)."""
+    slack = 1e-12 * max(1.0, abs(b))
+    return all(a - slack <= c <= b + slack for c in pt)
 
 
 def _canonical_points(points: Iterable[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(c) for c in pt) for pt in points)
+    """Points as float tuples of one positive dimension with finite
+    coordinates: the one check of point input. Anything else, such as a
+    string where a coordinate list belongs, raises ValidationError."""
+    pts = []
+    try:
+        for pt in points:
+            if isinstance(pt, (str, dict)):
+                raise TypeError(f"{pt!r} is not a list of coordinates")
+            pts.append(tuple(map(float, pt)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"points must be lists of numbers: {exc}") from exc
+    if pts:
+        dim = len(pts[0])
+        if dim == 0 or any(len(pt) != dim for pt in pts):
+            raise ValidationError("points must share one positive dimension")
+        if not all(math.isfinite(c) for pt in pts for c in pt):
+            raise ValidationError("point coordinates must be finite")
+    return tuple(pts)
+
+
+def _canonical_weights(weights: Iterable[float]) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, weights))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"weights must be numbers: {exc}") from exc
+
+
+def _coincident(pt: Sequence[float], seen: Sequence[Sequence[float]]) -> int | None:
+    """Index of the first point of ``seen`` that no coordinate of ``pt``
+    differs from by ``COINCIDENCE_TOL`` or more, or None."""
+    for k, other in enumerate(seen):
+        if all(abs(u - v) < COINCIDENCE_TOL for u, v in zip(pt, other)):
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -202,7 +245,7 @@ class Design:
 
     def __init__(self, points: Iterable[Sequence[float]], weights: Iterable[float]) -> None:
         object.__setattr__(self, "points", _canonical_points(points))
-        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "weights", _canonical_weights(weights))
         self._validate()
 
     def _validate(self) -> None:
@@ -210,20 +253,13 @@ class Design:
             raise ValidationError("design needs at least one support point")
         if len(self.points) != len(self.weights):
             raise ValidationError("points and weights must have equal length")
-        dim = len(self.points[0])
-        if any(len(pt) != dim for pt in self.points):
-            raise ValidationError("support points must share one dimension")
-        if any(not all(math.isfinite(c) for c in pt) for pt in self.points):
-            raise ValidationError("support points must be finite")
         if any(w <= 0.0 or not math.isfinite(w) for w in self.weights):
             raise ValidationError("weights must be strictly positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to one")
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                diff = max(abs(u - v) for u, v in zip(self.points[i], self.points[j]))
-                if diff < COINCIDENCE_TOL:
-                    raise ValidationError("support points must be pairwise distinct")
+        for i, pt in enumerate(self.points):
+            if _coincident(pt, self.points[:i]) is not None:
+                raise ValidationError("support points must be pairwise distinct")
 
     @property
     def size(self) -> int:
@@ -232,9 +268,6 @@ class Design:
     @property
     def dimension(self) -> int:
         return len(self.points[0])
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.points, dtype=float), np.asarray(self.weights, dtype=float)
 
 
 def feature_matrix(model: GammaModel, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -275,18 +308,27 @@ def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False)
     return vec
 
 
+def _predictor(
+    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature matrix F of a batch of points, the predictor eta = B F' and
+    the mask eta > 0, which is the package's one admissibility rule. B is
+    beta, or with ``stacked`` a (G, p) stack of parameter points, giving
+    (G, n) eta."""
+    F = feature_matrix(model, points)
+    eta = _check_beta(model, beta, stacked) @ F.T
+    return F, eta, eta > 0.0
+
+
 def _intensity_arrays(
     model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix F of a batch of points and intensities u = (F beta)**-2;
-    raises NonpositivePredictor where f(x)' beta <= 0. With ``stacked``,
-    beta is a (G, p) stack of parameter points and u is (G, n)."""
-    F = feature_matrix(model, points)
-    B = _check_beta(model, beta, stacked)
-    eta = B @ F.T if stacked else F @ B
-    bad = np.nonzero(eta <= 0.0)
-    if bad[0].size:
-        at = tuple(int(axis[0]) for axis in bad)  # (k,), or (g, k) for a stack
+    raises NonpositivePredictor where f(x)' beta is not positive. With
+    ``stacked``, beta is a (G, p) stack of parameter points and u is (G, n)."""
+    F, eta, positive = _predictor(model, beta, points, stacked)
+    if not positive.all():
+        at = tuple(int(axis[0]) for axis in np.nonzero(~positive))  # (k,), or (g, k) for a stack
         raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(map(float, points[at[-1]]))} is not positive")
     return F, eta**-2
 
@@ -386,7 +428,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         if model.kind is ModelKind.FIRST_ORDER:
             return bool(np.all(vec > 0.0))
         return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    return bool(np.all(feature_matrix(model, region_vertices(region)) @ vec > 0.0))
+    return bool(_predictor(model, vec, region_vertices(region))[2].all())
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:
@@ -421,13 +463,12 @@ def mix_designs(designs: Sequence[Design], coefficients: Sequence[float]) -> Des
     merged_weights: list[float] = []
     for design, coeff in zip(designs, coeffs):
         for pt, w in zip(design.points, design.weights):
-            for k, seen in enumerate(merged_points):
-                if max(abs(u - v) for u, v in zip(pt, seen)) < COINCIDENCE_TOL:
-                    merged_weights[k] += coeff * w
-                    break
-            else:
+            k = _coincident(pt, merged_points)
+            if k is None:
                 merged_points.append(pt)
                 merged_weights.append(coeff * w)
+            else:
+                merged_weights[k] += coeff * w
     keep = [k for k, w in enumerate(merged_weights) if w > 0.0]
     return Design([merged_points[k] for k in keep], [merged_weights[k] for k in keep])
 
@@ -476,26 +517,11 @@ def design_to_json(design: Design) -> dict:
     return {"points": [list(pt) for pt in design.points], "weights": list(design.weights)}
 
 
-def _points_from_json(obj) -> list[tuple[float, ...]]:
-    """Points from a JSON list of coordinate lists."""
-    if not isinstance(obj, list) or not all(isinstance(pt, list) for pt in obj):
-        raise ValidationError("points must be a list of coordinate lists")
-    try:
-        return [tuple(float(c) for c in pt) for pt in obj]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"point coordinates must be numbers: {exc}") from exc
-
-
 def design_from_json(obj: dict) -> Design:
     try:
-        points = _points_from_json(obj["points"])
-        weights = obj["weights"]
+        points, weights = obj["points"], _canonical_weights(obj["weights"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad design object: {exc}") from exc
-    try:
-        weights = [float(w) for w in weights]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("weights must be numbers") from exc
     # Serialized weights carry formatting round-off (10 significant digits),
     # so a sum near one is repaired here; anything further off is an error.
     total = math.fsum(weights)

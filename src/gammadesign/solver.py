@@ -84,17 +84,19 @@ def multiplicative(
     p = model.p
     m = len(candidates)
     w = np.full(m, 1.0 / m)
-    try:
-        _factor(_information(F, u, w))
-    except SingularInformation as exc:
-        raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
 
     log_dets: list[float] = []
     converged = False
     excess = np.inf
     # one evaluation per visited weight vector: at most max_iterations updates
     for step in range(params.max_iterations + 1):
-        L, logdet = _factor(_information(F, u, w))
+        try:
+            L, logdet = _factor(_information(F, u, w))
+        except SingularInformation as exc:
+            if step:
+                raise
+            # every candidate carries weight at step 0
+            raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
         log_dets.append(logdet)
         psi = _d_sensitivities(L, F, u)
         excess = float(psi.max() - p)

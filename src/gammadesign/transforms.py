@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, GammaModel, NonpositivePredictor, ValidationError, _intensity_arrays
-from .equivalence import Criterion, VerificationReport, _report_from_arrays
+from .model_core import Design, GammaModel, ValidationError, _check_bounds, _in_box, _intensity_arrays
+from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _report_from_arrays
 
 __all__ = [
     "InterceptTransform",
@@ -38,11 +38,10 @@ __all__ = [
 
 # Corners of the target square [0,1]^2, fixed candidate order.
 UNIT_SQUARE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-
-
-def _check_bounds(a: float, b: float) -> None:
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+# f(z) = (1, z1, z2) is the first-order regression vector of the point
+# (1, z1, z2), so the intercept model is a first-order model in three
+# factors and shares its kernel, positivity rule included.
+_LIFTED = GammaModel.first_order(3)
 
 
 def map_point_interaction(x: Sequence[float], a: float, b: float) -> tuple[float, float]:
@@ -51,9 +50,8 @@ def map_point_interaction(x: Sequence[float], a: float, b: float) -> tuple[float
     pt = np.asarray(x, dtype=float)
     if pt.shape != (2,):
         raise ValidationError("point must have two coordinates")
-    slack = 1e-12 * b
-    if np.any(pt < a - slack) or np.any(pt > b + slack):
-        raise ValidationError(f"point {tuple(pt)} lies outside [{a}, {b}]^2")
+    if not _in_box(pt.tolist(), a, b):
+        raise ValidationError(f"point {tuple(pt.tolist())} lies outside [{a}, {b}]^2")
     span = 1.0 / a - 1.0 / b
     z = (1.0 / pt - 1.0 / b) / span
     return (float(z[0]), float(z[1]))
@@ -65,9 +63,8 @@ def unmap_point_interaction(z: Sequence[float], a: float, b: float) -> tuple[flo
     pt = np.asarray(z, dtype=float)
     if pt.shape != (2,):
         raise ValidationError("point must have two coordinates")
-    slack = 1e-12
-    if np.any(pt < -slack) or np.any(pt > 1.0 + slack):
-        raise ValidationError(f"point {tuple(pt)} lies outside [0, 1]^2")
+    if not _in_box(pt.tolist(), 0.0, 1.0):
+        raise ValidationError(f"point {tuple(pt.tolist())} lies outside [0, 1]^2")
     span = 1.0 / a - 1.0 / b
     x = 1.0 / (pt * span + 1.0 / b)
     return (float(x[0]), float(x[1]))
@@ -100,15 +97,16 @@ class InterceptTransform:
             raise ValidationError("point must have two coordinates")
         return float(self.beta0 + self.beta1 * pt[0] + self.beta2 * pt[1])
 
+    def _intensities(self, points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+        """F and u of the lifted points (1, z1, z2)."""
+        return _intensity_arrays(_LIFTED, (self.beta0, self.beta1, self.beta2), [(1.0, *z) for z in points])
+
     def intensity(self, z: Sequence[float]) -> float:
-        eta = self.predictor(z)
-        if eta <= 0.0:
-            raise NonpositivePredictor(f"intercept predictor {eta:.6g} at {tuple(float(c) for c in z)} is not positive")
-        return eta**-2
+        return float(self._intensities([z])[1][0])
 
     def vertex_intensities(self) -> tuple[float, float, float, float]:
         """Intensities c_1..c_4 at (0,0), (1,0), (0,1), (1,1)."""
-        return tuple(self.intensity(z) for z in UNIT_SQUARE_VERTICES)
+        return tuple(self._intensities(UNIT_SQUARE_VERTICES)[1].tolist())
 
 
 def interaction_to_intercept(a: float, b: float, beta: Sequence[float]) -> InterceptTransform:
@@ -132,7 +130,7 @@ def verify_intercept_design(
     design: Design,
     criterion: Criterion = Criterion.D,
     candidates: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Optimality check of a design living on the target square [0,1]^2.
 
@@ -143,13 +141,8 @@ def verify_intercept_design(
         candidates = UNIT_SQUARE_VERTICES
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
-    # f(z) = (1, z1, z2) is the first-order regression vector of the point
-    # (1, z1, z2), so the intercept model is a first-order model in three
-    # factors and shares its kernel.
-    lifted = GammaModel.first_order(3)
-    beta = (transform.beta0, transform.beta1, transform.beta2)
-    F_design, u_design = _intensity_arrays(lifted, beta, [(1.0, *pt) for pt in design.points])
-    F_cand, u_cand = _intensity_arrays(lifted, beta, [(1.0, *pt) for pt in candidates])
+    F_design, u_design = transform._intensities(design.points)
+    F_cand, u_cand = transform._intensities(candidates)
     return _report_from_arrays(F_design, u_design, design.weights, F_cand, u_cand, candidates, criterion, tol)
 
 

@@ -1,6 +1,14 @@
-"""Shared pytest hooks: one summary line per acceptance criterion."""
+"""Shared pytest hooks: one summary line per acceptance criterion, and
+the hypothesis profile of every property test."""
 
 from __future__ import annotations
+
+from hypothesis import settings
+
+# Derandomized so that tier-1 runs the same examples every time; no
+# deadline, because a shared host can stall any single example.
+settings.register_profile("gammadesign", max_examples=200, deadline=None, derandomize=True)
+settings.load_profile("gammadesign")
 
 _CRITERIA: dict[str, tuple[int, str]] = {}
 _OUTCOMES: dict[str, str] = {}

@@ -185,7 +185,9 @@ def test_verify_requires_candidate_source(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
-@pytest.mark.parametrize("content", ["[1, 2, 3]", '{"x": 1}', '[[1, 2, "a"]]', "[[1, 2, 3], [1, 2]]"])
+@pytest.mark.parametrize(
+    "content", ["[1, 2, 3]", '{"x": 1}', '[[1, 2, "a"]]', "[[1, 2, 3], [1, 2]]", '["123", "456", "789"]']
+)
 def test_malformed_candidate_file(capsys, tmp_path, command, content):
     design_file = tmp_path / "design.json"
     design_file.write_text(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gammadesign import (
     Criterion,
@@ -14,18 +17,22 @@ from gammadesign import (
     NonpositivePredictor,
     SingularInformation,
     ThreeFactorFamily,
+    ThreeFactorScenario,
     ValidationError,
     classify_three_factor,
     d_efficiency,
     efficiency_sweep,
     gamma_grid,
     interaction_benchmark_designs,
+    interaction_equal_beta,
     region_vertices,
     three_factor_benchmark_designs,
     three_factor_vertices,
+    validate_positivity,
     verify_optimality,
     xi3_weights,
 )
+from gammadesign.efficiency import _admissible
 
 
 POS = ThreeFactorFamily(beta1_sign=1)
@@ -148,6 +155,87 @@ def test_interaction_boundary_flips():
 def test_interaction_admissibility_edge():
     assert not SQUARE.admissible(-0.5)
     assert SQUARE.admissible(-0.49)
+
+
+@pytest.mark.parametrize("edge", [-0.10499999999999998, math.inf], ids=["zero_predictor", "infinite"])
+def test_interaction_sweep_skips_boundary_ratio(edge):
+    """At -0.10499999999999998 the ratio exceeds -a/2, but the predictor at
+    (0.21, 0.21) computes to 0; the sweep used to abort on both ratios."""
+    family = InteractionFamily(0.21, 4.0)
+    sweep = efficiency_sweep(family, interaction_benchmark_designs(0.21, 4.0), [edge, 1.0])
+    assert sweep.gammas == (1.0,)
+    assert sweep.skipped == (f"gamma={edge:g} is outside the admissible range",)
+    assert not family.admissible(edge)
+
+
+def test_three_factor_beta_is_defined_off_the_admissible_range():
+    assert NEG.beta(-0.5) == (-1.0, 0.5, 0.5)
+    assert not NEG.admissible(-0.5) and not NEG.admissible(math.nan)
+    sweep = efficiency_sweep(NEG, three_factor_benchmark_designs(), (-0.5, math.inf, -2.0))
+    assert sweep.gammas == (-2.0,) and len(sweep.skipped) == 2
+
+
+def _ulp_steps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+ULPS = st.integers(-4, 4)
+
+
+@given(
+    a=st.floats(0.01, 100.0),
+    ratio=st.floats(1.01, 10.0),
+    steps=st.lists(ULPS, min_size=1, max_size=6),
+)
+def test_interaction_admissibility_is_the_kernel_rule_at_the_edge(a, ratio, steps):
+    """Ratios within a few ulps of -a/2: the sweep's batched decision, the
+    per-ratio ``admissible`` and ``validate_positivity`` agree, and every
+    admissible ratio has its closed-form reference."""
+    family = InteractionFamily(a, a * ratio)
+    square = ExperimentalRegion.hypercube(a, a * ratio, 2)
+    gammas = [_ulp_steps(-a / 2.0, k) for k in steps]
+    batched, betas = _admissible(family, gammas)
+    single = [validate_positivity(family.model, family.beta(g), square) for g in gammas]
+    assert batched.tolist() == single == [family.admissible(g) for g in gammas]
+    assert len(betas) == sum(single)
+    for gamma, ok in zip(gammas, single):
+        if ok:
+            interaction_equal_beta(a, a * ratio, gamma)
+
+
+@given(
+    beta1=st.one_of(st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)),
+    step=ULPS,
+)
+def test_three_factor_closed_form_admissibility_is_the_kernel_rule(beta1, step):
+    """``ThreeFactorScenario`` keeps the paper's closed form; within a few
+    ulps of its edge it accepts exactly the points whose predictor is
+    positive at every vertex of [1,2]^3."""
+    edge = -beta1 if beta1 <= 0.0 else -beta1 / 4.0
+    beta = _ulp_steps(edge, step)
+    try:
+        ThreeFactorScenario(beta1, beta)
+        closed_form = True
+    except ValidationError:
+        closed_form = False
+    cube = ExperimentalRegion.hypercube(1.0, 2.0, 3)
+    assert closed_form == validate_positivity(GammaModel.first_order(3), (beta1, beta, beta), cube)
+
+
+@given(steps=st.lists(ULPS, min_size=1, max_size=6))
+def test_three_factor_families_agree_with_the_scenario_at_their_edges(steps):
+    for family, edge in ((POS, -0.25), (NEG, -1.0)):
+        gammas = [_ulp_steps(edge, k) for k in steps]
+        scenario_ok = []
+        for gamma in gammas:
+            try:
+                family.scenario(gamma)
+                scenario_ok.append(True)
+            except ValidationError:
+                scenario_ok.append(False)
+        assert _admissible(family, gammas)[0].tolist() == scenario_ok == [family.admissible(g) for g in gammas]
 
 
 def test_numerical_reference_is_verified_optimal():

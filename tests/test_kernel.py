@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gammadesign import (
     Design,
@@ -23,9 +23,6 @@ from gammadesign import (
 from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor, _intensity_arrays
 
 from oracles import raw_features, raw_information, raw_intensities
-
-# Derandomized so that tier-1 runs the same examples every time.
-KERNEL = settings(max_examples=200, deadline=None, derandomize=True)
 
 MODELS = st.one_of(st.integers(2, 6).map(GammaModel.first_order), st.just(GammaModel.interaction()))
 
@@ -57,7 +54,6 @@ def admissible_designs(draw):
     return model, beta, design, candidates
 
 
-@KERNEL
 @given(model_and_points())
 def test_feature_matrix_matches_oracle_and_features(case):
     model, points = case
@@ -73,7 +69,6 @@ def test_feature_matrix_rejects_malformed_batches(points):
         feature_matrix(GammaModel.first_order(2), points)
 
 
-@KERNEL
 @given(admissible_designs())
 def test_cholesky_logdet_matches_slogdet(case):
     model, beta, design, _ = case
@@ -83,7 +78,6 @@ def test_cholesky_logdet_matches_slogdet(case):
     assert logdet == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@KERNEL
 @given(admissible_designs())
 def test_sensitivities_match_inverse_formula(case):
     model, beta, design, candidates = case
@@ -126,7 +120,6 @@ def _singular(M) -> bool:
     return False
 
 
-@KERNEL
 @given(information_stacks())
 def test_stacked_factor_matches_per_matrix_loop(case):
     stack, _ = case
@@ -138,7 +131,6 @@ def test_stacked_factor_matches_per_matrix_loop(case):
         assert logdet == pytest.approx(logdet_one, rel=1e-12, abs=1e-12)
 
 
-@KERNEL
 @given(information_stacks(), st.sampled_from([-1e-6, 0.0, 1e-17, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-4]))
 def test_stack_with_one_singular_member_raises_as_that_member_does(case, ratio):
     """One member gets its smallest eigenvalue set to ``ratio`` times its
@@ -155,7 +147,6 @@ def test_stack_with_one_singular_member_raises_as_that_member_does(case, ratio):
         np.testing.assert_allclose(_factor(stack)[1][bad], _factor(stack[bad])[1], rtol=1e-12)
 
 
-@KERNEL
 @given(MODELS, st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_stacked_intensities_match_per_beta_calls(model, seed, size):
     """Positive betas on [0.5, 2]^nu, except one member whose entries may

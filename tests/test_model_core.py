@@ -123,6 +123,18 @@ def test_design_rejects_ragged_or_nonfinite_points():
         Design(points=[(np.inf, 2.0)], weights=[1.0])
 
 
+@pytest.mark.parametrize(
+    "points, weights",
+    [([[1, None]], [1.0]), ([["a", 1]], [1.0]), ([[1, 2]], ["x"]), ([[1, 2]], [None]), ([1, 2], [1.0])],
+    ids=["none_coordinate", "string_coordinate", "string_weight", "none_weight", "bare_numbers"],
+)
+def test_design_rejects_malformed_input(points, weights):
+    """Each of these raised a bare TypeError or ValueError before the point
+    and weight checks became one canonicalizer."""
+    with pytest.raises(ValidationError):
+        Design(points, weights)
+
+
 def test_design_json_round_trip():
     design = Design(points=[(1.0, 2.0), (2.0, 1.0)], weights=[0.25, 0.75])
     obj = design_to_json(design)
