@@ -22,10 +22,13 @@ from .model_core import (
     GammaModel,
     ModelKind,
     NonpositivePredictor,
-    RegionKind,
     ValidationError,
+    _check_beta,
     _check_bounds,
+    _check_count,
+    _floats,
     _intensity_arrays,
+    _positive_predictor,
     design_to_json,
     region_vertices,
 )
@@ -57,8 +60,8 @@ __all__ = [
 # Relative slack on the vertex condition of the simplex-design test;
 # support vertices satisfy it with equality, so exact zero is on the edge.
 _VERTEX_CONDITION_RTOL = 1e-9
-# Quadratic-form conditions for dropping a square vertex count as
-# satisfied below this multiple of |beta|^2.
+# Conditions for dropping a square vertex count as satisfied below this
+# multiple of |beta|^2.
 _DROP_CONDITION_RTOL = 1e-12
 # Relative gap under which two vertex intensities count as tied.
 _RANKING_TIE_RTOL = 1e-12
@@ -89,7 +92,7 @@ class InteractionLabel(str, enum.Enum):
 
 def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, float, float], ...]:
     """Vertices of [a,b]^3 in the fixed reporting order v1..v8."""
-    _check_bounds(a, b)
+    a, b = _check_bounds(a, b)
     return (
         (a, a, a), (b, a, a), (a, b, a), (a, a, b),
         (a, b, b), (b, a, b), (b, b, a), (b, b, b),
@@ -98,7 +101,7 @@ def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, 
 
 def interaction_vertices(a: float, b: float) -> tuple[tuple[float, float], ...]:
     """Vertices of [a,b]^2 in the fixed reporting order v1..v4."""
-    _check_bounds(a, b)
+    a, b = _check_bounds(a, b)
     return ((b, b), (b, a), (a, b), (a, a))
 
 
@@ -114,6 +117,9 @@ class ThreeFactorScenario:
     beta: float
 
     def __post_init__(self) -> None:
+        beta1, beta = _floats((self.beta1, self.beta), "scenario parameters")
+        object.__setattr__(self, "beta1", beta1)
+        object.__setattr__(self, "beta", beta)
         if not (math.isfinite(self.beta1) and math.isfinite(self.beta)):
             raise ValidationError("scenario parameters must be finite")
         if self.beta1 <= 0.0:
@@ -140,8 +146,12 @@ class Classification:
 
     label: ThreeFactorLabel | InteractionLabel
     design: Design | None
-    numerical: bool
     gamma: float | None
+
+    @property
+    def numerical(self) -> bool:
+        """Whether the weights must be computed numerically (no closed-form design)."""
+        return self.design is None
 
     def to_json(self) -> dict:
         return {
@@ -163,9 +173,7 @@ def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
     Locally D-optimal on the positive orthant for every admissible
     parameter vector, regardless of the positive scale chosen.
     """
-    if nu < 2:
-        raise ValidationError("nu must be at least 2")
-    return _equal_weight(orthant_axis_points(nu, scale))
+    return _equal_weight(orthant_axis_points(_check_count(nu, 2), scale))
 
 
 def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = None) -> Design:
@@ -174,19 +182,19 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
     The scale of each axis point cancels from the information matrix, so
     the weights do not depend on it.
     """
-    vec = [float(c) for c in beta]
-    nu = len(vec)
-    if nu < 2:
+    vec = _floats(beta, "beta")
+    if len(vec) < 2:
         raise ValidationError("beta must have at least two entries")
+    # Positivity in pure Python: a kernel call would cost more than the whole constructor.
     if any(c <= 0.0 for c in vec):
         raise NonpositivePredictor("orthant positivity requires every beta_i > 0")
     total = sum(vec)
-    return Design(orthant_axis_points(nu, scale), [c / total for c in vec])
+    return Design(orthant_axis_points(len(vec), scale), [c / total for c in vec])
 
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
     """Equal-weight design on (a,b) and (b,a), D-optimal on [a,b]^2."""
-    _check_bounds(a, b)
+    a, b = _check_bounds(a, b)
     return _equal_weight([(a, b), (b, a)])
 
 
@@ -197,8 +205,12 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
     value; this pairing (and only this one) attains the equivalence
     bound at both points.
     """
-    _check_bounds(a, b)
-    b1, b2 = (float(c) for c in beta)
+    a, b = _check_bounds(a, b)
+    vec = _floats(beta, "beta")
+    if len(vec) != 2:
+        raise ValidationError("beta must have two entries")
+    b1, b2 = vec
+    # Positivity in pure Python, as in a_optimal_orthant.
     if b1 * a + b2 * b <= 0.0 or b1 * b + b2 * a <= 0.0:
         raise NonpositivePredictor("predictor must be positive at both support points")
     w1 = (b1 * a + b2 * b) / ((b1 + b2) * (a + b))
@@ -207,15 +219,9 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
 
 def simplex_design(nu: int, a: float, b: float) -> Design:
     """Equal-weight design on the nu cube vertices with a single high coordinate."""
-    if nu < 3:
-        raise ValidationError("nu must be at least 3")
-    _check_bounds(a, b)
-    points = []
-    for j in range(nu):
-        pt = [float(a)] * nu
-        pt[j] = float(b)
-        points.append(pt)
-    return _equal_weight(points)
+    _check_count(nu, 3)
+    a, b = _check_bounds(a, b)
+    return _equal_weight([(a,) * j + (b,) + (a,) * (nu - 1 - j) for j in range(nu)])
 
 
 def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[float]) -> bool:
@@ -226,23 +232,21 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     with T(x) = sum x_i, q = a/((nu-1)a + b) and
     c_j = (b-a) beta_j + a sum(beta) at every cube vertex.
     """
-    if nu < 3:
-        raise ValidationError("nu must be at least 3")
-    X = np.asarray(region_vertices(ExperimentalRegion.hypercube(a, b, nu)))
-    _intensity_arrays(GammaModel.first_order(nu), beta, X)  # raises unless positive at every vertex
-    vec = np.asarray(beta, dtype=float)
+    model = GammaModel.first_order(_check_count(nu, 3))
+    region = ExperimentalRegion.hypercube(a, b, nu)
+    a, b, vec = region.a, region.b, _check_beta(model, beta)
+    X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
     lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
-    rhs = (b - a) ** 2 * (X @ vec) ** 2
+    rhs = (b - a) ** 2 * eta**2
     return bool(np.all(lhs <= rhs * (1.0 + _VERTEX_CONDITION_RTOL)))
 
 
 def equal_beta_threshold(nu: int) -> float:
     """Threshold on (b/a)^2 above which the simplex design is D-optimal
     under equal parameter values: (nu-1)(nu-2)/2."""
-    if nu < 2:
-        raise ValidationError("nu must be at least 2")
+    _check_count(nu, 2)
     return (nu - 1) * (nu - 2) / 2.0
 
 
@@ -252,6 +256,7 @@ def xi3_weights(gamma: float) -> tuple[float, float, float, float]:
     Defined for gamma = beta/beta_1 strictly between -5/23 and 1/5; the
     weights are positive there and sum to one.
     """
+    (gamma,) = _floats((gamma,), "gamma")
     if not -5.0 / 23.0 < gamma < 0.2:
         raise ValidationError("gamma must lie strictly between -5/23 and 1/5")
     w1 = (5.0 + 23.0 * gamma) / (16.0 * (1.0 + 4.0 * gamma))
@@ -271,60 +276,45 @@ def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     v = three_factor_vertices(1.0, 2.0)
     gamma = scenario.gamma
     if gamma is None or (scenario.beta1 > 0 and gamma >= 0.2) or (scenario.beta1 < 0 and gamma <= -3.0):
-        return Classification(ThreeFactorLabel.XI1, _equal_weight([v[1], v[2], v[3]]), False, gamma)
+        return Classification(ThreeFactorLabel.XI1, _equal_weight([v[1], v[2], v[3]]), gamma)
     if scenario.beta1 > 0:
         if gamma <= -5.0 / 23.0:
-            return Classification(ThreeFactorLabel.XI2, _equal_weight([v[2], v[3], v[4]]), False, gamma)
+            return Classification(ThreeFactorLabel.XI2, _equal_weight([v[2], v[3], v[4]]), gamma)
         design = Design([v[1], v[2], v[3], v[4]], xi3_weights(gamma))
-        return Classification(ThreeFactorLabel.XI3, design, False, gamma)
+        return Classification(ThreeFactorLabel.XI3, design, gamma)
     if gamma >= -1.2:
-        return Classification(ThreeFactorLabel.XI4, _equal_weight([v[1], v[5], v[6]]), False, gamma)
-    return Classification(ThreeFactorLabel.XI5_NUMERICAL, None, True, gamma)
-
-
-def _drop_vertex_forms(a: float, b: float, beta: np.ndarray) -> tuple[float, float, float, float]:
-    """Quadratic forms deciding, in order, whether v4, v2, v3 or v1 can
-    be dropped from the support on [a,b]^2 (form <= 0 means: drop)."""
-    b1, b2, b3 = beta
-    ia, ib = 1.0 / a, 1.0 / b
-    form_i = b3**2 + ib**2 * (b1**2 + b2**2) + (ib**2 - ia**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ib * b3 * (b1 + b2)
-    form_ii = b3**2 + ib**2 * b1**2 + ia**2 * b2**2 + 2.0 * ib * b3 * b1 + 2.0 * ia * b3 * b2 + (ib**2 + ia**2) * b1 * b2
-    form_iii = b3**2 + ib**2 * b2**2 + ia**2 * b1**2 + 2.0 * ib * b3 * b2 + 2.0 * ia * b3 * b1 + (ib**2 + ia**2) * b1 * b2
-    form_iv = b3**2 + ia**2 * (b1**2 + b2**2) + (ia**2 - ib**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ia * b3 * (b1 + b2)
-    return form_i, form_ii, form_iii, form_iv
+        return Classification(ThreeFactorLabel.XI4, _equal_weight([v[1], v[5], v[6]]), gamma)
+    return Classification(ThreeFactorLabel.XI5_NUMERICAL, None, gamma)
 
 
 def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classification:
     """D-optimal design for the interaction model on [a,b]^2.
 
-    One of four quadratic-form conditions in beta may allow dropping a
-    vertex, giving an equal-weight three-point design. Otherwise all
-    four vertices support the optimum; the weights are in closed form
-    when beta_1 = beta_2 and numerical (design None) when not.
-
-    The condition labelled ``Case_ii`` drops vertex v2 = (b,a) and
-    ``Case_iii`` drops v3 = (a,b): the intensity ranking of the mapped
-    intercept model ties each condition to those supports, which the
-    brute-force oracle confirms.
+    Vertex v_k may be dropped, giving an equal-weight three-point design,
+    when the intercept-model rule transferred through the square map holds
+    (Gaffke, Idais & Schwabe): with e_k = f(v_k)' beta / (v_k1 v_k2) the
+    intercept predictor at the mapped corner,
+    sum_{j != k} e_j^2 <= e_k^2. Otherwise all four vertices support the
+    optimum; the weights are in closed form when beta_1 = beta_2 and
+    numerical (design None) when not. Vertices are tried in the order
+    v4, v2, v3, v1, labelled ``Case_i`` to ``Case_iv``.
     """
+    a, b = _check_bounds(a, b)
     v = interaction_vertices(a, b)
-    _intensity_arrays(GammaModel.interaction(), beta, v)  # raises unless positive at every vertex
-    vec = np.asarray(beta, dtype=float)
+    model = GammaModel.interaction()
+    vec = _check_beta(model, beta)
+    _, eta = _positive_predictor(model, vec, v)  # raises unless positive at every vertex
     tol = _DROP_CONDITION_RTOL * float(vec @ vec)
-    forms = _drop_vertex_forms(a, b, vec)
-    supports = (
-        (InteractionLabel.CASE_I, (v[0], v[1], v[2])),
-        (InteractionLabel.CASE_II, (v[0], v[2], v[3])),
-        (InteractionLabel.CASE_III, (v[0], v[1], v[3])),
-        (InteractionLabel.CASE_IV, (v[1], v[2], v[3])),
-    )
+    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
+    half = 0.5 * sum(e2)
+    drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
     gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
-    for form, (label, support) in zip(forms, supports):
-        if form <= tol:
-            return Classification(label, _equal_weight(support), False, gamma)
+    for label, k in drops:
+        if half - e2[k] <= tol:
+            return Classification(label, _equal_weight(v[:k] + v[k + 1:]), gamma)
     if gamma is not None and gamma > -a / 2.0:
-        return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), False, gamma)
-    return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, True, gamma)
+        return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), gamma)
+    return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, gamma)
 
 
 def _four_point_interaction(a: float, b: float, gamma: float) -> Design:
@@ -343,16 +333,17 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     The four-point weight formula also extends beyond the b <= 3a case,
     where no ratio allows dropping v4.
     """
-    _check_bounds(a, b)
+    a, b = _check_bounds(a, b)
+    (gamma,) = _floats((gamma,), "gamma")
     if not math.isfinite(gamma) or gamma <= -a / 2.0:
         raise ValidationError("gamma must exceed -a/2")
     if gamma <= -a * b / (3.0 * b - a):
         v = interaction_vertices(a, b)
-        return Classification(InteractionLabel.CASE_IV, _equal_weight([v[1], v[2], v[3]]), False, gamma)
+        return Classification(InteractionLabel.CASE_IV, _equal_weight([v[1], v[2], v[3]]), gamma)
     if b - 3.0 * a > 0.0 and gamma >= a * b / (b - 3.0 * a):
         v = interaction_vertices(a, b)
-        return Classification(InteractionLabel.CASE_I, _equal_weight([v[0], v[1], v[2]]), False, gamma)
-    return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), False, gamma)
+        return Classification(InteractionLabel.CASE_I, _equal_weight([v[0], v[1], v[2]]), gamma)
+    return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), gamma)
 
 
 def intensity_ranking(
@@ -363,9 +354,7 @@ def intensity_ranking(
     Each group collects vertices whose intensities agree to relative
     ``1e-12``; within a group the vertex enumeration order is kept.
     """
-    if region.kind is not RegionKind.HYPERCUBE:
-        raise ValidationError("intensity ranking is defined on hypercube regions")
-    vertices = region_vertices(region)
+    vertices = region_vertices(region)  # raises unless the region is a hypercube
     _, u = _intensity_arrays(model, beta, vertices)
     values = list(zip(vertices, u.tolist()))
     values.sort(key=lambda item: -item[1])

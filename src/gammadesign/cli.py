@@ -29,6 +29,7 @@ from .model_core import (
     RegionKind,
     ValidationError,
     _canonical_points,
+    _floats,
     design_from_json,
     design_to_json,
     validate_design_region,
@@ -128,16 +129,6 @@ def _load_json(path: str):
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"{what} must be a comma-separated list of numbers") from exc
-    if not values:
-        raise ValidationError(f"{what} must be nonempty")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing shared by several subcommands.
 
@@ -164,7 +155,7 @@ def _make_region(args, model: GammaModel) -> ExperimentalRegion:
 def _require_beta(args, model: GammaModel) -> tuple[float, ...]:
     if args.beta is None:
         raise ValidationError("--beta is required for this configuration")
-    beta = _parse_floats(args.beta, "--beta")
+    beta = _floats(args.beta.split(","), "--beta")
     if len(beta) != model.p:
         raise ValidationError(f"--beta must have {model.p} entries for this model")
     return beta
@@ -184,7 +175,9 @@ def _construct_design(args) -> tuple[Design, str]:
     model = _make_model(args)
     region = _make_region(args, model)
     criterion = Criterion(args.criterion)
-    scale = None if args.scale is None else _parse_floats(args.scale, "--scale")
+    scale = None if args.scale is None else _floats(args.scale.split(","), "--scale")
+    if args.beta is not None and not validate_positivity(model, _require_beta(args, model), region):
+        raise ValidationError(f"beta violates positivity on the {region.kind.value}")
 
     if model.kind is ModelKind.INTERACTION:
         if region.kind is not RegionKind.HYPERCUBE:
@@ -199,8 +192,6 @@ def _construct_design(args) -> tuple[Design, str]:
 
     if region.kind is RegionKind.ORTHANT:
         if criterion is Criterion.D:
-            if args.beta is not None and not validate_positivity(model, _require_beta(args, model), region):
-                raise ValidationError("beta violates positivity on the orthant")
             return d_optimal_orthant(model.nu, scale), "analytic"
         return a_optimal_orthant(_require_beta(args, model), scale), "analytic"
 
@@ -210,12 +201,8 @@ def _construct_design(args) -> tuple[Design, str]:
             raise ValidationError("A-optimal hypercube designs are available for nu = 2 only")
         return a_optimal_two_factor(region.a, region.b, _require_beta(args, model)), "analytic"
     if model.nu == 2:
-        if args.beta is not None and not validate_positivity(model, _require_beta(args, model), region):
-            raise ValidationError("beta violates positivity on the square")
         return d_optimal_two_factor(region.a, region.b), "analytic"
     beta = _require_beta(args, model)
-    if not validate_positivity(model, beta, region):
-        raise ValidationError("beta violates positivity on the cube")
     if is_simplex_design_d_optimal(model.nu, region.a, region.b, beta):
         return simplex_design(model.nu, region.a, region.b), "analytic"
     if model.nu == 3 and region.a == 1.0 and region.b == 2.0 and beta[1] == beta[2]:

@@ -11,6 +11,7 @@ one stacked Cholesky factorization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .model_core import (
     _check_beta,
     _check_bounds,
     _factor,
+    _floats,
     _information,
     _intensity_arrays,
     _predictor,
@@ -95,13 +97,14 @@ class ThreeFactorFamily:
         return three_factor_vertices(1.0, 2.0)
 
     def scenario(self, gamma: float) -> ThreeFactorScenario:
-        return ThreeFactorScenario(float(self.beta1_sign), self.beta1_sign * gamma)
+        return ThreeFactorScenario(*self.beta(gamma)[:2])
 
     def admissible(self, gamma: float) -> bool:
-        return bool(_admissible(self, (gamma,))[0][0])
+        return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
 
     def beta(self, gamma: float) -> tuple[float, float, float]:
-        sign = float(self.beta1_sign)
+        (gamma,) = _floats((gamma,), "gamma")
+        sign = 1.0 if self.beta1_sign > 0 else -1.0
         return (sign, sign * gamma, sign * gamma)
 
     def reference(self, gamma: float) -> Design:
@@ -127,7 +130,9 @@ class InteractionFamily:
     b: float = 4.0
 
     def __post_init__(self) -> None:
-        _check_bounds(self.a, self.b)
+        a, b = _check_bounds(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def name(self) -> str:
@@ -142,10 +147,11 @@ class InteractionFamily:
         return interaction_vertices(self.a, self.b)
 
     def admissible(self, gamma: float) -> bool:
-        return bool(_admissible(self, (gamma,))[0][0])
+        return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
 
     def beta(self, gamma: float) -> tuple[float, float, float]:
-        return (float(gamma), float(gamma), 1.0)
+        (gamma,) = _floats((gamma,), "gamma")
+        return (gamma, gamma, 1.0)
 
     def reference(self, gamma: float) -> Design:
         result = interaction_equal_beta(self.a, self.b, gamma)
@@ -154,11 +160,11 @@ class InteractionFamily:
 
 
 def _admissible(family: ThreeFactorFamily | InteractionFamily, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Which ratios are admissible, and the (K, p) stack of betas of the K
-    that are: a ratio is admissible when it is finite and the kernel's
-    positivity rule holds at every vertex of the family's region, decided
-    for the whole grid in one call."""
-    grid = np.fromiter(gammas, dtype=float)
+    """Which of the float ratios ``gammas`` are admissible, and the (K, p)
+    stack of betas of the K that are: a ratio is admissible when it is
+    finite and the kernel's positivity rule holds at every vertex of the
+    family's region, decided for the whole grid in one call."""
+    grid = np.array(gammas)
     ok = np.isfinite(grid)
     betas = np.array([family.beta(gamma) for gamma in grid[ok].tolist()], dtype=float).reshape(-1, family.model.p)
     positive = _predictor(family.model, betas, family.vertices, stacked=True)[2].all(axis=1)
@@ -198,10 +204,12 @@ class EfficiencySweep:
 
 def gamma_grid(start: float, stop: float, step: float = 0.01) -> tuple[float, ...]:
     """Inclusive grid from start to stop built by integer stepping."""
-    if step <= 0.0:
+    start, stop, step = _floats((start, stop, step), "grid ends and step")
+    if not step > 0.0:
         raise ValidationError("step must be positive")
-    count = int(round((stop - start) / step))
-    if count < 0 or abs(start + count * step - stop) > 1e-9:
+    span = (stop - start) / step
+    count = round(span) if math.isfinite(span) else -1
+    if count < 0 or not abs(start + count * step - stop) <= 1e-9:
         raise ValidationError("stop must be reachable from start in whole steps")
     return tuple(start + k * step for k in range(count + 1))
 
@@ -221,7 +229,7 @@ def efficiency_sweep(
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
-    gammas = [float(gamma) for gamma in gammas]
+    gammas = _floats(gammas, "gammas")
     ok, betas = _admissible(family, gammas)
     kept = [gamma for gamma, keep in zip(gammas, ok) if keep]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma, keep in zip(gammas, ok) if not keep]

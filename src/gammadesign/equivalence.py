@@ -30,8 +30,11 @@ from .model_core import (
     GammaModel,
     ValidationError,
     _a_sensitivities,
+    _canonical_points,
+    _check_count,
     _d_sensitivities,
     _factor,
+    _floats,
     _information,
     _intensity_arrays,
     region_vertices,
@@ -84,20 +87,13 @@ class VerificationReport:
 
 def orthant_axis_points(nu: int, scale: Sequence[float] | None = None) -> list[tuple[float, ...]]:
     """The canonical orthant candidates a_i * e_i (unit axis points by default)."""
-    if nu < 1:
-        raise ValidationError("nu must be positive")
-    if scale is None:
-        scale = [1.0] * nu
+    _check_count(nu, 1, message="nu must be positive")
+    scale = (1.0,) * nu if scale is None else _floats(scale, "scale")
     if len(scale) != nu:
         raise ValidationError("scale must have one entry per factor")
-    if any(s <= 0 for s in scale):
+    if not all(s > 0.0 for s in scale):  # refuses nan
         raise ValidationError("scale entries must be positive")
-    pts = []
-    for i, s in enumerate(scale):
-        pt = [0.0] * nu
-        pt[i] = float(s)
-        pts.append(tuple(pt))
-    return pts
+    return [(0.0,) * j + (s,) + (0.0,) * (nu - 1 - j) for j, s in enumerate(scale)]
 
 
 def sensitivity(
@@ -117,12 +113,14 @@ def _report_from_arrays(
     weights: Sequence[float],
     F_cand: np.ndarray,
     u_cand: np.ndarray,
-    cand_points: Sequence[Sequence[float]],
+    cand_points: tuple[tuple[float, ...], ...],
     criterion: Criterion,
     tol: float,
 ) -> VerificationReport:
     """Report for the design with feature rows F_design, intensities
-    u_design and weights, over candidates with rows F_cand and u_cand."""
+    u_design and weights, over the canonical candidate points with rows
+    F_cand and u_cand."""
+    (tol,) = _floats((tol,), "tol")
     L, _ = _factor(_information(F_design, u_design, np.asarray(weights)))
     if criterion is Criterion.D:
         vals, bound = _d_sensitivities(L, F_cand, u_cand), float(L.shape[0])
@@ -133,9 +131,9 @@ def _report_from_arrays(
     return VerificationReport(
         criterion=criterion,
         bound=bound,
-        points=tuple(tuple(float(c) for c in pt) for pt in cand_points),
-        sensitivities=tuple(float(v) for v in vals),
-        worst_point=tuple(float(c) for c in cand_points[worst]),
+        points=cand_points,
+        sensitivities=tuple(vals.tolist()),
+        worst_point=cand_points[worst],
         worst_excess=excess,
         passed=excess <= tol,
     )
@@ -154,8 +152,9 @@ def verify_optimality(
     The report records each candidate's sensitivity; the design passes
     iff the largest excess over the bound is at most ``tol``.
     """
-    if len(candidates) == 0:
+    points = _canonical_points(candidates)
+    if not points:
         raise ValidationError("candidate set must be nonempty")
     Fd, ud = _intensity_arrays(model, beta, design.points)
-    Fc, uc = _intensity_arrays(model, beta, candidates)
-    return _report_from_arrays(Fd, ud, design.weights, Fc, uc, candidates, criterion, tol)
+    Fc, uc = _intensity_arrays(model, beta, points)
+    return _report_from_arrays(Fd, ud, design.weights, Fc, uc, points, criterion, tol)

@@ -26,7 +26,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class ValidationError(GammaDesignError, ValueError):
     """An input object or argument violates a documented precondition."""
 
 
-class NonpositivePredictor(GammaDesignError):
-    """The linear predictor is not strictly positive where required."""
+class NonpositivePredictor(ValidationError):
+    """The linear predictor is not strictly positive where required: always
+    a fault of the caller's beta or points, so a validation error."""
 
 
 class SingularInformation(GammaDesignError):
@@ -119,12 +120,10 @@ class GammaModel:
     nu: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nu, int) or isinstance(self.nu, bool):
-            raise ValidationError("factor count nu must be an integer")
-        if self.kind is ModelKind.FIRST_ORDER and self.nu < 2:
-            raise ValidationError("first-order model requires nu >= 2")
-        if self.kind is ModelKind.INTERACTION and self.nu != 2:
-            raise ValidationError("interaction model is defined for nu = 2 only")
+        interaction = self.kind is ModelKind.INTERACTION
+        message = "interaction model is defined for nu = 2 only" if interaction else "first-order model requires nu >= 2"
+        if _check_count(self.nu, 2, "factor count nu", message) != 2 and interaction:
+            raise ValidationError(message)
 
     @property
     def p(self) -> int:
@@ -154,15 +153,16 @@ class ExperimentalRegion:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nu, int) or isinstance(self.nu, bool) or self.nu < 1:
-            raise ValidationError("region dimension nu must be a positive integer")
+        _check_count(self.nu, 1, "region dimension nu", "region dimension nu must be a positive integer")
         if self.kind is RegionKind.ORTHANT:
             if self.a is not None or self.b is not None:
                 raise ValidationError("orthant regions store no bounds")
         else:
             if self.a is None or self.b is None:
                 raise ValidationError("hypercube regions require bounds a and b")
-            _check_bounds(self.a, self.b)
+            a, b = _check_bounds(self.a, self.b)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
 
     @staticmethod
     def orthant(nu: int) -> "ExperimentalRegion":
@@ -170,22 +170,46 @@ class ExperimentalRegion:
 
     @staticmethod
     def hypercube(a: float, b: float, nu: int) -> "ExperimentalRegion":
-        return ExperimentalRegion(RegionKind.HYPERCUBE, nu, float(a), float(b))
+        return ExperimentalRegion(RegionKind.HYPERCUBE, nu, a, b)
 
     def contains(self, x: Sequence[float]) -> bool:
         """Whether ``x`` lies in the region (boundary included)."""
-        pt = np.asarray(x, dtype=float)
-        if pt.shape != (self.nu,):
+        (pt,) = _canonical_points([x])
+        if len(pt) != self.nu:
             return False
         if self.kind is RegionKind.ORTHANT:
-            return bool(np.all(pt >= 0.0) and np.any(pt > 0.0))
-        return _in_box(pt.tolist(), self.a, self.b)
+            return all(c >= 0.0 for c in pt) and any(c > 0.0 for c in pt)
+        return _in_box(pt, self.a, self.b)
 
 
-def _check_bounds(a: float, b: float) -> None:
-    """The cube bounds rule: raise ValidationError unless 0 < a < b."""
+def _floats(values: Iterable[float], what: str) -> tuple[float, ...]:
+    """``values`` as floats, the one conversion of caller numbers outside numpy: a
+    str, bytes or mapping for the sequence, or an entry float() refuses, raises
+    ValidationError. Finiteness is left to each caller's rule."""
+    try:
+        # Tuples and lists skip the ABC test, which costs more than converting.
+        if not isinstance(values, (tuple, list)) and isinstance(values, (str, bytes, Mapping)):
+            raise TypeError(f"{values!r} is not a list of numbers")
+        return tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers: {exc}") from exc
+
+
+def _check_count(n: int, minimum: int, what: str = "nu", message: str | None = None) -> int:
+    """The count rule: an int, not a bool, of at least ``minimum``; ``message`` reports a smaller count."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"{what} must be an integer")
+    if n < minimum:
+        raise ValidationError(message or f"{what} must be at least {minimum}")
+    return n
+
+
+def _check_bounds(a: float, b: float) -> tuple[float, float]:
+    """The cube bounds rule: a and b as floats, or ValidationError unless 0 < a < b."""
+    a, b = _floats((a, b), "bounds")
     if not 0.0 < a < b:
         raise ValidationError("bounds must satisfy 0 < a < b")
+    return a, b
 
 
 def _in_box(pt: Sequence[float], a: float, b: float) -> bool:
@@ -198,28 +222,17 @@ def _canonical_points(points: Iterable[Sequence[float]]) -> tuple[tuple[float, .
     """Points as float tuples of one positive dimension with finite
     coordinates: the one check of point input. Anything else, such as a
     string where a coordinate list belongs, raises ValidationError."""
-    pts = []
     try:
-        for pt in points:
-            if isinstance(pt, (str, dict)):
-                raise TypeError(f"{pt!r} is not a list of coordinates")
-            pts.append(tuple(map(float, pt)))
-    except (TypeError, ValueError) as exc:
+        pts = tuple([_floats(pt, "points") for pt in points])
+    except TypeError as exc:  # ``points`` itself is not iterable
         raise ValidationError(f"points must be lists of numbers: {exc}") from exc
     if pts:
-        dim = len(pts[0])
-        if dim == 0 or any(len(pt) != dim for pt in pts):
+        dims = set(map(len, pts))
+        if len(dims) != 1 or 0 in dims:
             raise ValidationError("points must share one positive dimension")
-        if not all(math.isfinite(c) for pt in pts for c in pt):
+        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
             raise ValidationError("point coordinates must be finite")
-    return tuple(pts)
-
-
-def _canonical_weights(weights: Iterable[float]) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, weights))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"weights must be numbers: {exc}") from exc
+    return pts
 
 
 def _coincident(pt: Sequence[float], seen: Sequence[Sequence[float]]) -> int | None:
@@ -245,7 +258,7 @@ class Design:
 
     def __init__(self, points: Iterable[Sequence[float]], weights: Iterable[float]) -> None:
         object.__setattr__(self, "points", _canonical_points(points))
-        object.__setattr__(self, "weights", _canonical_weights(weights))
+        object.__setattr__(self, "weights", _floats(weights, "weights"))
         self._validate()
 
     def _validate(self) -> None:
@@ -300,10 +313,13 @@ def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
 
 def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False) -> np.ndarray:
     """beta as a (p,) array, or as a (G, p) stack of parameter points when ``stacked``."""
-    vec = np.asarray(beta, dtype=float)
+    try:
+        vec = np.asarray(beta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"beta must be numbers: {exc}") from exc
     if vec.ndim != 1 + stacked or vec.shape[-1] != model.p:
         raise ValidationError(f"beta has dimension {vec.shape}, expected {('G', model.p) if stacked else (model.p,)}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValidationError("beta entries must be finite")
     return vec
 
@@ -320,16 +336,23 @@ def _predictor(
     return F, eta, eta > 0.0
 
 
-def _intensity_arrays(
+def _positive_predictor(
     model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix F of a batch of points and intensities u = (F beta)**-2;
-    raises NonpositivePredictor where f(x)' beta is not positive. With
-    ``stacked``, beta is a (G, p) stack of parameter points and u is (G, n)."""
+    """F and eta of ``_predictor``; raises NonpositivePredictor where eta is not positive."""
     F, eta, positive = _predictor(model, beta, points, stacked)
     if not positive.all():
         at = tuple(int(axis[0]) for axis in np.nonzero(~positive))  # (k,), or (g, k) for a stack
         raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(map(float, points[at[-1]]))} is not positive")
+    return F, eta
+
+
+def _intensity_arrays(
+    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """F and intensities u = eta**-2 under the positivity rule of ``_positive_predictor``;
+    with ``stacked``, beta is a (G, p) stack of parameter points and u is (G, n)."""
+    F, eta = _positive_predictor(model, beta, points, stacked)
     return F, eta**-2
 
 
@@ -448,12 +471,12 @@ def mix_designs(designs: Sequence[Design], coefficients: Sequence[float]) -> Des
     weights. Points whose combined weight is zero (zero coefficient)
     are dropped.
     """
+    coeffs = _floats(coefficients, "coefficients")
     if len(designs) == 0:
         raise ValidationError("need at least one design to mix")
-    if len(coefficients) != len(designs):
+    if len(coeffs) != len(designs):
         raise ValidationError("one coefficient per design is required")
-    coeffs = [float(c) for c in coefficients]
-    if any(c < 0.0 for c in coeffs) or abs(sum(coeffs) - 1.0) > WEIGHT_SUM_TOL:
+    if not (all(c >= 0.0 for c in coeffs) and abs(sum(coeffs) - 1.0) <= WEIGHT_SUM_TOL):  # refuses nan
         raise ValidationError("coefficients must be nonnegative and sum to one")
     dim = designs[0].dimension
     if any(d.dimension != dim for d in designs):
@@ -505,12 +528,7 @@ def region_from_json(obj: dict) -> ExperimentalRegion:
         raise ValidationError(f"bad region object: {exc}") from exc
     if kind is RegionKind.ORTHANT:
         return ExperimentalRegion.orthant(nu)
-    try:
-        a = float(obj["a"])
-        b = float(obj["b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad region bounds: {exc}") from exc
-    return ExperimentalRegion.hypercube(a, b, nu)
+    return ExperimentalRegion.hypercube(obj.get("a"), obj.get("b"), nu)
 
 
 def design_to_json(design: Design) -> dict:
@@ -519,7 +537,7 @@ def design_to_json(design: Design) -> dict:
 
 def design_from_json(obj: dict) -> Design:
     try:
-        points, weights = obj["points"], _canonical_weights(obj["weights"])
+        points, weights = obj["points"], _floats(obj["weights"], "weights")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad design object: {exc}") from exc
     # Serialized weights carry formatting round-off (10 significant digits),

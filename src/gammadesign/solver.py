@@ -22,8 +22,10 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
+    _check_count,
     _d_sensitivities,
     _factor,
+    _floats,
     _information,
     _intensity_arrays,
 )
@@ -40,10 +42,12 @@ class SolverParams:
     prune_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0.0 or self.prune_tol <= 0.0:
+        _check_count(self.max_iterations, 1, "max_iterations")
+        convergence_tol, prune_tol = _floats((self.convergence_tol, self.prune_tol), "tolerances")
+        if not (convergence_tol > 0.0 and prune_tol > 0.0):
             raise ValidationError("tolerances must be positive")
+        object.__setattr__(self, "convergence_tol", convergence_tol)
+        object.__setattr__(self, "prune_tol", prune_tol)
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def multiplicative(
         )
     keep = np.nonzero(w >= params.prune_tol)[0]
     kept_w = w[keep]
-    design = Design([tuple(float(c) for c in candidates[k]) for k in keep], kept_w / kept_w.sum())
+    design = Design([candidates[k] for k in keep], kept_w / kept_w.sum())
     trace = SolverTrace(
         iterations=len(log_dets) - 1,
         log_dets=tuple(log_dets),

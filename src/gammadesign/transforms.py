@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, GammaModel, ValidationError, _check_bounds, _in_box, _intensity_arrays
+from .model_core import Design, GammaModel, ValidationError, _canonical_points, _check_beta, _check_bounds, _in_box, _intensity_arrays
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _report_from_arrays
 
 __all__ = [
@@ -44,30 +44,36 @@ UNIT_SQUARE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 _LIFTED = GammaModel.first_order(3)
 
 
+def _plane_point(x: Sequence[float]) -> tuple[float, ...]:
+    """``x`` as a canonical point with two coordinates."""
+    (pt,) = _canonical_points([x])
+    if len(pt) != 2:
+        raise ValidationError("point must have two coordinates")
+    return pt
+
+
+def _square_map_input(x: Sequence[float], a: float, b: float, inverse: bool) -> tuple[tuple[float, ...], float, float]:
+    """The input rule of both square maps: 0 < a < b, and ``x`` a point of
+    [a,b]^2, or of [0,1]^2 for the ``inverse`` map. Returns the point, 1/b
+    and the span 1/a - 1/b."""
+    a, b = _check_bounds(a, b)
+    lo, hi = (0, 1) if inverse else (a, b)
+    pt = _plane_point(x)
+    if not _in_box(pt, lo, hi):
+        raise ValidationError(f"point {pt} lies outside [{lo}, {hi}]^2")
+    return pt, 1.0 / b, 1.0 / a - 1.0 / b
+
+
 def map_point_interaction(x: Sequence[float], a: float, b: float) -> tuple[float, float]:
     """Map a point of [a,b]^2 to [0,1]^2, coordinate by coordinate."""
-    _check_bounds(a, b)
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (2,):
-        raise ValidationError("point must have two coordinates")
-    if not _in_box(pt.tolist(), a, b):
-        raise ValidationError(f"point {tuple(pt.tolist())} lies outside [{a}, {b}]^2")
-    span = 1.0 / a - 1.0 / b
-    z = (1.0 / pt - 1.0 / b) / span
-    return (float(z[0]), float(z[1]))
+    (x1, x2), ib, span = _square_map_input(x, a, b, inverse=False)
+    return ((1.0 / x1 - ib) / span, (1.0 / x2 - ib) / span)
 
 
 def unmap_point_interaction(z: Sequence[float], a: float, b: float) -> tuple[float, float]:
     """Inverse of ``map_point_interaction``."""
-    _check_bounds(a, b)
-    pt = np.asarray(z, dtype=float)
-    if pt.shape != (2,):
-        raise ValidationError("point must have two coordinates")
-    if not _in_box(pt.tolist(), 0.0, 1.0):
-        raise ValidationError(f"point {tuple(pt.tolist())} lies outside [0, 1]^2")
-    span = 1.0 / a - 1.0 / b
-    x = 1.0 / (pt * span + 1.0 / b)
-    return (float(x[0]), float(x[1]))
+    (z1, z2), ib, span = _square_map_input(z, a, b, inverse=True)
+    return (1.0 / (z1 * span + ib), 1.0 / (z2 * span + ib))
 
 
 def map_design_interaction(design: Design, a: float, b: float) -> Design:
@@ -92,10 +98,8 @@ class InterceptTransform:
     beta2: float
 
     def predictor(self, z: Sequence[float]) -> float:
-        pt = np.asarray(z, dtype=float)
-        if pt.shape != (2,):
-            raise ValidationError("point must have two coordinates")
-        return float(self.beta0 + self.beta1 * pt[0] + self.beta2 * pt[1])
+        z1, z2 = _plane_point(z)
+        return self.beta0 + self.beta1 * z1 + self.beta2 * z2
 
     def _intensities(self, points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
         """F and u of the lifted points (1, z1, z2)."""
@@ -111,18 +115,10 @@ class InterceptTransform:
 
 def interaction_to_intercept(a: float, b: float, beta: Sequence[float]) -> InterceptTransform:
     """Transformed parameters of the equivalent intercept model on [0,1]^2."""
-    _check_bounds(a, b)
-    vec = np.asarray(beta, dtype=float)
-    if vec.shape != (3,):
-        raise ValidationError("beta must have three entries")
+    a, b = _check_bounds(a, b)
+    b1, b2, b3 = _check_beta(GammaModel.interaction(), beta).tolist()
     span = 1.0 / a - 1.0 / b
-    return InterceptTransform(
-        a=a,
-        b=b,
-        beta0=float(vec[2] + (vec[0] + vec[1]) / b),
-        beta1=float(vec[1] * span),
-        beta2=float(vec[0] * span),
-    )
+    return InterceptTransform(a=a, b=b, beta0=b3 + (b1 + b2) / b, beta1=b2 * span, beta2=b1 * span)
 
 
 def verify_intercept_design(
@@ -137,13 +133,12 @@ def verify_intercept_design(
     Candidates default to the four corners, which decide optimality for
     this model class.
     """
-    if candidates is None:
-        candidates = UNIT_SQUARE_VERTICES
-    if len(candidates) == 0:
+    points = _canonical_points(UNIT_SQUARE_VERTICES if candidates is None else candidates)
+    if not points:
         raise ValidationError("candidate set must be nonempty")
     F_design, u_design = transform._intensities(design.points)
-    F_cand, u_cand = transform._intensities(candidates)
-    return _report_from_arrays(F_design, u_design, design.weights, F_cand, u_cand, candidates, criterion, tol)
+    F_cand, u_cand = transform._intensities(points)
+    return _report_from_arrays(F_design, u_design, design.weights, F_cand, u_cand, points, criterion, tol)
 
 
 def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:
@@ -153,16 +148,16 @@ def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:
     the interior of this hexagon, so neither cube vertex can support an
     optimal design.
     """
-    _check_bounds(a, b)
+    a, b = _check_bounds(a, b)
     lo, hi = a / b, b / a
     return [(lo, 1.0), (1.0, lo), (lo, lo), (hi, 1.0), (1.0, hi), (hi, hi)]
 
 
 def first_order_ratio_map(x: Sequence[float]) -> tuple[float, ...]:
     """Ratio coordinates t_j = x_{j+1}/x_1, scale-free in x."""
-    pt = np.asarray(x, dtype=float)
-    if pt.ndim != 1 or pt.size < 2:
+    (pt,) = _canonical_points([x])
+    if len(pt) < 2:
         raise ValidationError("point must have at least two coordinates")
     if pt[0] <= 0.0:
         raise ValidationError("first coordinate must be positive")
-    return tuple(float(c) for c in pt[1:] / pt[0])
+    return tuple(c / pt[0] for c in pt[1:])

@@ -124,3 +124,20 @@ def min_trace_weight(kind: str, beta, pair, *, tol: float = 1e-12) -> float:
         c = hi - invphi * (hi - lo)
         d = lo + invphi * (hi - lo)
     return 0.5 * (lo + hi)
+
+
+# --------------------------------------------------------------------------
+# vertex-dropping conditions of the interaction model on [a,b]^2
+
+
+def drop_vertex_forms(a: float, b: float, beta) -> tuple[float, float, float, float]:
+    """Quadratic forms in beta deciding, in order, whether v4, v2, v3 or v1
+    can be dropped from the support (form <= 0 means: drop), expanded by
+    hand from the source model without the intercept reduction."""
+    b1, b2, b3 = (float(c) for c in beta)
+    ia, ib = 1.0 / a, 1.0 / b
+    form_i = b3**2 + ib**2 * (b1**2 + b2**2) + (ib**2 - ia**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ib * b3 * (b1 + b2)
+    form_ii = b3**2 + ib**2 * b1**2 + ia**2 * b2**2 + 2.0 * ib * b3 * b1 + 2.0 * ia * b3 * b2 + (ib**2 + ia**2) * b1 * b2
+    form_iii = b3**2 + ib**2 * b2**2 + ia**2 * b1**2 + 2.0 * ib * b3 * b2 + 2.0 * ia * b3 * b1 + (ib**2 + ia**2) * b1 * b2
+    form_iv = b3**2 + ia**2 * (b1**2 + b2**2) + (ia**2 - ib**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ia * b3 * (b1 + b2)
+    return form_i, form_ii, form_iii, form_iv

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from gammadesign import (
     Criterion,
@@ -35,7 +36,7 @@ from gammadesign import (
     xi3_weights,
 )
 
-from oracles import min_trace_weight, trace_inverse
+from oracles import drop_vertex_forms, min_trace_weight, trace_inverse
 
 
 CUBE3 = ExperimentalRegion.hypercube(1.0, 2.0, 3)
@@ -507,6 +508,46 @@ def test_interaction_four_point_numerical_flag():
 def test_interaction_positivity_enforced():
     with pytest.raises(NonpositivePredictor):
         d_optimal_interaction(1.0, 2.0, (1.0, 1.0, -1.0))
+
+
+DROP_LABELS = (InteractionLabel.CASE_I, InteractionLabel.CASE_II, InteractionLabel.CASE_III, InteractionLabel.CASE_IV)
+
+
+def oracle_drop_label(a: float, b: float, beta) -> InteractionLabel:
+    """The label the hand-expanded quadratic forms give, at the package's
+    tolerance 1e-12 |beta|^2."""
+    tol = 1e-12 * float(np.dot(beta, beta))
+    for label, form in zip(DROP_LABELS, drop_vertex_forms(a, b, beta)):
+        if form <= tol:
+            return label
+    return InteractionLabel.CASE_V_FOUR_POINT
+
+
+@given(
+    st.floats(0.1, 5.0),
+    st.floats(1.01, 8.0),
+    st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_interaction_drop_rule_matches_quadratic_forms(a, ratio, beta):
+    """The intercept-corner rule picks the label of the source-model
+    quadratic forms at every admissible parameter point."""
+    b = a * ratio
+    assume(all(beta[0] * x1 + beta[1] * x2 + beta[2] * x1 * x2 > 0.0 for x1, x2 in interaction_vertices(a, b)))
+    assert d_optimal_interaction(a, b, beta).label is oracle_drop_label(a, b, beta)
+
+
+@given(st.floats(0.1, 5.0), st.floats(1.01, 8.0), st.integers(-3, 3), st.booleans())
+def test_interaction_drop_rule_matches_quadratic_forms_on_threshold_lines(a, ratio, ulps, upper):
+    """The same agreement on the equal-beta threshold lines
+    gamma = -ab/(3b-a) and, where b > 3a, gamma = ab/(b-3a), and within a
+    few ulp of them."""
+    b = a * ratio
+    assume(not upper or b > 3.0 * a)
+    gamma = a * b / (b - 3.0 * a) if upper else -a * b / (3.0 * b - a)
+    for _ in range(abs(ulps)):
+        gamma = float(np.nextafter(gamma, np.inf if ulps > 0 else -np.inf))
+    beta = (gamma, gamma, 1.0)
+    assert d_optimal_interaction(a, b, beta).label is oracle_drop_label(a, b, beta)
 
 
 # ---------------------------------------------------------------- equal-beta

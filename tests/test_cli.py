@@ -95,6 +95,27 @@ def test_design_a_orthant_requires_beta(capsys):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "flags, region",
+    [
+        (("--region", "orthant", "--nu", "2", "--beta=-1,0.4"), "orthant"),
+        (("--region", "orthant", "--nu", "2", "--beta=-1,0.4", "--criterion", "A"), "orthant"),
+        (("--nu", "2", "--a", "1", "--b", "2", "--beta=-1,0.4"), "hypercube"),
+        (("--nu", "2", "--a", "1", "--b", "2", "--beta=-1,0.4", "--criterion", "A"), "hypercube"),
+        (("--nu", "3", "--a", "1", "--b", "2", "--beta=-1,0.4,0.4"), "hypercube"),
+        (("--model", "interaction", "--a", "1", "--b", "2", "--beta=-1,0.4,0.1"), "hypercube"),
+    ],
+    ids=["orthant_D", "orthant_A", "square_D", "square_A", "cube_D", "interaction"],
+)
+def test_design_inadmissible_beta_exits_two_with_one_message(capsys, flags, region):
+    code, out, err = run_cli(capsys, "design", *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValidationError",
+        "message": f"beta violates positivity on the {region}",
+    }
+
+
 # ----------------------------------------------------------------- classify
 
 
@@ -263,6 +284,16 @@ def test_solve_bad_beta_length(capsys):
     )
     assert code == 2
     assert "3 entries" in json.loads(err)["error"]["message"]
+
+
+def test_solve_nonpositive_candidate_exits_two(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "solve", "--nu", "2", "--region", "hypercube", "--a", "1", "--b", "2",
+        "--beta=-1,0.4",
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "NonpositivePredictor"
 
 
 def test_solve_rank_deficient_exits_one(capsys, tmp_path):

@@ -1,0 +1,137 @@
+"""The input contract: every malformed number a caller passes in, and every
+inadmissible parameter point, is reported as a ValidationError."""
+
+from __future__ import annotations
+
+import pytest
+
+from gammadesign import (
+    Design,
+    ExperimentalRegion,
+    GammaModel,
+    InteractionFamily,
+    NonpositivePredictor,
+    RegionKind,
+    SolverParams,
+    ThreeFactorFamily,
+    ThreeFactorScenario,
+    ValidationError,
+    a_optimal_orthant,
+    a_optimal_two_factor,
+    d_efficiency,
+    d_optimal_interaction,
+    d_optimal_orthant,
+    d_optimal_two_factor,
+    efficiency_sweep,
+    equal_beta_threshold,
+    first_order_ratio_map,
+    gamma_grid,
+    induced_polytope_vertices,
+    intensity,
+    interaction_benchmark_designs,
+    interaction_equal_beta,
+    interaction_to_intercept,
+    is_simplex_design_d_optimal,
+    map_point_interaction,
+    mix_designs,
+    multiplicative,
+    orthant_axis_points,
+    simplex_design,
+    three_factor_benchmark_designs,
+    three_factor_vertices,
+    unmap_point_interaction,
+    validate_positivity,
+    verify_optimality,
+    xi3_weights,
+)
+
+M2 = GammaModel.first_order(2)
+SQUARE = ExperimentalRegion.hypercube(1.0, 2.0, 2)
+D2 = Design([(1.0, 2.0), (2.0, 1.0)], [0.5, 0.5])
+
+# Each of these raised a bare TypeError or ValueError before numbers were
+# converted in one place.
+REPRODUCERS = {
+    # vectors
+    "validate_positivity": lambda: validate_positivity(M2, (1, "x"), SQUARE),
+    "multiplicative": lambda: multiplicative(M2, (1, "x"), [(1.0, 2.0), (2.0, 1.0)]),
+    "intensity": lambda: intensity(M2, (1, "x"), (1.0, 2.0)),
+    "d_efficiency": lambda: d_efficiency(M2, (1, "x"), D2, D2),
+    "d_optimal_interaction": lambda: d_optimal_interaction(1, 2, (1, "x", 1)),
+    "is_simplex_design_d_optimal": lambda: is_simplex_design_d_optimal(3, 1, 2, (1, "x", 1)),
+    "interaction_to_intercept": lambda: interaction_to_intercept(1, 2, (1, "x", 1)),
+    # bounds
+    "hypercube": lambda: ExperimentalRegion.hypercube("a", 2, 2),
+    "ExperimentalRegion": lambda: ExperimentalRegion(RegionKind.HYPERCUBE, 2, "a", 2.0),
+    "simplex_design_bounds": lambda: simplex_design(3, "a", 2),
+    "three_factor_vertices": lambda: three_factor_vertices("a", 2),
+    "d_optimal_two_factor": lambda: d_optimal_two_factor(None, 2),
+    "induced_polytope_vertices": lambda: induced_polytope_vertices("a", 2),
+    "InteractionFamily": lambda: InteractionFamily("a", 4),
+    "interaction_benchmark_designs": lambda: interaction_benchmark_designs("a", 4),
+    # short tuples and scalars
+    "a_optimal_two_factor": lambda: a_optimal_two_factor(1, 2, (1, 2, 3)),
+    "a_optimal_orthant": lambda: a_optimal_orthant((1, "x")),
+    "mix_designs": lambda: mix_designs([D2], ["x"]),
+    "d_optimal_orthant_scale": lambda: d_optimal_orthant(2, (1, "x")),
+    "efficiency_sweep": lambda: efficiency_sweep(ThreeFactorFamily(), three_factor_benchmark_designs(), ["x"]),
+    "gamma_grid": lambda: gamma_grid("a", 1),
+    "xi3_weights": lambda: xi3_weights("a"),
+    "interaction_equal_beta": lambda: interaction_equal_beta(1, 2, "x"),
+    "ThreeFactorScenario": lambda: ThreeFactorScenario("a", 1.0),
+    # points
+    "map_point_interaction": lambda: map_point_interaction((1, "x"), 1, 2),
+    "unmap_point_interaction": lambda: unmap_point_interaction((0.5, "x"), 1, 2),
+    "first_order_ratio_map": lambda: first_order_ratio_map((1, "x")),
+    # counts
+    "d_optimal_orthant_nu": lambda: d_optimal_orthant(2.5),
+    "simplex_design_nu": lambda: simplex_design(3.0, 1, 2),
+    "orthant_axis_points": lambda: orthant_axis_points("3"),
+    "equal_beta_threshold": lambda: equal_beta_threshold("3"),
+}
+
+# Further entry points that convert caller numbers through the same rules.
+FURTHER = {
+    "contains": lambda: SQUARE.contains((1, "x")),
+    "predictor": lambda: interaction_to_intercept(1, 2, (1, 1, 1)).predictor((0.5, "x")),
+    "family_admissible": lambda: InteractionFamily().admissible("x"),
+    "family_beta": lambda: ThreeFactorFamily(-1).beta("x"),
+    "solver_iterations": lambda: SolverParams(max_iterations=2.5),
+    "solver_tolerance": lambda: SolverParams(convergence_tol="x"),
+    "verify_tol": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0)], tol="x"),
+    "weights_as_string": lambda: Design([(1.0,)], "1"),
+    "coefficients_as_mapping": lambda: mix_designs([D2], {1.0: 1.0}),
+    "grid_nan_step": lambda: gamma_grid(0.0, 1.0, float("nan")),
+    "grid_infinite_step": lambda: gamma_grid(0.0, 1.0, float("inf")),
+    "coefficient_nan": lambda: mix_designs([D2, D2], [float("nan"), 1.0]),
+    "scale_nan": lambda: orthant_axis_points(2, (float("nan"), 1.0)),
+    "points_as_bytes": lambda: Design([b"12"], [1.0]),
+}
+
+
+@pytest.mark.parametrize("call", REPRODUCERS.values(), ids=REPRODUCERS.keys())
+def test_malformed_numbers_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call", FURTHER.values(), ids=FURTHER.keys())
+def test_further_malformed_inputs_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_nonpositive_predictor_is_a_validation_error():
+    assert issubclass(NonpositivePredictor, ValidationError)
+    with pytest.raises(ValidationError):
+        a_optimal_two_factor(1.0, 2.0, (-1.0, 0.4))
+
+
+def test_converted_bounds_are_stored_as_floats():
+    region = ExperimentalRegion(RegionKind.HYPERCUBE, 2, 1, "2.5")
+    assert (region.a, region.b) == (1.0, 2.5)
+    assert all(type(c) is float for c in (region.a, region.b))
+    family = InteractionFamily(1, 4)
+    assert type(family.a) is float and family.name == "interaction_square_1_4"
+    assert ThreeFactorScenario(1, 0).beta_vector() == (1.0, 0.0, 0.0)
+
