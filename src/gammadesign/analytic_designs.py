@@ -10,6 +10,7 @@ designs for the two-factor interaction model on [a,b]^2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -142,16 +143,22 @@ class ThreeFactorScenario:
 
 @dataclass(frozen=True)
 class Classification:
-    """A subregion label with its design, if one is available in closed form."""
+    """A subregion label with its closed-form support and weights, both None if numerical."""
 
     label: ThreeFactorLabel | InteractionLabel
-    design: Design | None
+    points: tuple[tuple[float, ...], ...] | None
+    weights: tuple[float, ...] | None
     gamma: float | None
 
     @property
     def numerical(self) -> bool:
         """Whether the weights must be computed numerically (no closed-form design)."""
-        return self.design is None
+        return self.points is None
+
+    @functools.cached_property
+    def design(self) -> Design | None:
+        """The closed-form design, built on first access, or None."""
+        return None if self.points is None else Design(self.points, self.weights)
 
     def to_json(self) -> dict:
         return {
@@ -162,9 +169,9 @@ class Classification:
         }
 
 
-def _equal_weight(points: Sequence[Sequence[float]]) -> Design:
+def _equal_weight(points: Sequence[Sequence[float]]) -> tuple[tuple, tuple[float, ...]]:
     n = len(points)
-    return Design(points, [1.0 / n] * n)
+    return tuple(points), (1.0 / n,) * n
 
 
 def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
@@ -173,7 +180,7 @@ def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
     Locally D-optimal on the positive orthant for every admissible
     parameter vector, regardless of the positive scale chosen.
     """
-    return _equal_weight(orthant_axis_points(_check_count(nu, 2), scale))
+    return Design(*_equal_weight(orthant_axis_points(_check_count(nu, 2), scale)))
 
 
 def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = None) -> Design:
@@ -195,7 +202,7 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
 def d_optimal_two_factor(a: float, b: float) -> Design:
     """Equal-weight design on (a,b) and (b,a), D-optimal on [a,b]^2."""
     a, b = _check_bounds(a, b)
-    return _equal_weight([(a, b), (b, a)])
+    return Design(*_equal_weight([(a, b), (b, a)]))
 
 
 def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
@@ -221,7 +228,7 @@ def simplex_design(nu: int, a: float, b: float) -> Design:
     """Equal-weight design on the nu cube vertices with a single high coordinate."""
     _check_count(nu, 3)
     a, b = _check_bounds(a, b)
-    return _equal_weight([(a,) * j + (b,) + (a,) * (nu - 1 - j) for j in range(nu)])
+    return Design(*_equal_weight([(a,) * j + (b,) + (a,) * (nu - 1 - j) for j in range(nu)]))
 
 
 def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[float]) -> bool:
@@ -271,20 +278,19 @@ def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     Every admissible point falls in exactly one subregion. Four of them
     carry closed-form designs; on the remaining band (beta_1 < 0,
     -3 < gamma < -6/5) the weights must be computed numerically and the
-    returned design is None.
+    returned support and weights are None.
     """
     v = three_factor_vertices(1.0, 2.0)
     gamma = scenario.gamma
     if gamma is None or (scenario.beta1 > 0 and gamma >= 0.2) or (scenario.beta1 < 0 and gamma <= -3.0):
-        return Classification(ThreeFactorLabel.XI1, _equal_weight([v[1], v[2], v[3]]), gamma)
+        return Classification(ThreeFactorLabel.XI1, *_equal_weight(v[1:4]), gamma)
     if scenario.beta1 > 0:
         if gamma <= -5.0 / 23.0:
-            return Classification(ThreeFactorLabel.XI2, _equal_weight([v[2], v[3], v[4]]), gamma)
-        design = Design([v[1], v[2], v[3], v[4]], xi3_weights(gamma))
-        return Classification(ThreeFactorLabel.XI3, design, gamma)
+            return Classification(ThreeFactorLabel.XI2, *_equal_weight(v[2:5]), gamma)
+        return Classification(ThreeFactorLabel.XI3, v[1:5], xi3_weights(gamma), gamma)
     if gamma >= -1.2:
-        return Classification(ThreeFactorLabel.XI4, _equal_weight([v[1], v[5], v[6]]), gamma)
-    return Classification(ThreeFactorLabel.XI5_NUMERICAL, None, gamma)
+        return Classification(ThreeFactorLabel.XI4, *_equal_weight((v[1], v[5], v[6])), gamma)
+    return Classification(ThreeFactorLabel.XI5_NUMERICAL, None, None, gamma)
 
 
 def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classification:
@@ -296,8 +302,8 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     intercept predictor at the mapped corner,
     sum_{j != k} e_j^2 <= e_k^2. Otherwise all four vertices support the
     optimum; the weights are in closed form when beta_1 = beta_2 and
-    numerical (design None) when not. Vertices are tried in the order
-    v4, v2, v3, v1, labelled ``Case_i`` to ``Case_iv``.
+    numerical (support and weights None) when not. Vertices are tried in
+    the order v4, v2, v3, v1, labelled ``Case_i`` to ``Case_iv``.
     """
     a, b = _check_bounds(a, b)
     v = interaction_vertices(a, b)
@@ -311,17 +317,17 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
     for label, k in drops:
         if half - e2[k] <= tol:
-            return Classification(label, _equal_weight(v[:k] + v[k + 1:]), gamma)
+            return Classification(label, *_equal_weight(v[:k] + v[k + 1:]), gamma)
     if gamma is not None and gamma > -a / 2.0:
-        return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), gamma)
-    return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, gamma)
+        return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, gamma), gamma)
+    return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 
 
-def _four_point_interaction(a: float, b: float, gamma: float) -> Design:
+def _four_point_interaction(a: float, b: float, gamma: float) -> tuple[float, float, float, float]:
     w1 = (a * b - (a - 3.0 * b) * gamma) / (4.0 * b * (a + 2.0 * gamma))
     w2 = (a * b + (a + b) * gamma) ** 2 / (4.0 * a * b * (b + 2.0 * gamma) * (a + 2.0 * gamma))
     w4 = (a * b - (b - 3.0 * a) * gamma) / (4.0 * a * (b + 2.0 * gamma))
-    return Design(interaction_vertices(a, b), [w1, w2, w2, w4])
+    return (w1, w2, w2, w4)
 
 
 def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
@@ -337,13 +343,12 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     (gamma,) = _floats((gamma,), "gamma")
     if not math.isfinite(gamma) or gamma <= -a / 2.0:
         raise ValidationError("gamma must exceed -a/2")
+    v = interaction_vertices(a, b)
     if gamma <= -a * b / (3.0 * b - a):
-        v = interaction_vertices(a, b)
-        return Classification(InteractionLabel.CASE_IV, _equal_weight([v[1], v[2], v[3]]), gamma)
+        return Classification(InteractionLabel.CASE_IV, *_equal_weight(v[1:]), gamma)
     if b - 3.0 * a > 0.0 and gamma >= a * b / (b - 3.0 * a):
-        v = interaction_vertices(a, b)
-        return Classification(InteractionLabel.CASE_I, _equal_weight([v[0], v[1], v[2]]), gamma)
-    return Classification(InteractionLabel.CASE_V_FOUR_POINT, _four_point_interaction(a, b, gamma), gamma)
+        return Classification(InteractionLabel.CASE_I, *_equal_weight(v[:3]), gamma)
+    return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, gamma), gamma)
 
 
 def intensity_ranking(

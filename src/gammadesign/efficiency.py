@@ -2,10 +2,10 @@
 
 The D-efficiency of a design against the locally optimal one is
 (det M(design) / det M(optimal))**(1/p). Sweeps trace this value over a
-grid of the ratio gamma that indexes the optimality subregions, using
-the closed-form reference design where one exists and the multiplicative
-solver elsewhere. A sweep evaluates each design over the whole grid with
-one stacked Cholesky factorization.
+grid of the ratio gamma that indexes the optimality subregions, against
+the closed-form optimum (plain support and weights, so a sweep builds no
+Design per ratio) or the solver's; each design and reference support
+takes one stacked Cholesky factorization over the whole grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .model_core import (
     _predictor,
 )
 from .analytic_designs import (
-    Classification,
     ThreeFactorScenario,
     classify_three_factor,
     interaction_equal_beta,
@@ -73,8 +72,19 @@ def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optim
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
 
 
+class _Family:
+    """Admissibility and reference design, shared by the sweep families."""
+
+    def admissible(self, gamma: float) -> bool:
+        return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
+
+    def reference(self, gamma: float) -> Design:
+        """Locally D-optimal design at this ratio."""
+        return Design(*self._optimum(gamma))
+
+
 @dataclass(frozen=True)
-class ThreeFactorFamily:
+class ThreeFactorFamily(_Family):
     """Parameter path (beta_1, beta, beta) = sign * (1, gamma, gamma) on [1,2]^3."""
 
     beta1_sign: int = 1
@@ -99,31 +109,24 @@ class ThreeFactorFamily:
     def scenario(self, gamma: float) -> ThreeFactorScenario:
         return ThreeFactorScenario(*self.beta(gamma)[:2])
 
-    def admissible(self, gamma: float) -> bool:
-        return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
-
     def beta(self, gamma: float) -> tuple[float, float, float]:
         (gamma,) = _floats((gamma,), "gamma")
         sign = 1.0 if self.beta1_sign > 0 else -1.0
         return (sign, sign * gamma, sign * gamma)
 
-    def reference(self, gamma: float) -> Design:
-        """Locally D-optimal design at this ratio, solved numerically on
-        the subregion without a closed form."""
-        result: Classification = classify_three_factor(self.scenario(gamma))
-        if result.design is not None:
-            return result.design
-        design, _ = multiplicative(
-            self.model,
-            self.beta(gamma),
-            self.vertices,
-            SolverParams(convergence_tol=_REFERENCE_TOL),
-        )
-        return design
+    def _optimum(self, gamma: float) -> tuple[tuple, tuple[float, ...]]:
+        """Support and weights of the optimum at this ratio, solved
+        numerically on the subregion without a closed form."""
+        result = classify_three_factor(self.scenario(gamma))
+        if not result.numerical:
+            return result.points, result.weights
+        params = SolverParams(convergence_tol=_REFERENCE_TOL)
+        design, _ = multiplicative(self.model, self.beta(gamma), self.vertices, params)
+        return design.points, design.weights
 
 
 @dataclass(frozen=True)
-class InteractionFamily:
+class InteractionFamily(_Family):
     """Parameter path (gamma, gamma, 1) for the interaction model on [a,b]^2."""
 
     a: float = 1.0
@@ -146,20 +149,16 @@ class InteractionFamily:
     def vertices(self) -> tuple[tuple[float, float], ...]:
         return interaction_vertices(self.a, self.b)
 
-    def admissible(self, gamma: float) -> bool:
-        return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
-
     def beta(self, gamma: float) -> tuple[float, float, float]:
         (gamma,) = _floats((gamma,), "gamma")
         return (gamma, gamma, 1.0)
 
-    def reference(self, gamma: float) -> Design:
+    def _optimum(self, gamma: float) -> tuple[tuple, tuple[float, ...]]:
         result = interaction_equal_beta(self.a, self.b, gamma)
-        assert result.design is not None
-        return result.design
+        return result.points, result.weights
 
 
-def _admissible(family: ThreeFactorFamily | InteractionFamily, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Which of the float ratios ``gammas`` are admissible, and the (K, p)
     stack of betas of the K that are: a ratio is admissible when it is
     finite and the kernel's positivity rule holds at every vertex of the
@@ -233,22 +232,23 @@ def efficiency_sweep(
     ok, betas = _admissible(family, gammas)
     kept = [gamma for gamma, keep in zip(gammas, ok) if keep]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma, keep in zip(gammas, ok) if not keep]
-    references = [family.reference(gamma) for gamma in kept]
-    # Reference designs change with gamma; rows sharing a support share one factorization.
+    # Library-made (support, weights) pairs need no Design; rows sharing a support share one factorization.
+    optima = [family._optimum(gamma) for gamma in kept]
     by_support: dict[tuple, list[int]] = {}
-    for row, reference in enumerate(references):
-        by_support.setdefault(reference.points, []).append(row)
+    for row, (points, _) in enumerate(optima):
+        by_support.setdefault(points, []).append(row)
     ld_ref = np.empty(len(kept))
     try:
         for points, rows in by_support.items():
-            ld_ref[rows] = _logdets(model, betas[rows], points, [references[r].weights for r in rows])
+            ld_ref[rows] = _logdets(model, betas[rows], points, [optima[r][1] for r in rows])
         ld = np.column_stack([_logdets(model, betas, d.points, d.weights) for d in designs.values()])
     except (SingularInformation, NonpositivePredictor):
         # Name the first failing row by evaluating the rows one at a time.
-        for gamma, beta, reference in zip(kept, betas, references):
-            for name, design in (("reference", reference), *designs.items()):
+        supports = [(name, (d.points, d.weights)) for name, d in designs.items()]
+        for gamma, beta, optimum in zip(kept, betas, optima):
+            for name, (points, weights) in (("reference", optimum), *supports):
                 try:
-                    _logdets(model, beta[None], design.points, design.weights)
+                    _logdets(model, beta[None], points, weights)
                 except (SingularInformation, NonpositivePredictor) as exc:
                     raise type(exc)(f"gamma={gamma!r}, design {name}: {exc}") from exc
         raise

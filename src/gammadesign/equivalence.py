@@ -20,6 +20,7 @@ verification then raises ``SingularInformation``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,6 +122,8 @@ def _report_from_arrays(
     u_design and weights, over the canonical candidate points with rows
     F_cand and u_cand."""
     (tol,) = _floats((tol,), "tol")
+    if not math.isfinite(tol):  # a nan tol would fail every design
+        raise ValidationError("tol must be finite")
     L, _ = _factor(_information(F_design, u_design, np.asarray(weights)))
     if criterion is Criterion.D:
         vals, bound = _d_sensitivities(L, F_cand, u_cand), float(L.shape[0])

@@ -506,7 +506,7 @@ def model_to_json(model: GammaModel) -> dict:
 def model_from_json(obj: dict) -> GammaModel:
     try:
         kind = ModelKind(obj["kind"])
-        nu = int(obj["nu"])
+        nu = obj["nu"]  # judged by the count rule: a JSON integer
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad model object: {exc}") from exc
     return GammaModel(kind, nu)
@@ -523,7 +523,7 @@ def region_to_json(region: ExperimentalRegion) -> dict:
 def region_from_json(obj: dict) -> ExperimentalRegion:
     try:
         kind = RegionKind(obj["kind"])
-        nu = int(obj["nu"])
+        nu = obj["nu"]  # judged by the count rule: a JSON integer
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad region object: {exc}") from exc
     if kind is RegionKind.ORTHANT:

@@ -3,7 +3,10 @@ the hypothesis profile of every property test."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
+
+from gammadesign import Design
 
 # Derandomized so that tier-1 runs the same examples every time; no
 # deadline, because a shared host can stall any single example.
@@ -41,3 +44,17 @@ def pytest_terminal_summary(terminalreporter):
         outcome = _OUTCOMES.get(nodeid, "skipped")
         status = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {status}  {description}")
+
+
+@pytest.fixture
+def built_designs(monkeypatch):
+    """The arguments of every Design constructed while the test runs."""
+    built = []
+    init = Design.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Design, "__init__", counting)
+    return built

@@ -397,6 +397,37 @@ def test_classifier_scale_invariant():
                 )
 
 
+# One classification per label; the interaction four-point label both in
+# closed form and numerically.
+CLASSIFICATIONS = {
+    "Xi1": lambda: classify_three_factor(ThreeFactorScenario(1.0, 1.0)),
+    "Xi2": lambda: classify_three_factor(ThreeFactorScenario(1.0, -0.23)),
+    "Xi3": lambda: classify_three_factor(ThreeFactorScenario(1.0, 0.0)),
+    "Xi4": lambda: classify_three_factor(ThreeFactorScenario(-1.0, 1.1)),
+    "Xi5Numerical": lambda: classify_three_factor(ThreeFactorScenario(-1.0, 2.0)),
+    "Case_i": lambda: d_optimal_interaction(1.0, 4.0, (5.0, 5.0, 1.0)),
+    "Case_ii": lambda: d_optimal_interaction(1.0, 4.0, (2.0, -0.5, 0.3)),
+    "Case_iii": lambda: d_optimal_interaction(1.0, 4.0, (-0.5, 2.0, 0.3)),
+    "Case_iv": lambda: interaction_equal_beta(1.0, 4.0, -0.45),
+    "Case_v_FourPoint": lambda: interaction_equal_beta(1.0, 4.0, 1.0),
+    "Case_v_FourPoint_numerical": lambda: d_optimal_interaction(1.0, 2.0, (1.0, 2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFICATIONS)
+def test_classification_builds_its_design_once_on_first_access(built_designs, name):
+    c = CLASSIFICATIONS[name]()
+    assert c.label.value == name.removesuffix("_numerical")
+    assert built_designs == []  # a classifier returns support and weights, not a Design
+    assert c.design is c.design
+    if c.numerical:
+        assert c.points is None and c.weights is None and c.design is None
+        assert built_designs == []
+    else:
+        assert built_designs == [(c.points, c.weights)]
+        assert c.design == Design(c.points, c.weights)
+
+
 def test_classifier_json_shape():
     obj = classify_three_factor(ThreeFactorScenario(1.0, 0.0)).to_json()
     assert set(obj) == {"label", "design", "numerical", "gamma"}

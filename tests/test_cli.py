@@ -116,6 +116,46 @@ def test_design_inadmissible_beta_exits_two_with_one_message(capsys, flags, regi
     }
 
 
+# The first-order hypercube branches of ``design``, each pinned to its exact stdout.
+CUBE_DESIGNS = {
+    "square_D": (
+        ("--nu", "2"),
+        '{"points": [[1, 2], [2, 1]], "weights": [0.5, 0.5], "provenance": "analytic"}\n',
+    ),
+    "square_A": (
+        ("--nu", "2", "--beta", "1,2", "--criterion", "A"),
+        '{"points": [[1, 2], [2, 1]], "weights": [0.5555555556, 0.4444444444], "provenance": "analytic"}\n',
+    ),
+    "cube_xi3": (
+        ("--nu", "3", "--beta", "1,0,0"),
+        '{"points": [[2, 1, 1], [1, 2, 1], [1, 1, 2], [1, 2, 2]], '
+        '"weights": [0.3125, 0.28125, 0.28125, 0.125], "provenance": "analytic"}\n',
+    ),
+    "cube_band": (
+        ("--nu", "3", "--beta=-1,2,2"),
+        '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 1, 2], [2, 2, 1]], '
+        '"weights": [0.2604166578, 0.2604166578, 0.3124999976, 0.08333334344, 0.08333334344], '
+        '"provenance": "numerical"}\n',
+    ),
+    "cube_unequal_beta": (
+        ("--nu", "3", "--beta=-1,2,3"),
+        '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 2, 1]], '
+        '"weights": [0.3255161817, 0.271319679, 0.3201964626, 0.08296767665], "provenance": "numerical"}\n',
+    ),
+    "cube_A": (("--nu", "3", "--criterion", "A"), None),
+}
+
+
+@pytest.mark.parametrize("flags, stdout", CUBE_DESIGNS.values(), ids=CUBE_DESIGNS.keys())
+def test_design_first_order_hypercube_branches(capsys, flags, stdout):
+    code, out, err = run_cli(capsys, "design", "--region", "hypercube", "--a", "1", "--b", "2", *flags)
+    if stdout is None:
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "A-optimal hypercube designs are available for nu = 2 only"
+    else:
+        assert (code, out, err) == (0, stdout, "")
+
+
 # ----------------------------------------------------------------- classify
 
 
@@ -191,6 +231,18 @@ def test_verify_singular_design_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(err)["error"]["type"] == "SingularInformation"
+
+
+def test_verify_nan_tol_exits_two(capsys, tmp_path):
+    design_file = tmp_path / "design.json"
+    design_file.write_text(json.dumps({"points": [[1, 2], [2, 1]], "weights": [0.5, 0.5]}))
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--nu", "2", "--region", "hypercube", "--a", "1", "--b", "2",
+        "--beta", "1,1", "--design", str(design_file), "--tol", "nan",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValidationError", "message": "tol must be finite"}
 
 
 def test_verify_requires_candidate_source(capsys, tmp_path):

@@ -326,6 +326,21 @@ def test_sweep_factors_once_per_design_and_reference_support(monkeypatch):
         assert len(calls) <= len(designs) + len(supports) == 7
 
 
+@pytest.mark.parametrize(
+    "family, designs, grid",
+    [
+        (POS, three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)),  # example1: 125 ratios
+        (SQUARE, interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)),  # example2: 550 ratios
+    ],
+    ids=["example1", "example2"],
+)
+def test_closed_form_sweep_builds_no_design(built_designs, family, designs, grid):
+    """Closed-form references are support and weights, never a Design per ratio."""
+    sweep = efficiency_sweep(family, designs, grid)
+    assert len(sweep.gammas) == len(grid) and not sweep.skipped
+    assert built_designs == []
+
+
 # ---------------------------------------------------------------- benchmarks
 
 

@@ -34,13 +34,16 @@ from gammadesign import (
     is_simplex_design_d_optimal,
     map_point_interaction,
     mix_designs,
+    model_from_json,
     multiplicative,
     orthant_axis_points,
+    region_from_json,
     simplex_design,
     three_factor_benchmark_designs,
     three_factor_vertices,
     unmap_point_interaction,
     validate_positivity,
+    verify_intercept_design,
     verify_optimality,
     xi3_weights,
 )
@@ -106,6 +109,21 @@ FURTHER = {
     "coefficient_nan": lambda: mix_designs([D2, D2], [float("nan"), 1.0]),
     "scale_nan": lambda: orthant_axis_points(2, (float("nan"), 1.0)),
     "points_as_bytes": lambda: Design([b"12"], [1.0]),
+    # A nan tol made every design, an optimal one included, fail verification.
+    "verify_tol_nan": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0)], tol=float("nan")),
+    "verify_tol_infinite": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0)], tol=float("inf")),
+    "intercept_tol_nan": lambda: verify_intercept_design(
+        interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), tol=float("nan")
+    ),
+    # A JSON nu is judged by the count rule as it stands: only a JSON integer is a count.
+    "model_json_nu_fraction": lambda: model_from_json({"kind": "first_order", "nu": 2.5}),
+    "model_json_nu_bool": lambda: model_from_json({"kind": "interaction", "nu": True}),
+    "model_json_nu_string": lambda: model_from_json({"kind": "first_order", "nu": "3"}),
+    "model_json_nu_float": lambda: model_from_json({"kind": "first_order", "nu": 3.0}),
+    "region_json_nu_fraction": lambda: region_from_json({"kind": "orthant", "nu": 2.5}),
+    "region_json_nu_bool": lambda: region_from_json({"kind": "orthant", "nu": True}),
+    "region_json_nu_string": lambda: region_from_json({"kind": "hypercube", "nu": "3", "a": 1.0, "b": 2.0}),
+    "region_json_nu_float": lambda: region_from_json({"kind": "hypercube", "nu": 3.0, "a": 1.0, "b": 2.0}),
 }
 
 
