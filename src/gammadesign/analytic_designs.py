@@ -158,7 +158,7 @@ class Classification:
     @functools.cached_property
     def design(self) -> Design | None:
         """The closed-form design, built on first access, or None."""
-        return None if self.points is None else Design(self.points, self.weights)
+        return None if self.numerical else Design(self.points, self.weights)
 
     def to_json(self) -> dict:
         return {
