@@ -2,8 +2,8 @@
 
 The package constructs closed-form optimal designs where theory provides
 them, verifies optimality through equivalence-theorem sensitivity checks
-on candidate sets, computes weights numerically with the multiplicative
-algorithm where no closed form exists, and quantifies robustness through
+on candidate sets, computes weights numerically with a certified Newton
+solver where no closed form exists, and quantifies robustness through
 D-efficiency sweeps.
 """
 

@@ -2,7 +2,7 @@
 
 Subcommands: ``design`` (construct an optimal design), ``classify``
 (subregion of the three-factor cube), ``verify`` (equivalence-theorem
-check), ``solve`` (multiplicative algorithm), ``efficiency``
+check), ``solve`` (D-optimal weights on a candidate set), ``efficiency``
 (D-efficiency sweep to CSV), and ``reproduce`` (regenerate the reference
 tables and sweeps).
 
@@ -256,11 +256,7 @@ def _cmd_solve(args) -> int:
         candidates = region_vertices(region)
     else:
         raise ValidationError("either --candidates or --region is required")
-    params = SolverParams(
-        max_iterations=args.max_iterations,
-        convergence_tol=args.convergence_tol,
-        prune_tol=args.prune_tol,
-    )
+    params = SolverParams(max_iterations=args.max_iterations, convergence_tol=args.convergence_tol)
     design, trace = multiplicative(model, beta, candidates, params)
     if args.trace is not None:
         _emit(trace.to_json(), args.trace)
@@ -350,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_solve = sub.add_parser("solve", help="multiplicative algorithm on a candidate set")
+    p_solve = sub.add_parser("solve", help="certified D-optimal weights on a candidate set (damped Newton steps on the support)")
     _add_model_flags(p_solve)
     p_solve.add_argument("--candidates", default=None, help="JSON file with candidate points")
     p_solve.add_argument("--max-iterations", type=int, default=SolverParams.max_iterations)
     p_solve.add_argument("--convergence-tol", type=float, default=SolverParams.convergence_tol)
-    p_solve.add_argument("--prune-tol", type=float, default=SolverParams.prune_tol)
     p_solve.add_argument("--trace", default=None, help="write the solver trace JSON here")
     p_solve.add_argument("--output", default=None)
     p_solve.set_defaults(func=_cmd_solve)

@@ -1,14 +1,30 @@
-"""Multiplicative algorithm for D-optimal weights on a finite candidate set.
+"""Certified D-optimal weights on a finite candidate set.
 
-Starting from uniform weights, each step rescales every weight by its
-D-sensitivity over the parameter count, w_i <- w_i * psi(x_i)/p. The
-weighted average of the sensitivities equals p, so the simplex is
-preserved and the log-determinant never decreases. Iteration stops once
-the largest sensitivity excess drops to the convergence tolerance.
+The solver maximizes log det M(w) over weights w on the candidates, with
+psi_i the D-sensitivity of candidate i and p the parameter count. From
+uniform weights, each iterate is one of three steps:
+
+- Deletion: support points below the Harman & Pronzato (2007) bound are in
+  no optimal support; they lose their weight unless that lowers log det M.
+- Newton, on the support plus the top violator under sum(w) = 1: it solves
+  [H 1; 1' 0] [d; lambda] = [psi; 0], H_ij = u_i u_j (f_i' M^-1 f_j)^2,
+  with a 1e-9 ridge on H, since the weights are not unique beyond p(p+1)/2
+  support points. The step is halved, stopping once at the ratio test (the
+  first weight reaching zero), until log det M does not decrease; weights
+  it takes to zero or below become exactly zero.
+- Multiplicative, w_i <- w_i psi_i / p: the warm start while the support
+  is too large for Newton, and the fallback when its line search stalls.
+
+Trials are judged by log det(I + L^-1 dM L^-T) from the Cholesky factor L
+of M: no factorization, and round-off that scales with the change. The
+loop stops once the global excess max psi - p is at most the tolerance,
+and returns that certified iterate, its candidates of positive weight.
+The trace holds one ``log_dets`` entry per accepted iterate.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,27 +48,31 @@ from .model_core import (
 
 __all__ = ["SolverParams", "SolverTrace", "multiplicative"]
 
+# Largest Newton working set: its Hessian costs s^2 memory and s^3 time.
+# Larger supports take multiplicative steps until deletions shrink them.
+_NEWTON_MAX_POINTS = 1024
+# Ridge on the Newton Hessian, for supports beyond p(p+1)/2 points.
+_RIDGE = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration cap, stopping tolerance, and reporting threshold."""
+    """Iteration cap and stopping tolerance on the global sensitivity excess."""
 
     max_iterations: int = 100_000
     convergence_tol: float = 1e-8
-    prune_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         _check_count(self.max_iterations, 1, "max_iterations")
-        convergence_tol, prune_tol = _floats((self.convergence_tol, self.prune_tol), "tolerances")
-        if not (convergence_tol > 0.0 and prune_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
+        (convergence_tol,) = _floats((self.convergence_tol,), "convergence_tol")
+        if not convergence_tol > 0.0:
+            raise ValidationError("convergence_tol must be positive")
         object.__setattr__(self, "convergence_tol", convergence_tol)
-        object.__setattr__(self, "prune_tol", prune_tol)
 
 
 @dataclass(frozen=True)
 class SolverTrace:
-    """Convergence record: one log-det entry per visited weight vector."""
+    """Convergence record: one log-det entry per accepted iterate."""
 
     iterations: int
     log_dets: tuple[float, ...]
@@ -76,56 +96,81 @@ def multiplicative(
 ) -> tuple[Design, SolverTrace]:
     """D-optimal weights over ``candidates`` at the parameter point ``beta``.
 
-    The returned design drops candidates whose converged weight falls
-    below ``params.prune_tol`` and renormalizes the rest. If the
-    iteration cap is hit first, the best weights found so far are
-    returned and an ``IterationCapExceeded`` warning is emitted; the
-    trace's ``converged`` flag records which case occurred.
-    """
+    The design is the last iterate's candidates of positive weight, and
+    ``trace.final_excess`` is its global sensitivity excess. Hitting the
+    iteration cap first emits ``IterationCapExceeded``; ``trace.converged``
+    records which case occurred."""
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
     F, u = _intensity_arrays(model, beta, candidates)
     p = model.p
-    m = len(candidates)
-    w = np.full(m, 1.0 / m)
-
-    log_dets: list[float] = []
-    converged = False
-    excess = np.inf
-    # one evaluation per visited weight vector: at most max_iterations updates
-    for step in range(params.max_iterations + 1):
-        try:
-            L, logdet = _factor(_information(F, u, w))
-        except SingularInformation as exc:
-            if step:
-                raise
-            # every candidate carries weight at step 0
-            raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
-        log_dets.append(logdet)
+    w = np.full(len(candidates), 1.0 / len(candidates))
+    try:
+        L, logdet = _factor(_information(F, u, w))
+    except SingularInformation as exc:  # every candidate carries weight
+        raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
+    log_dets = [logdet]
+    while True:
         psi = _d_sensitivities(L, F, u)
         excess = float(psi.max() - p)
-        if excess <= params.convergence_tol:
-            converged = True
+        if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
             break
-        if step == params.max_iterations:
-            break
-        w *= psi / p
-        w /= w.sum()
-
+        w = _next_weights(F, u, w, L, psi, p, excess)
+        L, logdet = _factor(_information(F, u, w))
+        log_dets.append(logdet)
+    converged = excess <= params.convergence_tol
     if not converged:
         warnings.warn(
-            f"multiplicative solver stopped after {params.max_iterations} iterations "
-            f"with sensitivity excess {excess:.3e}",
+            f"solver stopped after {params.max_iterations} iterations with sensitivity excess {excess:.3e}",
             IterationCapExceeded,
             stacklevel=2,
         )
-    keep = np.nonzero(w >= params.prune_tol)[0]
-    kept_w = w[keep]
-    design = Design([candidates[k] for k in keep], kept_w / kept_w.sum())
-    trace = SolverTrace(
-        iterations=len(log_dets) - 1,
-        log_dets=tuple(log_dets),
-        final_excess=excess,
-        converged=converged,
-    )
-    return design, trace
+    support = np.flatnonzero(w)
+    design = Design([candidates[k] for k in support], w[support])
+    return design, SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)
+
+
+def _next_weights(F: np.ndarray, u: np.ndarray, w: np.ndarray, L: np.ndarray, psi: np.ndarray, p: int, excess: float) -> np.ndarray:
+    """The next iterate: a deletion, a damped Newton step, or else a multiplicative step."""
+    bound = p * (1.0 + excess / 2.0 - math.sqrt(excess * (4.0 + excess - 4.0 / p)) / 2.0)
+    drop = np.flatnonzero((psi < bound) & (w > 0.0))
+    if drop.size and _gain(_whitened(F, u, L, drop), -w[drop]) >= 0.0:
+        kept = np.where(psi < bound, 0.0, w)
+        return kept / kept.sum()
+    work = np.flatnonzero((w > 0.0) | (psi == psi.max()))
+    if work.size <= _NEWTON_MAX_POINTS:
+        w_work, Z = w[work], _whitened(F, u, L, work)
+        H = (Z.T @ Z) ** 2
+        H.flat[:: work.size + 1] += _RIDGE
+        # The KKT system by elimination: d = a - lambda b, with H a = psi, H b = 1 and 1'd = 0.
+        a, b = np.linalg.solve(H, np.column_stack((psi[work], np.ones(work.size)))).T
+        d = a - (a.sum() / b.sum()) * b
+        zero_at = np.full(work.size, np.inf)  # step length at which each weight reaches zero
+        shrinking = d < 0.0
+        zero_at[shrinking] = w_work[shrinking] / -d[shrinking]
+        t_ratio = zero_at[w_work > 0.0].min(initial=np.inf)
+        t = 1.0
+        for _ in range(30):  # cuts before the line search counts as stalled
+            stepped = np.where(zero_at <= t, 0.0, np.maximum(w_work + t * d, 0.0))
+            if _gain(Z, stepped - w_work) >= 0.0:
+                w = w.copy()
+                w[work] = stepped
+                return w / w.sum()
+            t = max(t / 2.0, t_ratio) if t > t_ratio else t / 2.0
+    scaled = w * psi / p
+    return scaled / scaled.sum()
+
+
+def _whitened(F: np.ndarray, u: np.ndarray, L: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Z = L^-1 [sqrt(u_i) f_i] over ``rows``: psi_i = |z_i|^2 and H_ij = (z_i' z_j)^2."""
+    return np.linalg.solve(L, F[rows].T) * np.sqrt(u[rows])
+
+
+def _gain(Z: np.ndarray, change: np.ndarray) -> float:
+    """log det M(w + change) - log det M(w) - p log sum(w + change), the gain of the
+    renormalized iterate, from the whitened features Z of the changed candidates."""
+    lam = np.linalg.eigvalsh((Z * change) @ Z.T)
+    if lam[0] <= -1.0:
+        return -math.inf
+    return math.fsum(map(math.log1p, lam.tolist())) - len(lam) * math.log1p(change.sum())
+

@@ -134,13 +134,13 @@ CUBE_DESIGNS = {
     "cube_band": (
         ("--nu", "3", "--beta=-1,2,2"),
         '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 1, 2], [2, 2, 1]], '
-        '"weights": [0.2604166578, 0.2604166578, 0.3124999976, 0.08333334344, 0.08333334344], '
+        '"weights": [0.2604166667, 0.2604166667, 0.3125, 0.08333333333, 0.08333333333], '
         '"provenance": "numerical"}\n',
     ),
     "cube_unequal_beta": (
         ("--nu", "3", "--beta=-1,2,3"),
         '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 2, 1]], '
-        '"weights": [0.3255161817, 0.271319679, 0.3201964626, 0.08296767665], "provenance": "numerical"}\n',
+        '"weights": [0.3255162073, 0.2713196679, 0.3201964554, 0.08296766939], "provenance": "numerical"}\n',
     ),
     "cube_A": (("--nu", "3", "--criterion", "A"), None),
 }
@@ -154,6 +154,12 @@ def test_design_first_order_hypercube_branches(capsys, flags, stdout):
         assert json.loads(err)["error"]["message"] == "A-optimal hypercube designs are available for nu = 2 only"
     else:
         assert (code, out, err) == (0, stdout, "")
+
+
+def test_design_cube_band_weights_are_exact(capsys):
+    # gamma = -2 lies in the numerical band; its optimum is known exactly
+    payload = run_json(capsys, "design", "--region", "hypercube", "--a", "1", "--b", "2", "--nu", "3", "--beta=-1,2,2")
+    assert payload["weights"] == pytest.approx([25 / 96, 25 / 96, 5 / 16, 1 / 12, 1 / 12], abs=1e-10)
 
 
 # ----------------------------------------------------------------- classify

@@ -1,12 +1,14 @@
-"""Multiplicative weight optimizer on finite candidate sets."""
+"""Certified D-optimal weight solver on finite candidate sets."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import gammadesign.solver
 from gammadesign import (
     Criterion,
     ExperimentalRegion,
@@ -16,6 +18,8 @@ from gammadesign import (
     RankDeficientCandidates,
     SolverParams,
     ValidationError,
+    gamma_grid,
+    information_matrix,
     multiplicative,
     region_vertices,
     three_factor_vertices,
@@ -40,13 +44,11 @@ def cube_weights(beta, **kw):
 
 
 def test_params_validation():
-    SolverParams(10, 1e-6, 1e-4)
+    SolverParams(10, 1e-6)
     with pytest.raises(ValidationError):
         SolverParams(max_iterations=0)
     with pytest.raises(ValidationError):
         SolverParams(convergence_tol=0.0)
-    with pytest.raises(ValidationError):
-        SolverParams(prune_tol=-1.0)
 
 
 # ---------------------------------------------------------------- benchmarks
@@ -132,7 +134,45 @@ def test_result_passes_verification():
     assert trace.final_excess <= 1e-9
 
 
-def test_pruned_weights_sum_to_one():
+def test_converged_design_is_the_certified_iterate():
+    # Pruning small weights after convergence would return a design with
+    # excess 4.0e-7 here while the trace reports 9.9e-9.
+    m4 = GammaModel.first_order(4)
+    beta = (-0.05, 1.02, 0.79, 0.55)
+    V4 = region_vertices(ExperimentalRegion.hypercube(1.0, 2.0, 4))
+    params = SolverParams()
+    design, trace = multiplicative(m4, beta, V4, params)
+    assert trace.converged
+    report = verify_optimality(m4, beta, design, Criterion.D, V4, tol=params.convergence_tol)
+    assert report.passed
+    assert report.worst_excess == pytest.approx(trace.final_excess, abs=1e-12)
+    # the design is the last iterate itself: nothing dropped, nothing rescaled
+    assert all(w > 0.0 for w in design.weights)
+    assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-15)
+    _, logdet = np.linalg.slogdet(information_matrix(m4, beta, design))
+    assert logdet == pytest.approx(trace.log_dets[-1], abs=1e-12)
+
+
+def test_band_certifies_within_factorization_budget(monkeypatch):
+    factorizations = []
+    factor = gammadesign.solver._factor
+
+    def counting(M):
+        factorizations.append(M)
+        return factor(M)
+
+    monkeypatch.setattr(gammadesign.solver, "_factor", counting)
+    params = SolverParams(convergence_tol=1e-10)
+    m3 = GammaModel.first_order(3)
+    for gamma in (*gamma_grid(-2.99, -1.21, 0.01), -2.999, -1.2001, -1.2000000000000002):
+        beta = (-1.0, -gamma, -gamma)
+        factorizations.clear()
+        design, trace = multiplicative(m3, beta, region_vertices(CUBE3), params)
+        assert trace.converged and len(factorizations) <= 200, gamma
+        assert verify_optimality(m3, beta, design, Criterion.D, region_vertices(CUBE3), tol=1e-9).passed, gamma
+
+
+def test_returned_weights_sum_to_one():
     w, _ = cube_weights((-1.0, 2.0, 2.0))
     assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(wi >= 1e-6 for wi in w.values())
