@@ -8,13 +8,13 @@ optimal design. Verification here is over finite candidate sets; for
 hypercubes the vertices form an essentially complete class, so they are
 the canonical candidates.
 
-Both sensitivities come from the Cholesky factor L of M, built by the
-kernel in ``model_core`` (``feature_matrix`` gives the rows f(x) of a
-batch of points): psi(x) = u(x) |L^-1 f(x)|^2 for D, and
-u(x) |L^-T L^-1 f(x)|^2 with bound |L^-1|_F^2 for A. The package has one
-singularity rule, applied there: M is singular when its Cholesky
-factorization fails or min diag(L)^2 <= 1e-12 * max diag(M), and
-verification then raises ``SingularInformation``.
+Both come from the kernel in ``model_core``, which the solver also uses:
+one Cholesky factor L of M and one whitening z(x) = L^-1 sqrt(u(x)) f(x)
+of the candidates, so psi(x) = |z(x)|^2 for D, and u(x) |L^-T L^-1 f(x)|^2
+with bound |L^-1|_F^2 for A. The factor holds the package's one
+singularity rule: M is singular when its Cholesky factorization fails or
+min diag(L)^2 <= 1e-12 * max diag(M), and verification then raises
+``SingularInformation``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,35 +108,37 @@ def sensitivity(
     return verify_optimality(model, beta, design, criterion, [x]).sensitivities[0]
 
 
-def _report_from_arrays(
-    F_design: np.ndarray,
-    u_design: np.ndarray,
-    weights: Sequence[float],
-    F_cand: np.ndarray,
-    u_cand: np.ndarray,
-    cand_points: tuple[tuple[float, ...], ...],
+def _verification_report(
+    intensities: Callable[[Sequence[Sequence[float]]], tuple[np.ndarray, np.ndarray]],
+    design: Design,
+    candidates: Sequence[Sequence[float]],
     criterion: Criterion,
     tol: float,
 ) -> VerificationReport:
-    """Report for the design with feature rows F_design, intensities
-    u_design and weights, over the canonical candidate points with rows
-    F_cand and u_cand."""
+    """Report for ``design`` over ``candidates``; one ``intensities`` call gives F and u of both."""
+    points = _canonical_points(candidates)
+    if not points:
+        raise ValidationError("candidate set must be nonempty")
+    if len(points[0]) != design.dimension:
+        raise ValidationError(f"candidates have dimension {len(points[0])}, the design {design.dimension}")
+    F, u = intensities(design.points + points)
+    k = design.size
     (tol,) = _floats((tol,), "tol")
-    if not math.isfinite(tol):  # a nan tol would fail every design
-        raise ValidationError("tol must be finite")
-    L, _ = _factor(_information(F_design, u_design, np.asarray(weights)))
+    if not 0.0 <= tol < math.inf:  # a nan tol fails every design, a negative one even an exact optimum
+        raise ValidationError("tol must be nonnegative" if tol < 0.0 else "tol must be finite")
+    L, _ = _factor(_information(F[:k], u[:k], np.asarray(design.weights)))
     if criterion is Criterion.D:
-        vals, bound = _d_sensitivities(L, F_cand, u_cand), float(L.shape[0])
+        vals, bound = _d_sensitivities(L, F[k:], u[k:]), float(L.shape[0])
     else:
-        vals, bound = _a_sensitivities(L, F_cand, u_cand)
+        vals, bound = _a_sensitivities(L, F[k:], u[k:])
     worst = int(np.argmax(vals))  # ties resolved by first index
     excess = float(vals[worst] - bound)
     return VerificationReport(
         criterion=criterion,
         bound=bound,
-        points=cand_points,
+        points=points,
         sensitivities=tuple(vals.tolist()),
-        worst_point=cand_points[worst],
+        worst_point=points[worst],
         worst_excess=excess,
         passed=excess <= tol,
     )
@@ -155,9 +157,4 @@ def verify_optimality(
     The report records each candidate's sensitivity; the design passes
     iff the largest excess over the bound is at most ``tol``.
     """
-    points = _canonical_points(candidates)
-    if not points:
-        raise ValidationError("candidate set must be nonempty")
-    Fd, ud = _intensity_arrays(model, beta, design.points)
-    Fc, uc = _intensity_arrays(model, beta, points)
-    return _report_from_arrays(Fd, ud, design.weights, Fc, uc, points, criterion, tol)
+    return _verification_report(lambda points: _intensity_arrays(model, beta, points), design, candidates, criterion, tol)

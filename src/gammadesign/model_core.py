@@ -391,17 +391,25 @@ def _pivot_logdet(pivots: list[float], scales: list[float]) -> float:
     return 2.0 * math.fsum(map(math.log, pivots))
 
 
+def _whitened(L: np.ndarray, F: np.ndarray, u: np.ndarray | float) -> np.ndarray:
+    """Z = L^-1 [sqrt(u_i) f_i], one column per row of F, for the Cholesky factor L
+    of M: the package's one application of L^-1. |z_i|^2 is the D-sensitivity of
+    row i, and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2."""
+    return (np.linalg.inv(L) @ F.T) * np.sqrt(u)
+
+
 def _d_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """D-sensitivities u(x) f(x)' M^-1 f(x) = u(x) |L^-1 f(x)|^2 of the rows of F."""
-    G = np.linalg.inv(L) @ F.T
-    return u * (G * G).sum(axis=0)
+    """D-sensitivities u(x) f(x)' M^-1 f(x) = |z(x)|^2 of the rows of F."""
+    return (_whitened(L, F, u) ** 2).sum(axis=0)
 
 
 def _a_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """A-sensitivities u(x) |M^-1 f(x)|^2 = u(x) |L^-T L^-1 f(x)|^2 of the
-    rows of F, and their bound tr(M^-1) = |L^-1|_F^2."""
-    Linv = np.linalg.inv(L)
-    H = Linv.T @ (Linv @ F.T)
+    """A-sensitivities u(x) |L^-T L^-1 f(x)|^2 = u(x) |M^-1 f(x)|^2 of the rows of F, and their
+    bound tr(M^-1) = |L^-1|_F^2, from one whitening [L^-1, L^-1 F'] of [I; F] at unit intensity."""
+    p = len(L)
+    Z = _whitened(L, np.vstack((np.eye(p), F)), 1.0)
+    Linv, G = Z[:, :p], Z[:, p:]
+    H = Linv.T @ G
     return u * (H * H).sum(axis=0), float((Linv * Linv).sum())
 
 

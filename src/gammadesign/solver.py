@@ -1,13 +1,16 @@
 """Certified D-optimal weights on a finite candidate set.
 
 The solver maximizes log det M(w) over weights w on the candidates, with
-psi_i the D-sensitivity of candidate i and p the parameter count. From
-uniform weights, each iterate is one of three steps:
+psi_i the D-sensitivity of candidate i and p the parameter count. Each
+iterate takes one Cholesky factor L of M and one whitening
+Z = L^-1 [sqrt(u_i) f_i] of all candidates from the ``model_core`` kernel;
+psi_i = |z_i|^2, and every step below slices Z. From uniform weights, each
+iterate is one of three steps:
 
 - Deletion: support points below the Harman & Pronzato (2007) bound are in
   no optimal support; they lose their weight unless that lowers log det M.
 - Newton, on the support plus the top violator under sum(w) = 1: it solves
-  [H 1; 1' 0] [d; lambda] = [psi; 0], H_ij = u_i u_j (f_i' M^-1 f_j)^2,
+  [H 1; 1' 0] [d; lambda] = [psi; 0], H_ij = (z_i' z_j)^2,
   with a 1e-9 ridge on H, since the weights are not unique beyond p(p+1)/2
   support points. The step is halved, stopping once at the ratio test (the
   first weight reaching zero), until log det M does not decrease; weights
@@ -15,8 +18,8 @@ uniform weights, each iterate is one of three steps:
 - Multiplicative, w_i <- w_i psi_i / p: the warm start while the support
   is too large for Newton, and the fallback when its line search stalls.
 
-Trials are judged by log det(I + L^-1 dM L^-T) from the Cholesky factor L
-of M: no factorization, and round-off that scales with the change. The
+Trials are judged by log det(I + L^-1 dM L^-T) from the changed columns
+of Z: no factorization, and round-off that scales with the change. The
 loop stops once the global excess max psi - p is at most the tolerance,
 and returns that certified iterate, its candidates of positive weight.
 The trace holds one ``log_dets`` entry per accepted iterate.
@@ -39,11 +42,11 @@ from .model_core import (
     SingularInformation,
     ValidationError,
     _check_count,
-    _d_sensitivities,
     _factor,
     _floats,
     _information,
     _intensity_arrays,
+    _whitened,
 )
 
 __all__ = ["SolverParams", "SolverTrace", "multiplicative"]
@@ -111,11 +114,12 @@ def multiplicative(
         raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
     log_dets = [logdet]
     while True:
-        psi = _d_sensitivities(L, F, u)
+        Z = _whitened(L, F, u)
+        psi = (Z * Z).sum(axis=0)
         excess = float(psi.max() - p)
         if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
             break
-        w = _next_weights(F, u, w, L, psi, p, excess)
+        w = _next_weights(Z, w, psi, p, excess)
         L, logdet = _factor(_information(F, u, w))
         log_dets.append(logdet)
     converged = excess <= params.convergence_tol
@@ -130,17 +134,17 @@ def multiplicative(
     return design, SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)
 
 
-def _next_weights(F: np.ndarray, u: np.ndarray, w: np.ndarray, L: np.ndarray, psi: np.ndarray, p: int, excess: float) -> np.ndarray:
-    """The next iterate: a deletion, a damped Newton step, or else a multiplicative step."""
+def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, excess: float) -> np.ndarray:
+    """The next iterate from the whitened candidates Z: a deletion, a damped Newton step, or else a multiplicative step."""
     bound = p * (1.0 + excess / 2.0 - math.sqrt(excess * (4.0 + excess - 4.0 / p)) / 2.0)
     drop = np.flatnonzero((psi < bound) & (w > 0.0))
-    if drop.size and _gain(_whitened(F, u, L, drop), -w[drop]) >= 0.0:
+    if drop.size and _gain(Z[:, drop], -w[drop]) >= 0.0:
         kept = np.where(psi < bound, 0.0, w)
         return kept / kept.sum()
     work = np.flatnonzero((w > 0.0) | (psi == psi.max()))
     if work.size <= _NEWTON_MAX_POINTS:
-        w_work, Z = w[work], _whitened(F, u, L, work)
-        H = (Z.T @ Z) ** 2
+        w_work, Z_work = w[work], Z[:, work]
+        H = (Z_work.T @ Z_work) ** 2
         H.flat[:: work.size + 1] += _RIDGE
         # The KKT system by elimination: d = a - lambda b, with H a = psi, H b = 1 and 1'd = 0.
         a, b = np.linalg.solve(H, np.column_stack((psi[work], np.ones(work.size)))).T
@@ -152,18 +156,13 @@ def _next_weights(F: np.ndarray, u: np.ndarray, w: np.ndarray, L: np.ndarray, ps
         t = 1.0
         for _ in range(30):  # cuts before the line search counts as stalled
             stepped = np.where(zero_at <= t, 0.0, np.maximum(w_work + t * d, 0.0))
-            if _gain(Z, stepped - w_work) >= 0.0:
+            if _gain(Z_work, stepped - w_work) >= 0.0:
                 w = w.copy()
                 w[work] = stepped
                 return w / w.sum()
             t = max(t / 2.0, t_ratio) if t > t_ratio else t / 2.0
     scaled = w * psi / p
     return scaled / scaled.sum()
-
-
-def _whitened(F: np.ndarray, u: np.ndarray, L: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Z = L^-1 [sqrt(u_i) f_i] over ``rows``: psi_i = |z_i|^2 and H_ij = (z_i' z_j)^2."""
-    return np.linalg.solve(L, F[rows].T) * np.sqrt(u[rows])
 
 
 def _gain(Z: np.ndarray, change: np.ndarray) -> float:

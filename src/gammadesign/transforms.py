@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_core import Design, GammaModel, ValidationError, _canonical_points, _check_beta, _check_bounds, _in_box, _intensity_arrays
-from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _report_from_arrays
+from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
     "InterceptTransform",
@@ -133,12 +133,8 @@ def verify_intercept_design(
     Candidates default to the four corners, which decide optimality for
     this model class.
     """
-    points = _canonical_points(UNIT_SQUARE_VERTICES if candidates is None else candidates)
-    if not points:
-        raise ValidationError("candidate set must be nonempty")
-    F_design, u_design = transform._intensities(design.points)
-    F_cand, u_cand = transform._intensities(points)
-    return _report_from_arrays(F_design, u_design, design.weights, F_cand, u_cand, points, criterion, tol)
+    points = UNIT_SQUARE_VERTICES if candidates is None else candidates
+    return _verification_report(transform._intensities, design, points, criterion, tol)
 
 
 def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:

@@ -251,6 +251,16 @@ def test_verify_nan_tol_exits_two(capsys, tmp_path):
     assert json.loads(err)["error"] == {"type": "ValidationError", "message": "tol must be finite"}
 
 
+def test_verify_negative_tol_exits_two(capsys, tmp_path):
+    design_file = tmp_path / "design.json"
+    design_file.write_text(json.dumps({"points": [[1, 2], [2, 1]], "weights": [0.5, 0.5]}))
+    argv = ("verify", "--nu", "2", "--region", "hypercube", "--a", "1", "--b", "2", "--beta", "1,1", "--design", str(design_file))
+    code, out, err = run_cli(capsys, *argv, "--tol", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValidationError", "message": "tol must be nonnegative"}
+    assert run_cli(capsys, *argv, "--tol", "0")[0] == 0
+
+
 def test_verify_requires_candidate_source(capsys, tmp_path):
     design_file = tmp_path / "design.json"
     design_file.write_text(

@@ -115,6 +115,12 @@ FURTHER = {
     "intercept_tol_nan": lambda: verify_intercept_design(
         interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), tol=float("nan")
     ),
+    # A negative tol failed an exactly optimal design, whose excess is round-off of either sign.
+    "verify_tol_negative": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0)], tol=-1.0),
+    "intercept_tol_negative": lambda: verify_intercept_design(
+        interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), tol=-1e-12
+    ),
+    "verify_candidate_dimension": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0, 3.0)]),
     # A JSON nu is judged by the count rule as it stands: only a JSON integer is a count.
     "model_json_nu_fraction": lambda: model_from_json({"kind": "first_order", "nu": 2.5}),
     "model_json_nu_bool": lambda: model_from_json({"kind": "interaction", "nu": True}),

@@ -1,8 +1,8 @@
 """Property tests of the numeric kernel: batched features, the Cholesky
-factor with its log-determinant, and the D- and A-sensitivities, each
-against the explicit formula rebuilt in ``oracles``; and the stacked
-forms of the intensities and the factor, each against a loop of
-one-point calls."""
+factor with its log-determinant, the whitened rows and the D- and
+A-sensitivities, each against the explicit formula rebuilt in
+``oracles``; and the stacked forms of the intensities and the factor,
+each against a loop of one-point calls."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from gammadesign import (
     features,
     information_matrix,
 )
-from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor, _intensity_arrays
+from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor, _intensity_arrays, _whitened
 
 from oracles import raw_features, raw_information, raw_intensities
 
@@ -86,7 +86,13 @@ def test_sensitivities_match_inverse_formula(case):
     F = raw_features(kind, candidates)
     u = raw_intensities(kind, beta, candidates)
     inv = np.linalg.inv(raw_information(kind, beta, design.points, design.weights))
-    np.testing.assert_allclose(_d_sensitivities(L, F, u), u * np.einsum("ij,jk,ik->i", F, inv, F), rtol=1e-10)
+    psi = u * np.einsum("ij,jk,ik->i", F, inv, F)
+    np.testing.assert_allclose(_d_sensitivities(L, F, u), psi, rtol=1e-10)
+    # The whitened rows: |z_i|^2 = psi_i and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2,
+    # the latter to round-off of its Cauchy-Schwarz bound psi_i psi_j.
+    Z = _whitened(L, F, u)
+    np.testing.assert_allclose((Z * Z).sum(axis=0), psi, rtol=1e-10)
+    assert np.all(np.abs((Z.T @ Z) ** 2 - np.outer(u, u) * (F @ inv @ F.T) ** 2) <= 1e-10 * np.outer(psi, psi))
     values, bound = _a_sensitivities(L, F, u)
     np.testing.assert_allclose(values, u * np.einsum("ij,jk,ik->i", F, inv @ inv, F), rtol=1e-10)
     assert bound == pytest.approx(np.trace(inv), rel=1e-10)

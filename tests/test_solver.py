@@ -154,21 +154,30 @@ def test_converged_design_is_the_certified_iterate():
 
 
 def test_band_certifies_within_factorization_budget(monkeypatch):
-    factorizations = []
-    factor = gammadesign.solver._factor
+    """At most 200 factorizations per band ratio, and exactly one whitening
+    of the candidates per factorization."""
+    factorizations, whitenings = [], []
+    factor, whitened = gammadesign.solver._factor, gammadesign.solver._whitened
 
     def counting(M):
         factorizations.append(M)
         return factor(M)
 
+    def counting_whitened(L, F, u):
+        whitenings.append(L)
+        return whitened(L, F, u)
+
     monkeypatch.setattr(gammadesign.solver, "_factor", counting)
+    monkeypatch.setattr(gammadesign.solver, "_whitened", counting_whitened)
     params = SolverParams(convergence_tol=1e-10)
     m3 = GammaModel.first_order(3)
     for gamma in (*gamma_grid(-2.99, -1.21, 0.01), -2.999, -1.2001, -1.2000000000000002):
         beta = (-1.0, -gamma, -gamma)
         factorizations.clear()
+        whitenings.clear()
         design, trace = multiplicative(m3, beta, region_vertices(CUBE3), params)
         assert trace.converged and len(factorizations) <= 200, gamma
+        assert len(whitenings) == len(factorizations), gamma
         assert verify_optimality(m3, beta, design, Criterion.D, region_vertices(CUBE3), tol=1e-9).passed, gamma
 
 
