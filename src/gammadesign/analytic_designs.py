@@ -102,8 +102,14 @@ def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, 
 
 def interaction_vertices(a: float, b: float) -> tuple[tuple[float, float], ...]:
     """Vertices of [a,b]^2 in the fixed reporting order v1..v4."""
-    a, b = _check_bounds(a, b)
+    return _square(*_check_bounds(a, b))
+
+
+def _square(a: float, b: float) -> tuple[tuple[float, float], ...]:
     return ((b, b), (b, a), (a, b), (a, a))
+
+
+_CUBE = three_factor_vertices(1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -266,9 +272,16 @@ def xi3_weights(gamma: float) -> tuple[float, float, float, float]:
     (gamma,) = _floats((gamma,), "gamma")
     if not -5.0 / 23.0 < gamma < 0.2:
         raise ValidationError("gamma must lie strictly between -5/23 and 1/5")
+    return _xi3_weights(gamma)
+
+
+def _xi3_weights(gamma):
+    """``xi3_weights`` unchecked, at a float ratio or elementwise at an array of them.
+    Squares are products, which round alike on floats and arrays; pow() need not."""
+    t = 1.0 + 3.0 * gamma
     w1 = (5.0 + 23.0 * gamma) / (16.0 * (1.0 + 4.0 * gamma))
-    w2 = 9.0 * (1.0 + 3.0 * gamma) ** 2 / (32.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
-    w4 = (1.0 - gamma - 20.0 * gamma**2) / (8.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
+    w2 = 9.0 * (t * t) / (32.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
+    w4 = (1.0 - gamma - 20.0 * (gamma * gamma)) / (8.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
     return (w1, w2, w2, w4)
 
 
@@ -280,17 +293,29 @@ def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     -3 < gamma < -6/5) the weights must be computed numerically and the
     returned support and weights are None.
     """
-    v = three_factor_vertices(1.0, 2.0)
     gamma = scenario.gamma
-    if gamma is None or (scenario.beta1 > 0 and gamma >= 0.2) or (scenario.beta1 < 0 and gamma <= -3.0):
-        return Classification(ThreeFactorLabel.XI1, *_equal_weight(v[1:4]), gamma)
-    if scenario.beta1 > 0:
-        if gamma <= -5.0 / 23.0:
-            return Classification(ThreeFactorLabel.XI2, *_equal_weight(v[2:5]), gamma)
-        return Classification(ThreeFactorLabel.XI3, v[1:5], xi3_weights(gamma), gamma)
-    if gamma >= -1.2:
-        return Classification(ThreeFactorLabel.XI4, *_equal_weight((v[1], v[5], v[6])), gamma)
-    return Classification(ThreeFactorLabel.XI5_NUMERICAL, None, None, gamma)
+    label = _three_factor_label(scenario.beta1, gamma)
+    return Classification(label, *_three_factor_optimum(label, gamma), gamma)
+
+
+def _three_factor_label(beta1: float, gamma: float | None) -> ThreeFactorLabel:
+    """The subregion of (beta_1, gamma = beta/beta_1) on validated floats: the one statement of its edges."""
+    if gamma is None or (beta1 > 0 and gamma >= 0.2) or (beta1 < 0 and gamma <= -3.0):
+        return ThreeFactorLabel.XI1
+    if beta1 > 0:
+        return ThreeFactorLabel.XI2 if gamma <= -5.0 / 23.0 else ThreeFactorLabel.XI3
+    return ThreeFactorLabel.XI4 if gamma >= -1.2 else ThreeFactorLabel.XI5_NUMERICAL
+
+
+def _three_factor_optimum(label: ThreeFactorLabel, gamma):
+    """Support and weights of a subregion's closed form at a float ratio, the Xi3
+    weights elementwise at an array of ratios; (None, None) on the numerical band."""
+    v = _CUBE
+    if label is ThreeFactorLabel.XI3:
+        return v[1:5], _xi3_weights(gamma)
+    if label is ThreeFactorLabel.XI5_NUMERICAL:
+        return None, None
+    return _equal_weight(v[1:4] if label is ThreeFactorLabel.XI1 else v[2:5] if label is ThreeFactorLabel.XI2 else (v[1], v[5], v[6]))
 
 
 def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classification:
@@ -323,9 +348,12 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 
 
-def _four_point_interaction(a: float, b: float, gamma: float) -> tuple[float, float, float, float]:
+def _four_point_interaction(a: float, b: float, gamma):
+    """The four-vertex weights at a float ratio or elementwise at an array of them,
+    squares written as products for the reason given in ``_xi3_weights``."""
+    s = a * b + (a + b) * gamma
     w1 = (a * b - (a - 3.0 * b) * gamma) / (4.0 * b * (a + 2.0 * gamma))
-    w2 = (a * b + (a + b) * gamma) ** 2 / (4.0 * a * b * (b + 2.0 * gamma) * (a + 2.0 * gamma))
+    w2 = s * s / (4.0 * a * b * (b + 2.0 * gamma) * (a + 2.0 * gamma))
     w4 = (a * b - (b - 3.0 * a) * gamma) / (4.0 * a * (b + 2.0 * gamma))
     return (w1, w2, w2, w4)
 
@@ -343,12 +371,26 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     (gamma,) = _floats((gamma,), "gamma")
     if not math.isfinite(gamma) or gamma <= -a / 2.0:
         raise ValidationError("gamma must exceed -a/2")
-    v = interaction_vertices(a, b)
+    label = _interaction_label(a, b, gamma)
+    return Classification(label, *_interaction_optimum(label, a, b, gamma), gamma)
+
+
+def _interaction_label(a: float, b: float, gamma: float) -> InteractionLabel:
+    """The equal-beta case of gamma on [a,b]^2, on validated floats: the one statement of its edges."""
     if gamma <= -a * b / (3.0 * b - a):
-        return Classification(InteractionLabel.CASE_IV, *_equal_weight(v[1:]), gamma)
+        return InteractionLabel.CASE_IV
     if b - 3.0 * a > 0.0 and gamma >= a * b / (b - 3.0 * a):
-        return Classification(InteractionLabel.CASE_I, *_equal_weight(v[:3]), gamma)
-    return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, gamma), gamma)
+        return InteractionLabel.CASE_I
+    return InteractionLabel.CASE_V_FOUR_POINT
+
+
+def _interaction_optimum(label: InteractionLabel, a: float, b: float, gamma):
+    """Support and weights of an equal-beta case on [a,b]^2 at a float ratio, the
+    four-point weights elementwise at an array of ratios."""
+    v = _square(a, b)
+    if label is InteractionLabel.CASE_V_FOUR_POINT:
+        return v, _four_point_interaction(a, b, gamma)
+    return _equal_weight(v[1:] if label is InteractionLabel.CASE_IV else v[:3])
 
 
 def intensity_ranking(

@@ -2,14 +2,18 @@
 
 The D-efficiency of a design against the locally optimal one is
 (det M(design) / det M(optimal))**(1/p). Sweeps trace this value over a
-grid of the ratio gamma that indexes the optimality subregions, against
-the closed-form optimum (plain support and weights, so a sweep builds no
-Design per ratio) or the solver's; each design and reference support
-takes one stacked Cholesky factorization over the whole grid.
+grid of the ratio gamma that indexes the optimality subregions, on whole
+arrays: the grid's betas are one array per family, the classifiers'
+private case rule sorts the ratios, each case's closed form gives the
+weights of all its ratios at once (no classifier result and no Design per
+ratio), and a ratio without a closed form is solved numerically. Each
+design and reference support takes one stacked Cholesky factorization
+over the whole grid, judged singular or not by array reductions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +36,13 @@ from .model_core import (
     _predictor,
 )
 from .analytic_designs import (
+    InteractionLabel,
+    ThreeFactorLabel,
     ThreeFactorScenario,
-    classify_three_factor,
-    interaction_equal_beta,
+    _interaction_label,
+    _interaction_optimum,
+    _three_factor_label,
+    _three_factor_optimum,
     interaction_vertices,
     three_factor_vertices,
     xi3_weights,
@@ -54,7 +62,7 @@ __all__ = [
 
 # Solver tolerance for reference designs without a closed form; tight
 # enough that reference error stays far below sweep reporting precision.
-_REFERENCE_TOL = 1e-10
+_REFERENCE_PARAMS = SolverParams(convergence_tol=1e-10)
 
 
 def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
@@ -73,14 +81,41 @@ def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optim
 
 
 class _Family:
-    """Admissibility and reference design, shared by the sweep families."""
+    """Admissibility, parameter path and optima, shared by the sweep families. Each
+    family states its path in ``_beta``, its case rule in ``_label`` and its closed
+    forms in ``_closed_form``; the first and last take a float or an array of ratios."""
 
     def admissible(self, gamma: float) -> bool:
         return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
 
+    def beta(self, gamma: float) -> tuple[float, float, float]:
+        return self._beta(*_floats((gamma,), "gamma"))
+
     def reference(self, gamma: float) -> Design:
-        """Locally D-optimal design at this ratio."""
-        return Design(*self._optimum(gamma))
+        """Locally D-optimal design at this admissible ratio."""
+        (gamma,) = _floats((gamma,), "gamma")
+        if not self.admissible(gamma):
+            raise ValidationError(f"gamma={gamma!r} is outside the admissible range")
+        ((points, weights, _),) = self._optima(np.array([gamma]))
+        return Design(points, np.atleast_2d(weights)[0])
+
+    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray | tuple, list[int]]]:
+        """Optima at the admissible ratios ``gammas`` as (support, weights, rows) groups:
+        each case's closed form on the array of its ratios (one weight vector, or a row
+        per ratio), and a numerical solve per ratio of a case without one."""
+        rows_by_label: dict = {}
+        for row, gamma in enumerate(gammas.tolist()):
+            rows_by_label.setdefault(self._label(gamma), []).append(row)
+        groups = []
+        for label, rows in rows_by_label.items():
+            points, weights = self._closed_form(label, gammas[rows])
+            if points is not None:
+                groups.append((points, _columns(weights), rows))
+                continue
+            for row in rows:
+                design, _ = multiplicative(self.model, self._beta(gammas[row]), self.vertices, _REFERENCE_PARAMS)
+                groups.append((design.points, design.weights, [row]))
+        return groups
 
 
 @dataclass(frozen=True)
@@ -102,27 +137,21 @@ class ThreeFactorFamily(_Family):
     def model(self) -> GammaModel:
         return GammaModel.first_order(3)
 
-    @property
+    @functools.cached_property
     def vertices(self) -> tuple[tuple[float, float, float], ...]:
         return three_factor_vertices(1.0, 2.0)
 
     def scenario(self, gamma: float) -> ThreeFactorScenario:
         return ThreeFactorScenario(*self.beta(gamma)[:2])
 
-    def beta(self, gamma: float) -> tuple[float, float, float]:
-        (gamma,) = _floats((gamma,), "gamma")
-        sign = 1.0 if self.beta1_sign > 0 else -1.0
+    def _beta(self, gamma):
+        sign = float(self.beta1_sign)
         return (sign, sign * gamma, sign * gamma)
 
-    def _optimum(self, gamma: float) -> tuple[tuple, tuple[float, ...]]:
-        """Support and weights of the optimum at this ratio, solved
-        numerically on the subregion without a closed form."""
-        result = classify_three_factor(self.scenario(gamma))
-        if not result.numerical:
-            return result.points, result.weights
-        params = SolverParams(convergence_tol=_REFERENCE_TOL)
-        design, _ = multiplicative(self.model, self.beta(gamma), self.vertices, params)
-        return design.points, design.weights
+    def _label(self, gamma: float) -> ThreeFactorLabel:
+        return _three_factor_label(float(self.beta1_sign), gamma)
+
+    _closed_form = staticmethod(_three_factor_optimum)
 
 
 @dataclass(frozen=True)
@@ -145,17 +174,23 @@ class InteractionFamily(_Family):
     def model(self) -> GammaModel:
         return GammaModel.interaction()
 
-    @property
+    @functools.cached_property
     def vertices(self) -> tuple[tuple[float, float], ...]:
         return interaction_vertices(self.a, self.b)
 
-    def beta(self, gamma: float) -> tuple[float, float, float]:
-        (gamma,) = _floats((gamma,), "gamma")
+    def _beta(self, gamma):
         return (gamma, gamma, 1.0)
 
-    def _optimum(self, gamma: float) -> tuple[tuple, tuple[float, ...]]:
-        result = interaction_equal_beta(self.a, self.b, gamma)
-        return result.points, result.weights
+    def _label(self, gamma: float) -> InteractionLabel:
+        return _interaction_label(self.a, self.b, gamma)
+
+    def _closed_form(self, label: InteractionLabel, gammas: np.ndarray):
+        return _interaction_optimum(label, self.a, self.b, gammas)
+
+
+def _columns(values) -> np.ndarray:
+    """Floats and equal-length arrays as the columns of one array: (n,), or (k, n) with arrays of k."""
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +200,7 @@ def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, n
     family's region, decided for the whole grid in one call."""
     grid = np.array(gammas)
     ok = np.isfinite(grid)
-    betas = np.array([family.beta(gamma) for gamma in grid[ok].tolist()], dtype=float).reshape(-1, family.model.p)
+    betas = _columns(family._beta(grid[ok]))
     positive = _predictor(family.model, betas, family.vertices, stacked=True)[2].all(axis=1)
     ok[ok] = positive
     return ok, betas[positive]
@@ -195,10 +230,9 @@ class EfficiencySweep:
         }
 
     def to_csv(self, float_format: str = "%.10g") -> str:
-        lines = ["gamma," + ",".join(self.design_names)]
-        for g, row in zip(self.gammas, self.values):
-            lines.append(",".join(float_format % value for value in (g, *row)))
-        return "\n".join(lines) + "\n"
+        row = ",".join([float_format] * (1 + len(self.design_names))) + "\n"
+        body = "".join([row % (g, *values) for g, values in zip(self.gammas, self.values)])
+        return "gamma," + ",".join(self.design_names) + "\n" + body
 
 
 def gamma_grid(start: float, stop: float, step: float = 0.01) -> tuple[float, ...]:
@@ -228,32 +262,32 @@ def efficiency_sweep(
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
-    gammas = _floats(gammas, "gammas")
-    ok, betas = _admissible(family, gammas)
-    kept = [gamma for gamma, keep in zip(gammas, ok) if keep]
-    skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma, keep in zip(gammas, ok) if not keep]
-    # Library-made (support, weights) pairs need no Design; rows sharing a support share one factorization.
-    optima = [family._optimum(gamma) for gamma in kept]
-    by_support: dict[tuple, list[int]] = {}
-    for row, (points, _) in enumerate(optima):
-        by_support.setdefault(points, []).append(row)
+    grid = np.array(_floats(gammas, "gammas"))
+    ok, betas = _admissible(family, grid)
+    kept = grid[ok]
+    skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
+    # One factorization per closed-form case, and one per numerically solved ratio.
+    references = family._optima(kept)
     ld_ref = np.empty(len(kept))
     try:
-        for points, rows in by_support.items():
-            ld_ref[rows] = _logdets(model, betas[rows], points, [optima[r][1] for r in rows])
+        for points, weights, rows in references:
+            ld_ref[rows] = _logdets(model, betas[rows], points, weights)
         ld = np.column_stack([_logdets(model, betas, d.points, d.weights) for d in designs.values()])
     except (SingularInformation, NonpositivePredictor):
         # Name the first failing row by evaluating the rows one at a time.
+        optima = {}
+        for points, weights, rows in references:
+            optima.update((row, (points, w)) for row, w in zip(rows, np.broadcast_to(weights, (len(rows), len(points)))))
         supports = [(name, (d.points, d.weights)) for name, d in designs.items()]
-        for gamma, beta, optimum in zip(kept, betas, optima):
-            for name, (points, weights) in (("reference", optimum), *supports):
+        for row, (gamma, beta) in enumerate(zip(kept.tolist(), betas)):
+            for name, (points, weights) in (("reference", optima[row]), *supports):
                 try:
                     _logdets(model, beta[None], points, weights)
                 except (SingularInformation, NonpositivePredictor) as exc:
                     raise type(exc)(f"gamma={gamma!r}, design {name}: {exc}") from exc
         raise
     values = np.exp((ld - ld_ref[:, None]) / model.p)
-    return EfficiencySweep(family.name, tuple(kept), names, tuple(map(tuple, values.tolist())), tuple(skipped))
+    return EfficiencySweep(family.name, tuple(kept.tolist()), names, tuple(map(tuple, values.tolist())), tuple(skipped))
 
 
 def three_factor_benchmark_designs() -> dict[str, Design]:

@@ -116,6 +116,10 @@ def _verification_report(
     tol: float,
 ) -> VerificationReport:
     """Report for ``design`` over ``candidates``; one ``intensities`` call gives F and u of both."""
+    try:
+        criterion = Criterion(criterion)  # a plain "D" or "A" too
+    except ValueError as exc:
+        raise ValidationError(f"criterion must be D or A: {exc}") from exc
     points = _canonical_points(candidates)
     if not points:
         raise ValidationError("candidate set must be nonempty")

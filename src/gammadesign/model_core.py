@@ -369,26 +369,40 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
 
     This is the package's one singularity rule: SingularInformation is
     raised when the factorization fails or
-    min diag(L)**2 <= 1e-12 * max diag(M), for any matrix of a stack.
+    min diag(L)**2 <= 1e-12 * max diag(M), a nan pivot included, for any
+    matrix of a stack, naming the smallest pivot of the first that fails.
     """
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise SingularInformation("information matrix is numerically singular (not positive definite)") from exc
-    # Python floats, one matrix at a time: with a handful of parameters they
-    # cost less than numpy reductions, and the solver factors one matrix per
-    # iteration.
-    if M.ndim == 2:
+    if M.ndim == 2:  # Python floats: with a handful of parameters they cost less than numpy reductions
         return L, _pivot_logdet(L.diagonal().tolist(), M.diagonal().tolist())
-    return L, np.array(list(map(_pivot_logdet, L.diagonal(0, -2, -1).tolist(), M.diagonal(0, -2, -1).tolist())))
+    pivots = L.diagonal(0, -2, -1)
+    smallest = pivots.min(axis=1)  # nan for a nan pivot
+    failing = np.flatnonzero(~_above_floor(smallest, M.diagonal(0, -2, -1).max(axis=1)))
+    if failing.size:
+        raise _singular(smallest[failing[0]])
+    return L, 2.0 * np.log(pivots).sum(axis=1)
 
 
 def _pivot_logdet(pivots: list[float], scales: list[float]) -> float:
-    """The pivot test of the singularity rule, then 2 sum(log pivots)."""
-    smallest = min(pivots)
-    if not smallest * smallest > _SINGULARITY_RTOL * max(scales):
-        raise SingularInformation(f"information matrix is numerically singular (smallest pivot {smallest:.3e})")
-    return 2.0 * math.fsum(map(math.log, pivots))
+    """The pivot test of one matrix, then 2 sum(log pivots). The log-det comes first
+    (pivots are positive or nan), because it keeps a nan pivot that min() may skip."""
+    logdet = 2.0 * math.fsum(map(math.log, pivots))
+    smallest = min(pivots) if logdet == logdet else math.nan
+    if not _above_floor(smallest, max(scales)):
+        raise _singular(smallest)
+    return logdet
+
+
+def _above_floor(smallest, scale):
+    """The pivot floor, on floats or elementwise on arrays: smallest**2 > 1e-12 * scale."""
+    return smallest * smallest > _SINGULARITY_RTOL * scale
+
+
+def _singular(smallest: float) -> SingularInformation:
+    return SingularInformation(f"information matrix is numerically singular (smallest pivot {smallest:.3e})")
 
 
 def _whitened(L: np.ndarray, F: np.ndarray, u: np.ndarray | float) -> np.ndarray:

@@ -3,6 +3,8 @@ the hypothesis profile of every property test."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -58,3 +60,25 @@ def built_designs(monkeypatch):
 
     monkeypatch.setattr(Design, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """``counted_calls(module, name)`` wraps the function ``name`` of ``module``
+    wherever the package binds it, and returns the list that collects the
+    arguments of its calls while the test runs."""
+
+    def count(module, name):
+        original, calls = getattr(module, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for loaded in [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "gammadesign"]:
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, counting)
+        return calls
+
+    return count

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from gammadesign import (
     verify_optimality,
     xi3_weights,
 )
+from gammadesign import analytic_designs, efficiency, model_core
 from gammadesign.efficiency import _admissible
 
 
@@ -334,11 +337,75 @@ def test_sweep_factors_once_per_design_and_reference_support(monkeypatch):
     ],
     ids=["example1", "example2"],
 )
-def test_closed_form_sweep_builds_no_design(built_designs, family, designs, grid):
-    """Closed-form references are support and weights, never a Design per ratio."""
+def test_closed_form_sweep_builds_no_design(built_designs, counted_calls, family, designs, grid):
+    """Closed-form references are support and weights, never a Design per
+    ratio; the grid takes no public classifier call and no one-matrix pivot
+    test per ratio."""
+    classifier_calls = [counted_calls(analytic_designs, name) for name in ("classify_three_factor", "interaction_equal_beta")]
+    pivot_tests = counted_calls(model_core, "_pivot_logdet")
     sweep = efficiency_sweep(family, designs, grid)
     assert len(sweep.gammas) == len(grid) and not sweep.skipped
     assert built_designs == []
+    assert classifier_calls == [[], []] and pivot_tests == []
+
+
+def _grid_optima(family, gammas):
+    """(support, weights) of each ratio, from the family's grid optima. A ratio
+    the family would solve numerically gets the support ("solved",)."""
+    rows = {}
+    solved = (SimpleNamespace(points=("solved",), weights=(1.0,)), None)
+    with mock.patch.object(efficiency, "multiplicative", lambda *args: solved):
+        for points, weights, group in family._optima(np.array(gammas, dtype=float)):
+            for row, w in zip(group, np.broadcast_to(weights, (len(group), len(points)))):
+                rows[row] = (points, tuple(w.tolist()))
+    return [rows[k] for k in range(len(gammas))]
+
+
+def _assert_classifier_optima(grid, results):
+    """Each grid optimum equals the classifier's points and weights, bitwise."""
+    for (points, weights), result in zip(grid, results):
+        if result.numerical:
+            assert points == ("solved",)
+        else:
+            assert points == result.points and weights == result.weights
+
+
+@pytest.mark.parametrize(
+    "family, grid",
+    [
+        (POS, gamma_grid(-0.24, 1.0)),
+        (SQUARE, gamma_grid(-0.49, 5.0)),
+        # Dense enough to meet the ratios where pow(x, 2) and x * x round apart (about 1 in 1,000).
+        (POS, np.random.default_rng(5).uniform(-0.24, 1.0, 20_000).tolist()),
+        (SQUARE, np.random.default_rng(6).uniform(-0.49, 5.0, 20_000).tolist()),
+    ],
+    ids=["example1", "example2", "random_three_factor", "random_interaction"],
+)
+def test_grid_optima_are_the_classifiers_optima(family, grid):
+    if family is POS:
+        results = [classify_three_factor(POS.scenario(gamma)) for gamma in grid]
+    else:
+        results = [interaction_equal_beta(SQUARE.a, SQUARE.b, gamma) for gamma in grid]
+    assert {result.label.value for result in results} >= ({"Xi1", "Xi2", "Xi3"} if family is POS else {"Case_i", "Case_iv"})
+    _assert_classifier_optima(_grid_optima(family, grid), results)
+
+
+@given(a=st.floats(0.01, 100.0), ratio=st.floats(1.01, 10.0), steps=st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+def test_interaction_grid_optima_match_the_classifier_at_its_edges(a, ratio, steps):
+    b = a * ratio
+    family = InteractionFamily(a, b)
+    edges = [-a * b / (3.0 * b - a)] + ([a * b / (b - 3.0 * a)] if b > 3.0 * a else [])
+    gammas = [gamma for edge in edges for gamma in (_ulp_steps(edge, k) for k in steps) if family.admissible(gamma)]
+    results = [interaction_equal_beta(family.a, family.b, gamma) for gamma in gammas]
+    _assert_classifier_optima(_grid_optima(family, gammas), results)
+
+
+@given(steps=st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+def test_three_factor_grid_optima_match_the_classifier_at_its_edges(steps):
+    for family, edges in ((POS, (0.2, -5.0 / 23.0)), (NEG, (-3.0, -1.2))):
+        gammas = [_ulp_steps(edge, k) for edge in edges for k in steps]
+        results = [classify_three_factor(family.scenario(gamma)) for gamma in gammas]
+        _assert_classifier_optima(_grid_optima(family, gammas), results)
 
 
 # ---------------------------------------------------------------- benchmarks

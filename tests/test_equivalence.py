@@ -239,6 +239,19 @@ def test_report_json_shape():
     assert set(obj["values"][0]) == {"point", "sensitivity"}
 
 
+@pytest.mark.parametrize("name", ["D", "A"])
+def test_criterion_given_as_string_runs_its_own_check(name):
+    """A plain string used to run the A check for "D" too, with bound tr(M^-1)."""
+    m2 = GammaModel.first_order(2)
+    design = Design([(1.0, 2.0), (2.0, 1.0)], [0.5, 0.5])
+    vertices = region_vertices(ExperimentalRegion.hypercube(1.0, 2.0, 2))
+    report = verify_optimality(m2, (1.0, 1.0), design, name, vertices)
+    assert report == verify_optimality(m2, (1.0, 1.0), design, Criterion(name), vertices)
+    assert report.criterion is Criterion(name) and report.to_json()["criterion"] == name
+    if name == "D":
+        assert report.bound == 2.0 and report.passed
+
+
 # ---------------------------------------------------------------- errors
 
 

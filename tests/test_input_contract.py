@@ -38,6 +38,7 @@ from gammadesign import (
     multiplicative,
     orthant_axis_points,
     region_from_json,
+    sensitivity,
     simplex_design,
     three_factor_benchmark_designs,
     three_factor_vertices,
@@ -121,6 +122,12 @@ FURTHER = {
         interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), tol=-1e-12
     ),
     "verify_candidate_dimension": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0, 3.0)]),
+    # An unknown criterion ran the A check, and its report's to_json() raised AttributeError.
+    "verify_criterion_unknown": lambda: verify_optimality(M2, (1, 1), D2, "X", [(1.0, 2.0)]),
+    "sensitivity_criterion_unknown": lambda: sensitivity(M2, (1, 1), D2, (1.0, 2.0), "X"),
+    "intercept_criterion_unknown": lambda: verify_intercept_design(
+        interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), "X"
+    ),
     # A JSON nu is judged by the count rule as it stands: only a JSON integer is a count.
     "model_json_nu_fraction": lambda: model_from_json({"kind": "first_order", "nu": 2.5}),
     "model_json_nu_bool": lambda: model_from_json({"kind": "interaction", "nu": True}),

@@ -6,6 +6,8 @@ each against a loop of one-point calls."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -151,6 +153,63 @@ def test_stack_with_one_singular_member_raises_as_that_member_does(case, ratio):
             _factor(stack)
     else:
         np.testing.assert_allclose(_factor(stack)[1][bad], _factor(stack[bad])[1], rtol=1e-12)
+
+
+def _entry_with_floor(square: float, ulps: int) -> float:
+    """A diagonal entry X with 1e-12 * X exactly ``ulps`` ulps from ``square``
+    in [1, 2), found by ulp steps of X near 1e12, which move the product by
+    less than an ulp there."""
+    target = square
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    X = target / 1e-12
+    while 1e-12 * X < target:
+        X = math.nextafter(X, math.inf)
+    while 1e-12 * X > target:
+        X = math.nextafter(X, -math.inf)
+    assert 1e-12 * X == target
+    return X
+
+
+@given(information_stacks(), st.sampled_from([-1, 0, 1]), st.integers(-20, 20))
+def test_stack_member_at_the_pivot_floor_raises_as_it_does_alone(case, ulps, power):
+    """The member diag(s^2, X, .., X) * 4**power has smallest pivot s * 2**power,
+    and its pivot squared lies 1 ulp below the floor 1e-12 * max diag M, on it,
+    or 1 ulp above it (``ulps`` = 1, 0, -1): scaling by powers of 4 is exact."""
+    stack, bad = case
+    s = 1.0 + 2.0**-10  # s^2 is exact, and its ulp neighbours share its binade
+    p = stack.shape[-1]
+    stack[bad] = np.diag([s * s] + [_entry_with_floor(s * s, ulps)] * (p - 1)) * 4.0**power
+    assert _singular(stack[bad]) == (ulps >= 0)
+    if ulps >= 0:
+        with pytest.raises(SingularInformation):
+            _factor(stack)
+    else:
+        assert _factor(stack)[1][bad] == pytest.approx(_factor(stack[bad])[1], rel=1e-12)
+
+
+@given(information_stacks(), st.booleans())
+def test_stack_member_with_a_nan_pivot_raises(case, last):
+    """A nan in M gives a nan pivot; the one-matrix test must not let min() skip it."""
+    stack, bad = case
+    if last:
+        stack[bad, -1, 0] = stack[bad, 0, -1] = np.nan  # only the last pivot is nan
+    else:
+        stack[bad, 0, 0] = np.nan
+    assert np.isnan(np.linalg.cholesky(stack[bad]).diagonal()).any()
+    for M in (stack, stack[bad]):
+        with pytest.raises(SingularInformation, match="smallest pivot nan"):
+            _factor(M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stack_error_names_the_first_failing_members_smallest_pivot(p):
+    """A passing member with smaller pivots comes first, a second failing member last."""
+    tiny = 1e-20 * np.eye(p)  # pivots 1e-10, but a well-conditioned matrix
+    failing, later = np.eye(p), np.eye(p)
+    failing[0, 0], later[0, 0] = 1e-14, 1e-16  # pivots 1e-7 and 1e-8
+    with pytest.raises(SingularInformation, match=r"smallest pivot 1\.000e-07\)"):
+        _factor(np.array([tiny, failing, tiny, later]))
 
 
 @given(MODELS, st.integers(0, 2**32 - 1), st.integers(1, 6))
