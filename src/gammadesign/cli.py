@@ -15,6 +15,7 @@ object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -317,7 +318,13 @@ def _add_model_flags(sub, *, region_default: str | None = None) -> None:
     sub.add_argument("--b", type=float, default=None, help="hypercube upper bound")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared by every
+    later one, so callers must not mutate it. Reuse is safe: each
+    ``parse_args`` makes a fresh namespace, keeps ``set_defaults`` on the
+    parser, and reads ``sys.argv``, the streams and the terminal width when
+    it runs."""
     parser = argparse.ArgumentParser(
         prog="gammadesign",
         description="Locally optimal designs for gamma models without intercept.",

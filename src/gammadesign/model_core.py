@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -244,6 +245,26 @@ def _coincident(pt: Sequence[float], seen: Sequence[Sequence[float]]) -> int | N
     return None
 
 
+def _has_coincident(points: Sequence[Sequence[float]], axis: int = 0) -> bool:
+    """Whether two of ``points`` coincide by ``_coincident``, without comparing
+    every pair: sorted along ``axis``, the points split wherever neighbours
+    differ by ``COINCIDENCE_TOL`` or more, and each part is searched on the
+    next axis. Points in different parts differ by at least the tolerance on
+    that axis, so only the points of a final part are compared pairwise."""
+    if len(points) < 2:
+        return False
+    if axis == len(points[0]):
+        return any(_coincident(pt, points[:i]) is not None for i, pt in enumerate(points))
+    ordered = sorted(points, key=operator.itemgetter(axis))
+    start = 0
+    for k in range(1, len(ordered)):
+        if ordered[k][axis] - ordered[k - 1][axis] >= COINCIDENCE_TOL:
+            if _has_coincident(ordered[start:k], axis + 1):
+                return True
+            start = k
+    return _has_coincident(ordered[start:], axis + 1)
+
+
 @dataclass(frozen=True)
 class Design:
     """An approximate design: finitely many support points with weights.
@@ -270,9 +291,8 @@ class Design:
             raise ValidationError("weights must be strictly positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to one")
-        for i, pt in enumerate(self.points):
-            if _coincident(pt, self.points[:i]) is not None:
-                raise ValidationError("support points must be pairwise distinct")
+        if _has_coincident(self.points):
+            raise ValidationError("support points must be pairwise distinct")
 
     @property
     def size(self) -> int:

@@ -41,9 +41,11 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
+    _canonical_points,
     _check_count,
     _factor,
     _floats,
+    _has_coincident,
     _information,
     _intensity_arrays,
     _whitened,
@@ -99,12 +101,17 @@ def multiplicative(
 ) -> tuple[Design, SolverTrace]:
     """D-optimal weights over ``candidates`` at the parameter point ``beta``.
 
+    The candidates must be pairwise distinct by the rule of ``Design``; a
+    repeated point raises ValidationError before the first factorization.
     The design is the last iterate's candidates of positive weight, and
     ``trace.final_excess`` is its global sensitivity excess. Hitting the
     iteration cap first emits ``IterationCapExceeded``; ``trace.converged``
     records which case occurred."""
+    candidates = _canonical_points(candidates)
     if len(candidates) == 0:
         raise ValidationError("candidate set must be nonempty")
+    if _has_coincident(candidates):
+        raise ValidationError("candidate points must be pairwise distinct")
     F, u = _intensity_arrays(model, beta, candidates)
     p = model.p
     w = np.full(len(candidates), 1.0 / len(candidates))

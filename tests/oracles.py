@@ -49,6 +49,13 @@ def trace_inverse(kind: str, beta, points, weights) -> float:
     return float(np.trace(np.linalg.inv(M)))
 
 
+def any_pair_within(points, tol: float) -> bool:
+    """Whether some two points differ by less than ``tol`` in every
+    coordinate, by comparing all pairs."""
+    pts = np.asarray(points, dtype=float)
+    return any(np.all(np.abs(pts[i] - pts[j]) < tol) for i in range(len(pts)) for j in range(i))
+
+
 # --------------------------------------------------------------------------
 # brute-force D-optimal weights over a fixed candidate set
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gammadesign import cli
 from gammadesign.cli import run
 
 
@@ -484,3 +486,60 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["points"] == [[1, 0], [0, 1]]
+
+
+# ------------------------------------------------------------- parser reuse
+
+
+def test_parser_is_built_by_the_first_run_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "classify", "--beta1-sign", "zero")[0] == 0
+    assert len(built) == 7  # the main parser and one per subcommand
+    assert run_cli(capsys, "classify", "--beta1-sign", "zero")[0] == 0
+    assert len(built) == 7
+
+
+def test_runs_on_the_shared_parser_leak_no_state(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    square = ("design", "--region", "hypercube", "--a", "1", "--b", "2", "--nu", "2")
+    square_stdout = CUBE_DESIGNS["square_D"][1]
+    design_file = tmp_path / "design.json"
+    assert run_cli(capsys, *square, "--output", str(design_file)) == (0, "", "")
+    assert design_file.read_text() == square_stdout
+    assert run_cli(capsys, "classify", "--beta1-sign", "pos", "--gamma", "1") == (
+        0,
+        '{"label": "Xi1", "design": {"points": [[2, 1, 1], [1, 2, 1], [1, 1, 2]], '
+        '"weights": [0.3333333333, 0.3333333333, 0.3333333333]}, "numerical": false, "gamma": 1}\n',
+        "",
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        run(["design", "--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: gammadesign [-h]\n"
+        "                   {design,classify,verify,solve,efficiency,reproduce} ...\n"
+        "gammadesign: error: unrecognized arguments: --no-such-flag\n",
+    )
+    assert run_cli(capsys, *square) == (0, square_stdout, "")
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(k) or init(self, *a, **k)\n"
+        "import gammadesign.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

@@ -121,6 +121,10 @@ FURTHER = {
     "intercept_tol_negative": lambda: verify_intercept_design(
         interaction_to_intercept(1, 2, (1, 1, 1)), Design([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [1 / 3] * 3), tol=-1e-12
     ),
+    # A repeated candidate ran a whole solve, then named "support points" the caller never passed.
+    "solver_repeated_candidates": lambda: multiplicative(
+        GammaModel.first_order(3), (1, 1, 1), three_factor_vertices() + three_factor_vertices()[:2]
+    ),
     "verify_candidate_dimension": lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0, 3.0)]),
     # An unknown criterion ran the A check, and its report's to_json() raised AttributeError.
     "verify_criterion_unknown": lambda: verify_optimality(M2, (1, 1), D2, "X", [(1.0, 2.0)]),

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import gammadesign.model_core
 from gammadesign import (
     Design,
     ExperimentalRegion,
@@ -25,7 +29,8 @@ from gammadesign import (
     validate_positivity,
 )
 
-from oracles import raw_information
+from gammadesign.model_core import COINCIDENCE_TOL, _has_coincident
+from oracles import any_pair_within, raw_information
 
 
 # ---------------------------------------------------------------- fixtures
@@ -114,6 +119,33 @@ def test_design_points_pairwise_distinct():
         Design(points=[(1.0, 1.0), (1.0, 1.0)], weights=[0.5, 0.5])
     # differences above the coincidence tolerance are allowed
     Design(points=[(1.0, 1.0), (1.0, 1.0 + 1e-9)], weights=[0.5, 0.5])
+
+
+# Coordinates within, at and beyond the coincidence tolerance of each other;
+# 0, 9e-13, 1.4e-12 and 2e-12 chain across more than the tolerance.
+NEAR_COORDINATES = (0.0, 1e-13, -1e-13, 5e-13, 9e-13, 1.4e-12, 2e-12, 1.0, 1.0 + 1e-13, 1.0 - 1e-13)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.sampled_from(NEAR_COORDINATES)] * dim), max_size=12)
+    )
+)
+# The last point links the others on the first axis and leaves on the second,
+# so the one coincident pair, the first and third, is adjacent in neither order.
+@example([(0.0, 0.0), (1.4e-12, 1e-13), (0.0, 5e-13), (9e-13, 1.0)])
+def test_coincidence_search_matches_all_pairs_oracle(points):
+    assert _has_coincident(points) == any_pair_within(points, COINCIDENCE_TOL)
+
+
+def test_coincidence_search_compares_few_pairs_on_grids(counted_calls):
+    compared = counted_calls(gammadesign.model_core, "_coincident")
+    cube = list(itertools.product((1.0, 2.0), repeat=10))
+    grid = list(itertools.product(np.linspace(1.0, 2.0, 45).tolist(), repeat=2))
+    for points in (cube, grid):
+        compared.clear()
+        Design(points, [1.0 / len(points)] * len(points))
+        assert sum(len(seen) for _, seen in compared) <= len(points)  # all pairs: n(n-1)/2
 
 
 def test_design_rejects_ragged_or_nonfinite_points():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gammadesign.model_core
 import gammadesign.solver
 from gammadesign import (
     Criterion,
@@ -230,6 +231,13 @@ def test_candidate_positivity_enforced():
     m2 = GammaModel.first_order(2)
     with pytest.raises(NonpositivePredictor):
         multiplicative(m2, (1.0, -1.0), [(1.0, 1.0), (1.0, 2.0)])
+
+
+def test_repeated_candidate_is_refused_before_any_factorization(counted_calls):
+    factored = counted_calls(gammadesign.model_core, "_factor")
+    with pytest.raises(ValidationError, match="^candidate points must be pairwise distinct$"):
+        multiplicative(GammaModel.first_order(3), (1.0, 1.0, 1.0), V + V[:2])
+    assert factored == []
 
 
 def test_empty_candidates_rejected():
