@@ -30,6 +30,7 @@ from .model_core import (
     _floats,
     _intensity_arrays,
     _positive_predictor,
+    _predictor,
     design_to_json,
     region_vertices,
 )
@@ -288,34 +289,42 @@ def _xi3_weights(gamma):
 def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     """D-optimal design on [1,2]^3 for a parameter point (beta_1, beta, beta).
 
-    Every admissible point falls in exactly one subregion. Four of them
-    carry closed-form designs; on the remaining band (beta_1 < 0,
-    -3 < gamma < -6/5) the weights must be computed numerically and the
+    Every admissible point falls in exactly one subregion. For beta_1 > 0 the
+    Xi3 weights decide it: their first weight vanishes at gamma = -5/23 and
+    their last at 1/5, and a vertex whose weight is not positive is dropped
+    (Xi2, Xi1). For beta_1 < 0 the edges -3 and -6/5 are constants; on the
+    band between them the weights must be computed numerically and the
     returned support and weights are None.
     """
     gamma = scenario.gamma
-    label = _three_factor_label(scenario.beta1, gamma)
-    return Classification(label, *_three_factor_optimum(label, gamma), gamma)
+    if gamma is None:
+        return Classification(ThreeFactorLabel.XI1, *_equal_weight(_CUBE[1:4]), gamma)
+    table, index = _three_factor_cases(scenario.beta1, gamma)
+    return Classification(*table[index], gamma)
 
 
-def _three_factor_label(beta1: float, gamma: float | None) -> ThreeFactorLabel:
-    """The subregion of (beta_1, gamma = beta/beta_1) on validated floats: the one statement of its edges."""
-    if gamma is None or (beta1 > 0 and gamma >= 0.2) or (beta1 < 0 and gamma <= -3.0):
-        return ThreeFactorLabel.XI1
-    if beta1 > 0:
-        return ThreeFactorLabel.XI2 if gamma <= -5.0 / 23.0 else ThreeFactorLabel.XI3
-    return ThreeFactorLabel.XI4 if gamma >= -1.2 else ThreeFactorLabel.XI5_NUMERICAL
+def _three_factor_cases(beta1: float, gamma):
+    """Case table (label, support, weights) of [1,2]^3 for beta_1 != 0, and the
+    case index of gamma: an int for a float ratio, an array for an array of them."""
+    if beta1 > 0.0:
+        return _four_point_cases((ThreeFactorLabel.XI2, ThreeFactorLabel.XI1, ThreeFactorLabel.XI3), _CUBE[1:5], _xi3_weights(gamma))
+    # No closed-form weight vanishes on the edges of beta_1 < 0, so they stay constants.
+    xi1, xi4 = _equal_weight(_CUBE[1:4]), _equal_weight((_CUBE[1], _CUBE[5], _CUBE[6]))
+    table = ((ThreeFactorLabel.XI1, *xi1), (ThreeFactorLabel.XI4, *xi4), (ThreeFactorLabel.XI5_NUMERICAL, None, None))
+    return table, _case_index(gamma > -3.0, gamma < -1.2)
 
 
-def _three_factor_optimum(label: ThreeFactorLabel, gamma):
-    """Support and weights of a subregion's closed form at a float ratio, the Xi3
-    weights elementwise at an array of ratios; (None, None) on the numerical band."""
-    v = _CUBE
-    if label is ThreeFactorLabel.XI3:
-        return v[1:5], _xi3_weights(gamma)
-    if label is ThreeFactorLabel.XI5_NUMERICAL:
-        return None, None
-    return _equal_weight(v[1:4] if label is ThreeFactorLabel.XI1 else v[2:5] if label is ThreeFactorLabel.XI2 else (v[1], v[5], v[6]))
+def _four_point_cases(labels, points, weights):
+    """Case table and case index of a four-point closed form, decided by its end
+    weights: the equal-weight triple without the first point where that weight
+    is not positive, else without the last where that one is not, else all four."""
+    table = ((labels[0], *_equal_weight(points[1:])), (labels[1], *_equal_weight(points[:3])), (labels[2], points, weights))
+    return table, _case_index(weights[0] > 0.0, weights[3] > 0.0)
+
+
+def _case_index(first, second):
+    """0 where ``first`` fails, else 1 where ``second`` fails, else 2: an int on bools, an array on arrays."""
+    return first * (1 + second)
 
 
 def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classification:
@@ -339,58 +348,49 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
-    gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
+    beta1, beta2, beta3 = vec.tolist()
+    gamma = beta1 / beta3 if beta1 == beta2 and beta3 != 0.0 else None
     for label, k in drops:
         if half - e2[k] <= tol:
             return Classification(label, *_equal_weight(v[:k] + v[k + 1:]), gamma)
     if gamma is not None and gamma > -a / 2.0:
-        return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, gamma), gamma)
+        return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, beta1, beta3), gamma)
     return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 
 
-def _four_point_interaction(a: float, b: float, gamma):
-    """The four-vertex weights at a float ratio or elementwise at an array of them,
-    squares written as products for the reason given in ``_xi3_weights``."""
-    s = a * b + (a + b) * gamma
-    w1 = (a * b - (a - 3.0 * b) * gamma) / (4.0 * b * (a + 2.0 * gamma))
-    w2 = s * s / (4.0 * a * b * (b + 2.0 * gamma) * (a + 2.0 * gamma))
-    w4 = (a * b - (b - 3.0 * a) * gamma) / (4.0 * a * (b + 2.0 * gamma))
+def _four_point_interaction(a: float, b: float, beta1, beta3=1.0):
+    """The four-vertex weights at beta = (beta1, beta1, beta3 > 0), on floats or elementwise
+    on arrays: beta3 = 1 on the ratio path, and a tiny beta3 passed as such overflows no
+    ratio. Squares are written as products for the reason given in ``_xi3_weights``."""
+    ab = a * b * beta3
+    s = ab + (a + b) * beta1
+    w1 = (ab - (a - 3.0 * b) * beta1) / (4.0 * b * (a * beta3 + 2.0 * beta1))
+    w2 = s * s / (4.0 * a * b * (b * beta3 + 2.0 * beta1) * (a * beta3 + 2.0 * beta1))
+    w4 = (ab - (b - 3.0 * a) * beta1) / (4.0 * a * (b * beta3 + 2.0 * beta1))
     return (w1, w2, w2, w4)
 
 
 def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     """D-optimal design on [a,b]^2 when beta_1 = beta_2, by the ratio
-    gamma = beta/beta_3 > -a/2.
-
-    Low ratios drop v1 = (b,b); on a long enough square (b > 3a) high
-    ratios drop v4 = (a,a); in between all four vertices carry weight.
-    The four-point weight formula also extends beyond the b <= 3a case,
-    where no ratio allows dropping v4.
+    gamma = beta/beta_3, admissible when the predictor is positive at every
+    vertex (gamma > -a/2). The four-point weights decide the case: the
+    weight of v1 = (b,b) vanishes at gamma = -ab/(3b-a) and, when b > 3a,
+    that of v4 = (a,a) at ab/(b-3a); a vertex whose weight is not positive
+    is dropped (``Case_iv``, ``Case_i``).
     """
     a, b = _check_bounds(a, b)
     (gamma,) = _floats((gamma,), "gamma")
-    if not math.isfinite(gamma) or gamma <= -a / 2.0:
+    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (gamma, gamma, 1.0), _square(a, b))[2].all():
         raise ValidationError("gamma must exceed -a/2")
-    label = _interaction_label(a, b, gamma)
-    return Classification(label, *_interaction_optimum(label, a, b, gamma), gamma)
+    table, index = _interaction_cases(a, b, gamma)
+    return Classification(*table[index], gamma)
 
 
-def _interaction_label(a: float, b: float, gamma: float) -> InteractionLabel:
-    """The equal-beta case of gamma on [a,b]^2, on validated floats: the one statement of its edges."""
-    if gamma <= -a * b / (3.0 * b - a):
-        return InteractionLabel.CASE_IV
-    if b - 3.0 * a > 0.0 and gamma >= a * b / (b - 3.0 * a):
-        return InteractionLabel.CASE_I
-    return InteractionLabel.CASE_V_FOUR_POINT
-
-
-def _interaction_optimum(label: InteractionLabel, a: float, b: float, gamma):
-    """Support and weights of an equal-beta case on [a,b]^2 at a float ratio, the
-    four-point weights elementwise at an array of ratios."""
-    v = _square(a, b)
-    if label is InteractionLabel.CASE_V_FOUR_POINT:
-        return v, _four_point_interaction(a, b, gamma)
-    return _equal_weight(v[1:] if label is InteractionLabel.CASE_IV else v[:3])
+def _interaction_cases(a: float, b: float, gamma):
+    """Case table (label, support, weights) of the equal-beta square [a,b]^2 on
+    validated bounds, and the case index of gamma as in ``_three_factor_cases``."""
+    labels = (InteractionLabel.CASE_IV, InteractionLabel.CASE_I, InteractionLabel.CASE_V_FOUR_POINT)
+    return _four_point_cases(labels, _square(a, b), _four_point_interaction(a, b, gamma))
 
 
 def intensity_ranking(

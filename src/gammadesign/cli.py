@@ -268,11 +268,14 @@ def _cmd_solve(args) -> int:
 def _sweep_for_family(family: str, a=None, b=None, start=None, stop=None, step: float = 0.01):
     """The sweep of one family over its benchmark designs; bounds and grid
     ends left as None take the family's defaults."""
+    bounds = {name: value for name, value in (("a", a), ("b", b)) if value is not None}
     if family == "three-factor":
+        if bounds:
+            raise ValidationError("--a and --b apply to the interaction family only")
         sweep_family, designs, ends = ThreeFactorFamily(), three_factor_benchmark_designs(), (-0.24, 1.0)
     else:
-        a, b = 1.0 if a is None else a, 4.0 if b is None else b
-        sweep_family, designs, ends = InteractionFamily(a, b), interaction_benchmark_designs(a, b), (-0.49, 5.0)
+        sweep_family = InteractionFamily(**bounds)
+        designs, ends = interaction_benchmark_designs(sweep_family.a, sweep_family.b), (-0.49, 5.0)
     start, stop = ends[0] if start is None else start, ends[1] if stop is None else stop
     return efficiency_sweep(sweep_family, designs, gamma_grid(start, stop, step))
 

@@ -3,10 +3,11 @@
 The D-efficiency of a design against the locally optimal one is
 (det M(design) / det M(optimal))**(1/p). Sweeps trace this value over a
 grid of the ratio gamma that indexes the optimality subregions, on whole
-arrays: the grid's betas are one array per family, the classifiers'
-private case rule sorts the ratios, each case's closed form gives the
-weights of all its ratios at once (no classifier result and no Design per
-ratio), and a ratio without a closed form is solved numerically. Each
+arrays: the grid's betas are one array per family, and the classifiers'
+private case function evaluates the closed-form weights on the whole grid.
+The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
+those weights, so their signs decide each ratio's case; no Design is built
+per ratio, and a ratio without a closed form is solved numerically. Each
 design and reference support takes one stacked Cholesky factorization
 over the whole grid, judged singular or not by array reductions.
 """
@@ -39,13 +40,10 @@ from .analytic_designs import (
     InteractionLabel,
     ThreeFactorLabel,
     ThreeFactorScenario,
-    _interaction_label,
-    _interaction_optimum,
-    _three_factor_label,
-    _three_factor_optimum,
+    _interaction_cases,
+    _three_factor_cases,
     interaction_vertices,
     three_factor_vertices,
-    xi3_weights,
 )
 from .solver import SolverParams, multiplicative
 
@@ -82,8 +80,8 @@ def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optim
 
 class _Family:
     """Admissibility, parameter path and optima, shared by the sweep families. Each
-    family states its path in ``_beta``, its case rule in ``_label`` and its closed
-    forms in ``_closed_form``; the first and last take a float or an array of ratios."""
+    family states its path in ``_beta`` and its case function in ``_cases``; both
+    take a float or an array of ratios."""
 
     def admissible(self, gamma: float) -> bool:
         return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
@@ -99,22 +97,20 @@ class _Family:
         ((points, weights, _),) = self._optima(np.array([gamma]))
         return Design(points, np.atleast_2d(weights)[0])
 
-    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray | tuple, list[int]]]:
-        """Optima at the admissible ratios ``gammas`` as (support, weights, rows) groups:
-        each case's closed form on the array of its ratios (one weight vector, or a row
-        per ratio), and a numerical solve per ratio of a case without one."""
-        rows_by_label: dict = {}
-        for row, gamma in enumerate(gammas.tolist()):
-            rows_by_label.setdefault(self._label(gamma), []).append(row)
+    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray, Sequence[int]]]:
+        """Optima at the admissible ratios ``gammas`` as (support, weights, rows)
+        groups: each closed-form case once, with a weight row per ratio of it, and
+        a numerical solve per ratio of a case without a closed form."""
+        table, index = self._cases(gammas)
         groups = []
-        for label, rows in rows_by_label.items():
-            points, weights = self._closed_form(label, gammas[rows])
-            if points is not None:
-                groups.append((points, _columns(weights), rows))
-                continue
-            for row in rows:
-                design, _ = multiplicative(self.model, self._beta(gammas[row]), self.vertices, _REFERENCE_PARAMS)
-                groups.append((design.points, design.weights, [row]))
+        for case, (_, points, weights) in enumerate(table):
+            rows = np.flatnonzero(index == case)
+            if points is None:
+                for row in rows.tolist():
+                    design, _ = multiplicative(self.model, self._beta(gammas[row]), self.vertices, _REFERENCE_PARAMS)
+                    groups.append((design.points, design.weights, [row]))
+            elif len(rows):
+                groups.append((points, np.broadcast_to(_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
 
 
@@ -148,10 +144,8 @@ class ThreeFactorFamily(_Family):
         sign = float(self.beta1_sign)
         return (sign, sign * gamma, sign * gamma)
 
-    def _label(self, gamma: float) -> ThreeFactorLabel:
-        return _three_factor_label(float(self.beta1_sign), gamma)
-
-    _closed_form = staticmethod(_three_factor_optimum)
+    def _cases(self, gammas: np.ndarray):
+        return _three_factor_cases(float(self.beta1_sign), gammas)
 
 
 @dataclass(frozen=True)
@@ -181,11 +175,8 @@ class InteractionFamily(_Family):
     def _beta(self, gamma):
         return (gamma, gamma, 1.0)
 
-    def _label(self, gamma: float) -> InteractionLabel:
-        return _interaction_label(self.a, self.b, gamma)
-
-    def _closed_form(self, label: InteractionLabel, gammas: np.ndarray):
-        return _interaction_optimum(label, self.a, self.b, gammas)
+    def _cases(self, gammas: np.ndarray):
+        return _interaction_cases(self.a, self.b, gammas)
 
 
 def _columns(values) -> np.ndarray:
@@ -295,10 +286,11 @@ def three_factor_benchmark_designs() -> dict[str, Design]:
     full factorial, both half fractions, and the 27-point grid."""
     v = three_factor_vertices(1.0, 2.0)
     grid = list(itertools.product((1.0, 1.5, 2.0), repeat=3))
+    optima = {label: Design(points, weights) for label, points, weights in _three_factor_cases(1.0, -1.0 / 7.0)[0]}
     return {
-        "xi1": Design([v[1], v[2], v[3]], [1 / 3] * 3),
-        "xi2": Design([v[2], v[3], v[4]], [1 / 3] * 3),
-        "xi3": Design([v[1], v[2], v[3], v[4]], xi3_weights(-1.0 / 7.0)),
+        "xi1": optima[ThreeFactorLabel.XI1],
+        "xi2": optima[ThreeFactorLabel.XI2],
+        "xi3": optima[ThreeFactorLabel.XI3],
         "xi4": Design(v, [1 / 8] * 8),
         "xi5": Design([v[0], v[4], v[5], v[6]], [1 / 4] * 4),
         "xi6": Design([v[1], v[2], v[3], v[7]], [1 / 4] * 4),
@@ -309,12 +301,14 @@ def three_factor_benchmark_designs() -> dict[str, Design]:
 def interaction_benchmark_designs(a: float = 1.0, b: float = 4.0) -> dict[str, Design]:
     """The designs compared on [a,b]^2: both three-vertex optima, the
     uniform vertex design, and the 9-point grid."""
+    a, b = _check_bounds(a, b)
     v = interaction_vertices(a, b)
     mid = (a + b) / 2.0
     grid = list(itertools.product((a, mid, b), repeat=2))
+    optima = {label: Design(points, weights) for label, points, weights in _interaction_cases(a, b, 0.0)[0]}
     return {
-        "xi1": Design([v[0], v[1], v[2]], [1 / 3] * 3),
-        "xi2": Design([v[1], v[2], v[3]], [1 / 3] * 3),
+        "xi1": optima[InteractionLabel.CASE_I],
+        "xi2": optima[InteractionLabel.CASE_IV],
         "xi3": Design(v, [1 / 4] * 4),
         "xi4": Design(grid, [1 / 9] * 9),
     }

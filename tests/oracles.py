@@ -10,6 +10,8 @@ it may call into the optimality machinery of the package itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -148,3 +150,17 @@ def drop_vertex_forms(a: float, b: float, beta) -> tuple[float, float, float, fl
     form_iii = b3**2 + ib**2 * b2**2 + ia**2 * b1**2 + 2.0 * ib * b3 * b2 + 2.0 * ia * b3 * b1 + (ib**2 + ia**2) * b1 * b2
     form_iv = b3**2 + ia**2 * (b1**2 + b2**2) + (ia**2 - ib**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ia * b3 * (b1 + b2)
     return form_i, form_ii, form_iii, form_iv
+
+
+def equal_beta_edges(a: float, b: float) -> tuple[float, ...]:
+    """Ratios gamma on the path (gamma, gamma, 1) where a four-point weight on
+    [a,b]^2 vanishes, as roots of the linear numerators worked out by hand:
+    ab + (3b - a) gamma for v1, and ab - (b - 3a) gamma for v4 when b > 3a."""
+    return (-a * b / (3.0 * b - a),) + ((a * b / (b - 3.0 * a),) if b > 3.0 * a else ())
+
+
+def ulp_steps(x: float, k: int) -> float:
+    """The float k representable steps above x (below for negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x

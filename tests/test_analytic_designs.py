@@ -36,7 +36,7 @@ from gammadesign import (
     xi3_weights,
 )
 
-from oracles import drop_vertex_forms, min_trace_weight, trace_inverse
+from oracles import drop_vertex_forms, equal_beta_edges, min_trace_weight, trace_inverse, ulp_steps
 
 
 CUBE3 = ExperimentalRegion.hypercube(1.0, 2.0, 3)
@@ -361,6 +361,18 @@ def test_classifier_boundaries():
     )
 
 
+@pytest.mark.parametrize("edge", [0.2, -5.0 / 23.0])
+def test_xi3_neighbours_have_positive_weights_near_the_edges(edge):
+    """The Xi3 weights decide the subregion: within 3 ulps of the ratio where
+    an end weight vanishes, no design carries a nonpositive weight."""
+    labels = set()
+    for k in range(-3, 4):
+        c = classify_three_factor(ThreeFactorScenario(1.0, ulp_steps(edge, k)))
+        labels.add(c.label)
+        assert min(c.design.weights) > 0.0
+    assert labels == {ThreeFactorLabel.XI3, ThreeFactorLabel.XI1 if edge > 0.0 else ThreeFactorLabel.XI2}
+
+
 def test_classifier_closed_forms_pass_verification():
     scenarios = [
         ThreeFactorScenario(1.0, 1.0),
@@ -529,6 +541,17 @@ def test_interaction_four_point_closed_form_dispatch():
     assert report.passed
 
 
+def test_interaction_four_point_weights_at_a_tiny_interaction_coefficient():
+    """beta_1/beta_3 is about 4.5e307 here, and the weights are found without
+    forming that ratio, so none of them overflows to nan."""
+    beta = (1.0, 1.0, 2.2250738585072014e-308)
+    c = d_optimal_interaction(1.0, 2.0, beta)
+    assert c.label is InteractionLabel.CASE_V_FOUR_POINT
+    assert c.weights == pytest.approx((5 / 16, 9 / 32, 9 / 32, 1 / 8), rel=1e-15)
+    report = verify_optimality(GammaModel.interaction(), beta, c.design, Criterion.D, interaction_vertices(1.0, 2.0))
+    assert report.passed
+
+
 def test_interaction_four_point_numerical_flag():
     c = d_optimal_interaction(1.0, 2.0, (1.0, 2.0, 0.5))
     assert c.label is InteractionLabel.CASE_V_FOUR_POINT
@@ -624,6 +647,21 @@ def test_equal_beta_domain():
         interaction_equal_beta(1.0, 4.0, -0.5)
     with pytest.raises(ValidationError):
         interaction_equal_beta(1.0, 4.0, -0.7)
+    # Above -a/2, but the kernel's predictor at (a, a) rounds to nonpositive.
+    with pytest.raises(ValidationError, match=r"gamma must exceed -a/2"):
+        interaction_equal_beta(0.21, 4.0, -0.10499999999999998)
+
+
+@given(st.floats(0.2, 3.0), st.floats(1.05, 8.0))
+def test_equal_beta_designs_have_positive_weights_near_the_edges(a, ratio):
+    """The four-point weights decide the case: within 3 ulps of a ratio where
+    one of them vanishes, the classifier drops that vertex instead of
+    returning a zero weight."""
+    b = a * ratio
+    for edge in equal_beta_edges(a, b):
+        for k in range(-3, 4):
+            c = interaction_equal_beta(a, b, ulp_steps(edge, k))
+            assert min(c.design.weights) > 0.0
 
 
 # ---------------------------------------------------------------- mixtures

@@ -423,6 +423,23 @@ def test_efficiency_rejects_unreachable_grid(capsys):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+def test_efficiency_refuses_bounds_for_the_three_factor_family(capsys):
+    code, out, err = run_cli(capsys, "efficiency", "--family", "three-factor", "--a", "3", "--b", "9")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValidationError", "message": "--a and --b apply to the interaction family only"}
+
+
+def test_efficiency_interaction_bounds_default_to_the_family(capsys):
+    def sweep(*bounds):
+        grid = ("--start", "1", "--stop", "2", "--step", "0.5")
+        code, out, _ = run_cli(capsys, "efficiency", "--family", "interaction", *bounds, *grid)
+        assert code == 0
+        return out
+
+    assert sweep() == sweep("--a", "1", "--b", "4")
+    assert sweep("--a", "2") == sweep("--a", "2", "--b", "4") != sweep()
+
+
 # ---------------------------------------------------------------- reproduce
 
 TABULATED = {

@@ -16,6 +16,7 @@ from gammadesign import (
     ExperimentalRegion,
     GammaModel,
     InteractionFamily,
+    InteractionLabel,
     NonpositivePredictor,
     SingularInformation,
     ThreeFactorFamily,
@@ -36,6 +37,8 @@ from gammadesign import (
 )
 from gammadesign import analytic_designs, efficiency, model_core
 from gammadesign.efficiency import _admissible
+
+from oracles import equal_beta_edges, ulp_steps as _ulp_steps
 
 
 POS = ThreeFactorFamily(beta1_sign=1)
@@ -178,12 +181,6 @@ def test_three_factor_beta_is_defined_off_the_admissible_range():
     assert sweep.gammas == (-2.0,) and len(sweep.skipped) == 2
 
 
-def _ulp_steps(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
 ULPS = st.integers(-4, 4)
 
 
@@ -194,8 +191,9 @@ ULPS = st.integers(-4, 4)
 )
 def test_interaction_admissibility_is_the_kernel_rule_at_the_edge(a, ratio, steps):
     """Ratios within a few ulps of -a/2: the sweep's batched decision, the
-    per-ratio ``admissible`` and ``validate_positivity`` agree, and every
-    admissible ratio has its closed-form reference."""
+    per-ratio ``admissible`` and ``validate_positivity`` agree, every
+    admissible ratio has its closed-form reference, and the classifier
+    refuses every other one."""
     family = InteractionFamily(a, a * ratio)
     square = ExperimentalRegion.hypercube(a, a * ratio, 2)
     gammas = [_ulp_steps(-a / 2.0, k) for k in steps]
@@ -206,6 +204,9 @@ def test_interaction_admissibility_is_the_kernel_rule_at_the_edge(a, ratio, step
     for gamma, ok in zip(gammas, single):
         if ok:
             interaction_equal_beta(a, a * ratio, gamma)
+        else:
+            with pytest.raises(ValidationError, match=r"gamma must exceed -a/2"):
+                interaction_equal_beta(a, a * ratio, gamma)
 
 
 @given(
@@ -239,6 +240,24 @@ def test_three_factor_families_agree_with_the_scenario_at_their_edges(steps):
             except ValidationError:
                 scenario_ok.append(False)
         assert _admissible(family, gammas)[0].tolist() == scenario_ok == [family.admissible(g) for g in gammas]
+
+
+@given(a=st.floats(0.2, 3.0), ratio=st.floats(1.05, 8.0))
+def test_interaction_references_have_positive_weights_near_the_edges(a, ratio):
+    """Within 3 ulps of a ratio where a four-point weight vanishes, the
+    reference drops that vertex instead of carrying a zero weight."""
+    family = InteractionFamily(a, a * ratio)
+    for edge in equal_beta_edges(family.a, family.b):
+        for k in range(-3, 4):
+            assert min(family.reference(_ulp_steps(edge, k)).weights) > 0.0
+
+
+def test_near_edge_example_is_case_iv_and_no_efficiency_exceeds_one():
+    """The weight of v1 rounds to exactly 0 here, so the optimum is Case_iv."""
+    a, b, gamma = 1.6429115709179976, 4.988404590065324, -0.6151720249885143
+    assert interaction_equal_beta(a, b, gamma).label is InteractionLabel.CASE_IV
+    sweep = efficiency_sweep(InteractionFamily(a, b), interaction_benchmark_designs(a, b), (gamma,))
+    assert sweep.gammas == (gamma,) and all(value <= 1.0 for value in sweep.values[0])
 
 
 def test_numerical_reference_is_verified_optimal():
