@@ -21,7 +21,6 @@ from .model_core import (
     Design,
     ExperimentalRegion,
     GammaModel,
-    ModelKind,
     NonpositivePredictor,
     ValidationError,
     _check_beta,
@@ -31,6 +30,7 @@ from .model_core import (
     _intensity_arrays,
     _positive_predictor,
     _predictor,
+    _vertex_array,
     design_to_json,
     region_vertices,
 )
@@ -249,7 +249,7 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     model = GammaModel.first_order(_check_count(nu, 3))
     region = ExperimentalRegion.hypercube(a, b, nu)
     a, b, vec = region.a, region.b, _check_beta(model, beta)
-    X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
+    X, eta = _positive_predictor(model, vec, _vertex_array(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
     lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
@@ -277,13 +277,25 @@ def xi3_weights(gamma: float) -> tuple[float, float, float, float]:
 
 
 def _xi3_weights(gamma):
-    """``xi3_weights`` unchecked, at a float ratio or elementwise at an array of them.
-    Squares are products, which round alike on floats and arrays; pow() need not."""
-    t = 1.0 + 3.0 * gamma
-    w1 = (5.0 + 23.0 * gamma) / (16.0 * (1.0 + 4.0 * gamma))
-    w2 = 9.0 * (t * t) / (32.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
-    w4 = (1.0 - gamma - 20.0 * (gamma * gamma)) / (8.0 * (1.0 + gamma) * (1.0 + 4.0 * gamma))
+    """``xi3_weights`` unchecked and ratio-scaled by ``_tamed``, at a float ratio or elementwise at an array
+    of them. Squares are products, which round alike on floats and arrays; pow() need not."""
+    one, g = _tamed(1.0, gamma)
+    t = one + 3.0 * g
+    w1 = (5.0 * one + 23.0 * g) / (16.0 * (one + 4.0 * g))
+    w2 = 9.0 * (t * t) / (32.0 * (one + g) * (one + 4.0 * g))
+    w4 = (one * one - one * g - 20.0 * (g * g)) / (8.0 * (one + g) * (one + 4.0 * g))
     return (w1, w2, w2, w4)
+
+
+def _tamed(x, y):
+    """x and y scaled by one power of two to below 2 in magnitude, on floats or elementwise on arrays. A weight
+    homogeneous of degree 0 in (x, y) keeps every bit where its unscaled form neither overflows nor
+    underflows, and no square overflows at a huge ratio."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        e = np.frexp(np.maximum(1.0, np.maximum(np.abs(x), np.abs(y))))[1] - 1
+        return np.ldexp(x, -e), np.ldexp(y, -e)
+    e = math.frexp(max(1.0, abs(x), abs(y)))[1] - 1
+    return math.ldexp(x, -e), math.ldexp(y, -e)
 
 
 def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
@@ -343,7 +355,7 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     v = interaction_vertices(a, b)
     model = GammaModel.interaction()
     vec = _check_beta(model, beta)
-    _, eta = _positive_predictor(model, vec, v)  # raises unless positive at every vertex
+    _, eta = _positive_predictor(model, vec, np.array(v))  # raises unless positive at every vertex
     tol = _DROP_CONDITION_RTOL * float(vec @ vec)
     e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
     half = 0.5 * sum(e2)
@@ -361,7 +373,9 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
 def _four_point_interaction(a: float, b: float, beta1, beta3=1.0):
     """The four-vertex weights at beta = (beta1, beta1, beta3 > 0), on floats or elementwise
     on arrays: beta3 = 1 on the ratio path, and a tiny beta3 passed as such overflows no
-    ratio. Squares are written as products for the reason given in ``_xi3_weights``."""
+    ratio, nor does a huge one in the scaled form of ``_tamed``. Squares are written as
+    products for the reason given in ``_xi3_weights``."""
+    beta1, beta3 = _tamed(beta1, beta3)
     ab = a * b * beta3
     s = ab + (a + b) * beta1
     w1 = (ab - (a - 3.0 * b) * beta1) / (4.0 * b * (a * beta3 + 2.0 * beta1))
@@ -380,7 +394,7 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     """
     a, b = _check_bounds(a, b)
     (gamma,) = _floats((gamma,), "gamma")
-    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (gamma, gamma, 1.0), _square(a, b))[2].all():
+    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (gamma, gamma, 1.0), np.array(_square(a, b)))[2].all():
         raise ValidationError("gamma must exceed -a/2")
     table, index = _interaction_cases(a, b, gamma)
     return Classification(*table[index], gamma)
@@ -402,7 +416,7 @@ def intensity_ranking(
     ``1e-12``; within a group the vertex enumeration order is kept.
     """
     vertices = region_vertices(region)  # raises unless the region is a hypercube
-    _, u = _intensity_arrays(model, beta, vertices)
+    _, u = _intensity_arrays(model, beta, np.array(vertices))
     values = list(zip(vertices, u.tolist()))
     values.sort(key=lambda item: -item[1])
     groups: list[list[tuple[tuple[float, ...], float]]] = []

@@ -29,7 +29,6 @@ from .model_core import (
     ModelKind,
     RegionKind,
     ValidationError,
-    _canonical_points,
     _floats,
     design_from_json,
     design_to_json,
@@ -230,7 +229,7 @@ def _cmd_verify(args) -> int:
     beta = _require_beta(args, model)
     design = design_from_json(_load_json(args.design))
     if args.candidates is not None:
-        candidates = _canonical_points(_load_json(args.candidates))
+        candidates = _load_json(args.candidates)
     elif args.region is not None:
         region = _make_region(args, model)
         validate_design_region(design, region)
@@ -251,7 +250,7 @@ def _cmd_solve(args) -> int:
     model = _make_model(args)
     beta = _require_beta(args, model)
     if args.candidates is not None:
-        candidates = _canonical_points(_load_json(args.candidates))
+        candidates = _load_json(args.candidates)
     elif args.region is not None:
         region = _make_region(args, model)
         candidates = region_vertices(region)

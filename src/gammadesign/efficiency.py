@@ -34,6 +34,7 @@ from .model_core import (
     _floats,
     _information,
     _intensity_arrays,
+    _outer,
     _predictor,
 )
 from .analytic_designs import (
@@ -64,17 +65,17 @@ _REFERENCE_PARAMS = SolverParams(convergence_tol=1e-10)
 
 
 def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
-    """log det M of one support at each row of the (G, p) stack ``betas``, with
-    one weight vector or a (G, n) stack of them: one factorization in all."""
-    F, u = _intensity_arrays(model, betas, points, stacked=True)
-    return _factor(_information(F, u, np.asarray(weights)))[1]
+    """log det M of one support (a design's judged array, or a library-built table) at each row of the
+    (G, p) stack ``betas``, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
+    F, u = _intensity_arrays(model, betas, np.asarray(points), stacked=True)
+    return _factor(_information(_outer(F), np.asarray(weights) * u))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
     """Efficiency of ``design`` relative to ``optimal`` at the point ``beta``."""
     betas = _check_beta(model, beta)[None]
-    ld_design = _logdets(model, betas, design.points, design.weights)
-    ld_optimal = _logdets(model, betas, optimal.points, optimal.weights)
+    ld_design = _logdets(model, betas, design._pts, design._wts)
+    ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
 
 
@@ -192,7 +193,7 @@ def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, n
     grid = np.array(gammas)
     ok = np.isfinite(grid)
     betas = _columns(family._beta(grid[ok]))
-    positive = _predictor(family.model, betas, family.vertices, stacked=True)[2].all(axis=1)
+    positive = _predictor(family.model, betas, np.array(family.vertices), stacked=True)[2].all(axis=1)
     ok[ok] = positive
     return ok, betas[positive]
 
@@ -263,13 +264,13 @@ def efficiency_sweep(
     try:
         for points, weights, rows in references:
             ld_ref[rows] = _logdets(model, betas[rows], points, weights)
-        ld = np.column_stack([_logdets(model, betas, d.points, d.weights) for d in designs.values()])
+        ld = np.column_stack([_logdets(model, betas, d._pts, d._wts) for d in designs.values()])
     except (SingularInformation, NonpositivePredictor):
         # Name the first failing row by evaluating the rows one at a time.
         optima = {}
         for points, weights, rows in references:
             optima.update((row, (points, w)) for row, w in zip(rows, np.broadcast_to(weights, (len(rows), len(points)))))
-        supports = [(name, (d.points, d.weights)) for name, d in designs.items()]
+        supports = [(name, (d._pts, d._wts)) for name, d in designs.items()]
         for row, (gamma, beta) in enumerate(zip(kept.tolist(), betas)):
             for name, (points, weights) in (("reference", optima[row]), *supports):
                 try:

@@ -9,12 +9,13 @@ hypercubes the vertices form an essentially complete class, so they are
 the canonical candidates.
 
 Both come from the kernel in ``model_core``, which the solver also uses:
-one Cholesky factor L of M and one whitening z(x) = L^-1 sqrt(u(x)) f(x)
-of the candidates, so psi(x) = |z(x)|^2 for D, and u(x) |L^-T L^-1 f(x)|^2
-with bound |L^-1|_F^2 for A. The factor holds the package's one
-singularity rule: M is singular when its Cholesky factorization fails or
-min diag(L)^2 <= 1e-12 * max diag(M), and verification then raises
-``SingularInformation``.
+one predictor call on the design's points and the judged candidates gives
+the columns g(x) = sqrt(u(x)) f(x) of both, M = sum_i w_i g_i g_i' over the
+support, and one solve whitens the candidates, z(x) = L^-1 g(x) for the
+Cholesky factor L of M. So psi(x) = |z(x)|^2 for D; for A, the one inverse
+of L gives u(x) |L^-T L^-1 f(x)|^2 and the bound |L^-1|_F^2. The factor
+holds the package's one singularity rule: M is singular when its Cholesky
+factorization fails or min diag(L)^2 <= 1e-12 * max diag(M).
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .model_core import (
     _d_sensitivities,
     _factor,
     _floats,
-    _information,
-    _intensity_arrays,
+    _judged,
+    _positive_predictor,
     region_vertices,
 )
 
@@ -109,34 +110,38 @@ def sensitivity(
 
 
 def _verification_report(
-    intensities: Callable[[Sequence[Sequence[float]]], tuple[np.ndarray, np.ndarray]],
+    predictors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     design: Design,
     candidates: Sequence[Sequence[float]],
     criterion: Criterion,
     tol: float,
 ) -> VerificationReport:
-    """Report for ``design`` over ``candidates``; one ``intensities`` call gives F and u of both."""
+    """Report for ``design`` over ``candidates``, judged once: one ``predictors`` call gives F and the
+    positive predictor eta of the design's points and the candidates together, and G = F' / eta of all."""
     try:
         criterion = Criterion(criterion)  # a plain "D" or "A" too
     except ValueError as exc:
         raise ValidationError(f"criterion must be D or A: {exc}") from exc
-    points = _canonical_points(candidates)
-    if not points:
+    C = _judged(candidates)
+    if not len(C):
         raise ValidationError("candidate set must be nonempty")
-    if len(points[0]) != design.dimension:
-        raise ValidationError(f"candidates have dimension {len(points[0])}, the design {design.dimension}")
-    F, u = intensities(design.points + points)
-    k = design.size
+    if C.shape[1] != design.dimension:
+        raise ValidationError(f"candidates have dimension {C.shape[1]}, the design {design.dimension}")
     (tol,) = _floats((tol,), "tol")
     if not 0.0 <= tol < math.inf:  # a nan tol fails every design, a negative one even an exact optimum
         raise ValidationError("tol must be nonnegative" if tol < 0.0 else "tol must be finite")
-    L, _ = _factor(_information(F[:k], u[:k], np.asarray(design.weights)))
+    k = design.size
+    F, eta = predictors(np.concatenate((design._pts, C)))
+    G = F.T / eta
+    Gs = G[:, :k]  # M = sum_i w_i g_i g_i' from columns G already holds: one product, no K table to build
+    L, _ = _factor((Gs * design._wts) @ Gs.T)
     if criterion is Criterion.D:
-        vals, bound = _d_sensitivities(L, F[k:], u[k:]), float(L.shape[0])
+        vals, bound = _d_sensitivities(L, G[:, k:]), float(L.shape[0])
     else:
-        vals, bound = _a_sensitivities(L, F[k:], u[k:])
-    worst = int(np.argmax(vals))  # ties resolved by first index
+        vals, bound = _a_sensitivities(L, G[:, k:])
+    worst = int(vals.argmax())  # ties resolved by first index
     excess = float(vals[worst] - bound)
+    points = _canonical_points(C)
     return VerificationReport(
         criterion=criterion,
         bound=bound,
@@ -161,4 +166,4 @@ def verify_optimality(
     The report records each candidate's sensitivity; the design passes
     iff the largest excess over the bound is at most ``tol``.
     """
-    return _verification_report(lambda points: _intensity_arrays(model, beta, points), design, candidates, criterion, tol)
+    return _verification_report(lambda X: _positive_predictor(model, beta, X), design, candidates, criterion, tol)

@@ -6,10 +6,10 @@ approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
 The solver, verification, efficiencies and transforms share one numeric
-kernel here: a batch of points gives F and u, these and the weights give
-M, and one Cholesky factor of M gives log det M and the sensitivities.
-F, u, M and the factor also come as stacks over many parameter points, so
-an efficiency sweep factors one stack per design.
+kernel here: one judge checks each point batch once; F and eta give the
+columns G = [sqrt(u_i) f_i]; M is one product (w u) K over the table K of
+outer products, for one weight vector or a stack over many parameter
+points; one Cholesky factor of M gives log det M, and one solve L^-1 G.
 
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
@@ -175,12 +175,14 @@ class ExperimentalRegion:
 
     def contains(self, x: Sequence[float]) -> bool:
         """Whether ``x`` lies in the region (boundary included)."""
-        (pt,) = _canonical_points([x])
-        if len(pt) != self.nu:
-            return False
+        X = _judged([x])
+        return X.shape[1] == self.nu and bool(self._inside(X)[0])
+
+    def _inside(self, X: np.ndarray) -> np.ndarray:
+        """Which rows of the judged points X, of the region's dimension, lie in it."""
         if self.kind is RegionKind.ORTHANT:
-            return all(c >= 0.0 for c in pt) and any(c > 0.0 for c in pt)
-        return _in_box(pt, self.a, self.b)
+            return (X >= 0.0).all(axis=1) & (X > 0.0).any(axis=1)
+        return _in_box(X, self.a, self.b)
 
 
 def _floats(values: Iterable[float], what: str) -> tuple[float, ...]:
@@ -192,7 +194,7 @@ def _floats(values: Iterable[float], what: str) -> tuple[float, ...]:
         if not isinstance(values, (tuple, list)) and isinstance(values, (str, bytes, Mapping)):
             raise TypeError(f"{values!r} is not a list of numbers")
         return tuple(map(float, values))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numbers: {exc}") from exc
 
 
@@ -213,27 +215,33 @@ def _check_bounds(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _in_box(pt: Sequence[float], a: float, b: float) -> bool:
-    """Whether every coordinate lies in [a, b], with slack 1e-12 * max(1, |b|)."""
+def _in_box(X: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Which rows of X have every coordinate in [a, b], with slack 1e-12 * max(1, |b|)."""
     slack = 1e-12 * max(1.0, abs(b))
-    return all(a - slack <= c <= b + slack for c in pt)
+    return ((a - slack <= X) & (X <= b + slack)).all(axis=-1)
 
 
-def _canonical_points(points: Iterable[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
-    """Points as float tuples of one positive dimension with finite
-    coordinates: the one check of point input. Anything else, such as a
-    string where a coordinate list belongs, raises ValidationError."""
+def _judged(points: Iterable[Sequence[float]]) -> np.ndarray:
+    """The one check of point input: a batch of points as a new (n, d) float array of one positive
+    dimension with finite coordinates, (0, 0) when empty. Anything else, such as a string or a
+    set where a coordinate list belongs, raises ValidationError."""
     try:
-        pts = tuple([_floats(pt, "points") for pt in points])
-    except TypeError as exc:  # ``points`` itself is not iterable
-        raise ValidationError(f"points must be lists of numbers: {exc}") from exc
-    if pts:
-        dims = set(map(len, pts))
-        if len(dims) != 1 or 0 in dims:
-            raise ValidationError("points must share one positive dimension")
-        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
-            raise ValidationError("point coordinates must be finite")
-    return pts
+        X = np.array(points if isinstance(points, (list, tuple, np.ndarray)) else list(points), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"points must be equal-length lists of numbers: {exc}") from exc
+    if X.shape == (0,):
+        return X.reshape(0, 0)
+    if X.ndim != 2 or not X.shape[1]:
+        raise ValidationError("points must share one positive dimension")
+    # A finite sum proves every coordinate finite; an inf or nan sum (overflow too) takes the elementwise test.
+    if not math.isfinite(np.add.reduce(X, axis=None)) and not np.isfinite(X).all():
+        raise ValidationError("point coordinates must be finite")
+    return X
+
+
+def _canonical_points(X: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """The rows of judged points as float tuples."""
+    return tuple(map(tuple, X.tolist()))
 
 
 def _coincident(pt: Sequence[float], seen: Sequence[Sequence[float]]) -> int | None:
@@ -259,10 +267,10 @@ def _has_coincident(points: Sequence[Sequence[float]], axis: int = 0) -> bool:
     start = 0
     for k in range(1, len(ordered)):
         if ordered[k][axis] - ordered[k - 1][axis] >= COINCIDENCE_TOL:
-            if _has_coincident(ordered[start:k], axis + 1):
+            if k - start > 1 and _has_coincident(ordered[start:k], axis + 1):  # a single point coincides with none
                 return True
             start = k
-    return _has_coincident(ordered[start:], axis + 1)
+    return len(ordered) - start > 1 and _has_coincident(ordered[start:], axis + 1)
 
 
 @dataclass(frozen=True)
@@ -278,8 +286,12 @@ class Design:
     weights: tuple[float, ...]
 
     def __init__(self, points: Iterable[Sequence[float]], weights: Iterable[float]) -> None:
-        object.__setattr__(self, "points", _canonical_points(points))
-        object.__setattr__(self, "weights", _floats(weights, "weights"))
+        X, weights = _judged(points), _floats(weights, "weights")
+        w = np.array(weights)
+        X.setflags(write=False)
+        w.setflags(write=False)
+        # The judged arrays the kernel reads are not fields: equality, hash and repr keep to the tuples.
+        vars(self).update(points=_canonical_points(X), weights=weights, _pts=X, _wts=w)
         self._validate()
 
     def _validate(self) -> None:
@@ -309,17 +321,16 @@ def feature_matrix(model: GammaModel, points: Sequence[Sequence[float]]) -> np.n
     Returns an (n, p) array: the points themselves for the first-order
     model and rows ``(x1, x2, x1*x2)`` for the interaction model.
     """
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"points must be equal-length lists of numbers: {exc}") from exc
-    if pts.ndim != 2 or pts.shape[1] != model.nu:
-        raise ValidationError(f"points have shape {pts.shape}, expected (n, {model.nu})")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("point coordinates must be finite")
+    return _widened(model, _judged(points))
+
+
+def _widened(model: GammaModel, X: np.ndarray) -> np.ndarray:
+    """Feature matrix F of judged points X, which must have ``model.nu`` columns."""
+    if X.shape[1] != model.nu:
+        raise ValidationError(f"points have shape {X.shape}, expected (n, {model.nu})")
     if model.kind is ModelKind.FIRST_ORDER:
-        return pts
-    return np.column_stack((pts[:, 0], pts[:, 1], pts[:, 0] * pts[:, 1]))
+        return X
+    return np.concatenate((X, X[:, :1] * X[:, 1:]), axis=1)
 
 
 def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
@@ -335,52 +346,58 @@ def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False)
     """beta as a (p,) array, or as a (G, p) stack of parameter points when ``stacked``."""
     try:
         vec = np.asarray(beta, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"beta must be numbers: {exc}") from exc
     if vec.ndim != 1 + stacked or vec.shape[-1] != model.p:
         raise ValidationError(f"beta has dimension {vec.shape}, expected {('G', model.p) if stacked else (model.p,)}")
-    if not np.isfinite(vec).all():
+    # One vector is checked in Python floats, which cost less than a numpy reduction.
+    if not (np.isfinite(vec).all() if stacked else all(map(math.isfinite, vec.tolist()))):
         raise ValidationError("beta entries must be finite")
     return vec
 
 
 def _predictor(
-    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
+    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature matrix F of a batch of points, the predictor eta = B F' and
+    """Feature matrix F of the judged points X, the predictor eta = B F' and
     the mask eta > 0, which is the package's one admissibility rule. B is
     beta, or with ``stacked`` a (G, p) stack of parameter points, giving
     (G, n) eta."""
-    F = feature_matrix(model, points)
+    F = _widened(model, X)
     eta = _check_beta(model, beta, stacked) @ F.T
     return F, eta, eta > 0.0
 
 
 def _positive_predictor(
-    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
+    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """F and eta of ``_predictor``; raises NonpositivePredictor where eta is not positive."""
-    F, eta, positive = _predictor(model, beta, points, stacked)
+    F, eta, positive = _predictor(model, beta, X, stacked)
     if not positive.all():
         at = tuple(int(axis[0]) for axis in np.nonzero(~positive))  # (k,), or (g, k) for a stack
-        raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(map(float, points[at[-1]]))} is not positive")
+        raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(X[at[-1]].tolist())} is not positive")
     return F, eta
 
 
 def _intensity_arrays(
-    model: GammaModel, beta: Sequence[float], points: Sequence[Sequence[float]], stacked: bool = False
+    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """F and intensities u = eta**-2 under the positivity rule of ``_positive_predictor``;
-    with ``stacked``, beta is a (G, p) stack of parameter points and u is (G, n)."""
-    F, eta = _positive_predictor(model, beta, points, stacked)
+    """F and intensities u = eta**-2 of the judged points X under the positivity rule of
+    ``_positive_predictor``; with ``stacked``, beta is a (G, p) stack and u is (G, n)."""
+    F, eta = _positive_predictor(model, beta, X, stacked)
     return F, eta**-2
 
 
-def _information(F: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M = sum_i w_i u_i f_i f_i' over the rows f_i of F, or the (G, p, p) stack
-    of these sums for (G, n) stacks of u or w. Not symmetrized: ``_factor``
-    reads only the lower triangle."""
-    return (F.T * (w * u)[..., None, :]) @ F
+def _outer(F: np.ndarray) -> np.ndarray:
+    """The table K of the outer products f_i f_i' of the rows of F, each flattened to one (p*p,) row."""
+    return (F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
+
+
+def _information(K: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M = sum_i v_i f_i f_i' = v K over the table K of ``_outer``, with v = w u (v = w on a table of
+    u_i f_i f_i'); a (G, n) stack of v gives the (G, p, p) stack. ``_factor`` reads only its lower triangle."""
+    p = math.isqrt(K.shape[1])
+    return (v @ K).reshape(v.shape[:-1] + (p, p))
 
 
 def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -425,26 +442,23 @@ def _singular(smallest: float) -> SingularInformation:
     return SingularInformation(f"information matrix is numerically singular (smallest pivot {smallest:.3e})")
 
 
-def _whitened(L: np.ndarray, F: np.ndarray, u: np.ndarray | float) -> np.ndarray:
-    """Z = L^-1 [sqrt(u_i) f_i], one column per row of F, for the Cholesky factor L
-    of M: the package's one application of L^-1. |z_i|^2 is the D-sensitivity of
-    row i, and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2."""
-    return (np.linalg.inv(L) @ F.T) * np.sqrt(u)
+def _whitened(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Z = L^-1 G by one solve, for the Cholesky factor L of M and G = [sqrt(u_i) f_i] = [f_i / eta_i],
+    formed once per point set. |z_i|^2 is the D-sensitivity of column i, and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2."""
+    return np.linalg.solve(L, G)
 
 
-def _d_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """D-sensitivities u(x) f(x)' M^-1 f(x) = |z(x)|^2 of the rows of F."""
-    return (_whitened(L, F, u) ** 2).sum(axis=0)
+def _d_sensitivities(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """D-sensitivities u(x) f(x)' M^-1 f(x) = |z(x)|^2 of the columns of G."""
+    return (_whitened(L, G) ** 2).sum(axis=0)
 
 
-def _a_sensitivities(L: np.ndarray, F: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """A-sensitivities u(x) |L^-T L^-1 f(x)|^2 = u(x) |M^-1 f(x)|^2 of the rows of F, and their
-    bound tr(M^-1) = |L^-1|_F^2, from one whitening [L^-1, L^-1 F'] of [I; F] at unit intensity."""
-    p = len(L)
-    Z = _whitened(L, np.vstack((np.eye(p), F)), 1.0)
-    Linv, G = Z[:, :p], Z[:, p:]
-    H = Linv.T @ G
-    return u * (H * H).sum(axis=0), float((Linv * Linv).sum())
+def _a_sensitivities(L: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float]:
+    """A-sensitivities u(x) |L^-T L^-1 f(x)|^2 = u(x) |M^-1 f(x)|^2 of the columns of G, and
+    their bound tr(M^-1) = |L^-1|_F^2, from the one inverse of L the bound needs."""
+    Linv = np.linalg.inv(L)
+    H = Linv.T @ (Linv @ G)
+    return (H * H).sum(axis=0), float((Linv * Linv).sum())
 
 
 def intensity(model: GammaModel, beta: Sequence[float], x: Sequence[float]) -> float:
@@ -455,7 +469,7 @@ def intensity(model: GammaModel, beta: Sequence[float], x: Sequence[float]) -> f
     NonpositivePredictor
         If f(x)' beta <= 0, where the gamma mean is undefined.
     """
-    return float(_intensity_arrays(model, beta, [x])[1][0])
+    return float(_intensity_arrays(model, beta, _judged([x]))[1][0])
 
 
 def information_matrix(model: GammaModel, beta: Sequence[float], design: Design) -> np.ndarray:
@@ -464,8 +478,8 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
-    F, u = _intensity_arrays(model, beta, design.points)
-    M = _information(F, u, np.asarray(design.weights))
+    F, u = _intensity_arrays(model, beta, design._pts)
+    M = _information(_outer(F), design._wts * u)
     return (M + M.T) / 2.0
 
 
@@ -475,6 +489,12 @@ def region_vertices(region: ExperimentalRegion) -> list[tuple[float, ...]]:
     if region.kind is not RegionKind.HYPERCUBE:
         raise ValidationError("only hypercube regions have vertices")
     return list(itertools.product((region.a, region.b), repeat=region.nu))
+
+
+def _vertex_array(region: ExperimentalRegion) -> np.ndarray:
+    """``region_vertices`` of a hypercube as one (2**nu, nu) array, from the bits of the vertex index."""
+    bits = (np.arange(2**region.nu)[:, None] >> np.arange(region.nu - 1, -1, -1)) & 1
+    return np.where(bits == 1, region.b, region.a)
 
 
 def validate_positivity(model: GammaModel, beta: Sequence[float], region: ExperimentalRegion) -> bool:
@@ -491,18 +511,18 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         raise ValidationError("region and model dimensions differ")
     if region.kind is RegionKind.ORTHANT:
         if model.kind is ModelKind.FIRST_ORDER:
-            return bool(np.all(vec > 0.0))
+            return bool((vec > 0.0).all())
         return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    return bool(_predictor(model, vec, region_vertices(region))[2].all())
+    return bool(_predictor(model, vec, _vertex_array(region))[2].all())
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:
     """Raise ValidationError unless every support point lies in the region."""
     if design.dimension != region.nu:
         raise ValidationError("design and region dimensions differ")
-    for pt in design.points:
-        if not region.contains(pt):
-            raise ValidationError(f"support point {pt} lies outside the region")
+    inside = region._inside(design._pts)
+    if not inside.all():
+        raise ValidationError(f"support point {design.points[int(np.argmin(inside))]} lies outside the region")
 
 
 def mix_designs(designs: Sequence[Design], coefficients: Sequence[float]) -> Design:

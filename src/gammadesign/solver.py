@@ -1,11 +1,12 @@
 """Certified D-optimal weights on a finite candidate set.
 
 The solver maximizes log det M(w) over weights w on the candidates, with
-psi_i the D-sensitivity of candidate i and p the parameter count. Each
-iterate takes one Cholesky factor L of M and one whitening
-Z = L^-1 [sqrt(u_i) f_i] of all candidates from the ``model_core`` kernel;
-psi_i = |z_i|^2, and every step below slices Z. From uniform weights, each
-iterate is one of three steps:
+psi_i the D-sensitivity of candidate i and p the parameter count. The
+candidates are judged once, and their columns G = [sqrt(u_i) f_i] and the
+table K of outer products u_i f_i f_i' are formed once per solve from the
+``model_core`` kernel. Each iterate takes M = w K, its Cholesky factor L
+and one solve Z = L^-1 G; psi_i = |z_i|^2, and every step below slices Z.
+From uniform weights, each iterate is one of three steps:
 
 - Deletion: support points below the Harman & Pronzato (2007) bound are in
   no optimal support; they lose their weight unless that lowers log det M.
@@ -41,13 +42,14 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
-    _canonical_points,
     _check_count,
     _factor,
     _floats,
     _has_coincident,
     _information,
-    _intensity_arrays,
+    _judged,
+    _outer,
+    _positive_predictor,
     _whitened,
 )
 
@@ -107,27 +109,29 @@ def multiplicative(
     ``trace.final_excess`` is its global sensitivity excess. Hitting the
     iteration cap first emits ``IterationCapExceeded``; ``trace.converged``
     records which case occurred."""
-    candidates = _canonical_points(candidates)
-    if len(candidates) == 0:
+    X = _judged(candidates)
+    if len(X) == 0:
         raise ValidationError("candidate set must be nonempty")
-    if _has_coincident(candidates):
+    if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
-    F, u = _intensity_arrays(model, beta, candidates)
+    F, eta = _positive_predictor(model, beta, X)
+    G = F.T / eta  # the columns sqrt(u_i) f_i, and the table K of their outer products u_i f_i f_i'
+    K = _outer(G.T)
     p = model.p
-    w = np.full(len(candidates), 1.0 / len(candidates))
+    w = np.full(len(X), 1.0 / len(X))
     try:
-        L, logdet = _factor(_information(F, u, w))
+        L, logdet = _factor(_information(K, w))
     except SingularInformation as exc:  # every candidate carries weight
         raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
     log_dets = [logdet]
     while True:
-        Z = _whitened(L, F, u)
+        Z = _whitened(L, G)
         psi = (Z * Z).sum(axis=0)
         excess = float(psi.max() - p)
         if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
             break
         w = _next_weights(Z, w, psi, p, excess)
-        L, logdet = _factor(_information(F, u, w))
+        L, logdet = _factor(_information(K, w))
         log_dets.append(logdet)
     converged = excess <= params.convergence_tol
     if not converged:
@@ -137,7 +141,7 @@ def multiplicative(
             stacklevel=2,
         )
     support = np.flatnonzero(w)
-    design = Design([candidates[k] for k in support], w[support])
+    design = Design(X[support], w[support])
     return design, SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, GammaModel, ValidationError, _canonical_points, _check_beta, _check_bounds, _in_box, _intensity_arrays
+from .model_core import Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _positive_predictor
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
@@ -44,41 +44,38 @@ UNIT_SQUARE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 _LIFTED = GammaModel.first_order(3)
 
 
-def _plane_point(x: Sequence[float]) -> tuple[float, ...]:
-    """``x`` as a canonical point with two coordinates."""
-    (pt,) = _canonical_points([x])
-    if len(pt) != 2:
+def _plane(X: np.ndarray) -> np.ndarray:
+    """The judged points X, which must have two coordinates."""
+    if X.shape[1] != 2:
         raise ValidationError("point must have two coordinates")
-    return pt
+    return X
 
 
-def _square_map_input(x: Sequence[float], a: float, b: float, inverse: bool) -> tuple[tuple[float, ...], float, float]:
-    """The input rule of both square maps: 0 < a < b, and ``x`` a point of
-    [a,b]^2, or of [0,1]^2 for the ``inverse`` map. Returns the point, 1/b
-    and the span 1/a - 1/b."""
+def _square_map(X: np.ndarray, a: float, b: float, inverse: bool = False) -> np.ndarray:
+    """The square map of the judged points X of [a,b]^2 onto [0,1]^2, or its ``inverse``, in one expression,
+    after the input rule of both maps: 0 < a < b, and every point in [a,b]^2 ([0,1]^2 for the inverse)."""
     a, b = _check_bounds(a, b)
     lo, hi = (0, 1) if inverse else (a, b)
-    pt = _plane_point(x)
-    if not _in_box(pt, lo, hi):
-        raise ValidationError(f"point {pt} lies outside [{lo}, {hi}]^2")
-    return pt, 1.0 / b, 1.0 / a - 1.0 / b
+    inside = _in_box(_plane(X), lo, hi)
+    if not inside.all():
+        raise ValidationError(f"point {tuple(X[np.argmin(inside)].tolist())} lies outside [{lo}, {hi}]^2")
+    ib, span = 1.0 / b, 1.0 / a - 1.0 / b
+    return 1.0 / (X * span + ib) if inverse else (1.0 / X - ib) / span
 
 
 def map_point_interaction(x: Sequence[float], a: float, b: float) -> tuple[float, float]:
     """Map a point of [a,b]^2 to [0,1]^2, coordinate by coordinate."""
-    (x1, x2), ib, span = _square_map_input(x, a, b, inverse=False)
-    return ((1.0 / x1 - ib) / span, (1.0 / x2 - ib) / span)
+    return tuple(_square_map(_judged([x]), a, b)[0].tolist())
 
 
 def unmap_point_interaction(z: Sequence[float], a: float, b: float) -> tuple[float, float]:
     """Inverse of ``map_point_interaction``."""
-    (z1, z2), ib, span = _square_map_input(z, a, b, inverse=True)
-    return (1.0 / (z1 * span + ib), 1.0 / (z2 * span + ib))
+    return tuple(_square_map(_judged([z]), a, b, inverse=True)[0].tolist())
 
 
 def map_design_interaction(design: Design, a: float, b: float) -> Design:
     """Image of a design on [a,b]^2 under the square map, weights kept."""
-    return Design([map_point_interaction(pt, a, b) for pt in design.points], design.weights)
+    return Design(_square_map(design._pts, a, b), design.weights)
 
 
 @dataclass(frozen=True)
@@ -98,19 +95,19 @@ class InterceptTransform:
     beta2: float
 
     def predictor(self, z: Sequence[float]) -> float:
-        z1, z2 = _plane_point(z)
+        z1, z2 = _plane(_judged([z]))[0].tolist()
         return self.beta0 + self.beta1 * z1 + self.beta2 * z2
 
-    def _intensities(self, points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
-        """F and u of the lifted points (1, z1, z2)."""
-        return _intensity_arrays(_LIFTED, (self.beta0, self.beta1, self.beta2), [(1.0, *z) for z in points])
+    def _predictors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and the positive predictor eta of the judged points Z, lifted to (1, z1, z2) by one column stack."""
+        return _positive_predictor(_LIFTED, (self.beta0, self.beta1, self.beta2), np.column_stack((np.ones(len(Z)), Z)))
 
     def intensity(self, z: Sequence[float]) -> float:
-        return float(self._intensities([z])[1][0])
+        return float((self._predictors(_judged([z]))[1] ** -2)[0])
 
     def vertex_intensities(self) -> tuple[float, float, float, float]:
         """Intensities c_1..c_4 at (0,0), (1,0), (0,1), (1,1)."""
-        return tuple(self._intensities(UNIT_SQUARE_VERTICES)[1].tolist())
+        return tuple((self._predictors(np.array(UNIT_SQUARE_VERTICES))[1] ** -2).tolist())
 
 
 def interaction_to_intercept(a: float, b: float, beta: Sequence[float]) -> InterceptTransform:
@@ -134,7 +131,7 @@ def verify_intercept_design(
     this model class.
     """
     points = UNIT_SQUARE_VERTICES if candidates is None else candidates
-    return _verification_report(transform._intensities, design, points, criterion, tol)
+    return _verification_report(transform._predictors, design, points, criterion, tol)
 
 
 def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:
@@ -151,7 +148,7 @@ def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:
 
 def first_order_ratio_map(x: Sequence[float]) -> tuple[float, ...]:
     """Ratio coordinates t_j = x_{j+1}/x_1, scale-free in x."""
-    (pt,) = _canonical_points([x])
+    (pt,) = _judged([x]).tolist()
     if len(pt) < 2:
         raise ValidationError("point must have at least two coordinates")
     if pt[0] <= 0.0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -11,8 +13,11 @@ from gammadesign import (
     Design,
     ExperimentalRegion,
     GammaModel,
+    InteractionFamily,
     InteractionLabel,
     NonpositivePredictor,
+    SingularInformation,
+    ThreeFactorFamily,
     ThreeFactorLabel,
     ThreeFactorScenario,
     ValidationError,
@@ -22,6 +27,7 @@ from gammadesign import (
     d_optimal_interaction,
     d_optimal_orthant,
     d_optimal_two_factor,
+    efficiency_sweep,
     equal_beta_threshold,
     intensity_ranking,
     interaction_equal_beta,
@@ -31,6 +37,7 @@ from gammadesign import (
     orthant_axis_points,
     region_vertices,
     simplex_design,
+    three_factor_benchmark_designs,
     three_factor_vertices,
     verify_optimality,
     xi3_weights,
@@ -710,3 +717,54 @@ def test_ranking_rejects_bad_inputs():
         intensity_ranking(cube_model(), (-1.0, 1.0, 1.0), CUBE3)
     with pytest.raises(ValidationError):
         intensity_ranking(cube_model(), (1.0, 1.0, 1.0), ExperimentalRegion.orthant(3))
+
+
+# ---------------------------------------------------------------- huge ratios
+
+
+def _xi3_unscaled(g):
+    return (
+        (5 + 23 * g) / (16 * (1 + 4 * g)),
+        9 * (1 + 3 * g) ** 2 / (32 * (1 + g) * (1 + 4 * g)),
+        (1 - g - 20 * g**2) / (8 * (1 + g) * (1 + 4 * g)),
+    )
+
+
+def _four_point_unscaled(a, b, g):
+    s = a * b + (a + b) * g
+    return (
+        (a * b - (a - 3 * b) * g) / (4 * b * (a + 2 * g)),
+        s**2 / (4 * a * b * (b + 2 * g) * (a + 2 * g)),
+        (a * b - (b - 3 * a) * g) / (4 * a * (b + 2 * g)),
+    )
+
+
+@given(st.one_of(st.floats(-1e6, -1.0001), st.floats(-0.99, 1e6)), st.floats(0.2, 3.0), st.floats(1.05, 8.0))
+def test_scaled_weights_agree_with_the_unscaled_formulas(gamma, a, ratio):
+    from gammadesign.analytic_designs import _four_point_interaction, _xi3_weights
+
+    w1, w2, _, w4 = _xi3_weights(gamma)
+    np.testing.assert_allclose((w1, w2, w4), _xi3_unscaled(gamma), rtol=1e-12)
+    if gamma > -a / 2.0:
+        w1, w2, _, w4 = _four_point_interaction(a, a * ratio, gamma)
+        np.testing.assert_allclose((w1, w2, w4), _four_point_unscaled(a, a * ratio, gamma), rtol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1e200, 1e300])
+def test_equal_beta_weights_stay_finite_at_huge_ratios(gamma):
+    """The four-point weights overflowed to nan at gamma = 1e200, and the admissible
+    ratio's design then refused them as not strictly positive."""
+    result = interaction_equal_beta(1.0, 2.0, gamma)
+    assert result.label is InteractionLabel.CASE_V_FOUR_POINT
+    assert all(0.0 < w < 1.0 for w in result.weights)
+    assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
+    assert result.design.weights == result.weights
+    assert InteractionFamily(1.0, 2.0).reference(gamma) == result.design
+
+
+def test_three_factor_sweep_at_a_huge_ratio_warns_of_no_overflow():
+    """Its weights no longer overflow; the intensities underflow, so M is singular."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularInformation):
+            efficiency_sweep(ThreeFactorFamily(), three_factor_benchmark_designs(), (0.5, 1e200))

@@ -307,6 +307,23 @@ def test_malformed_design_points(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("field", ["points", "weights"])
+def test_design_with_an_int_too_large_for_a_float_exits_two(capsys, tmp_path, field):
+    """A 401-digit JSON integer printed a traceback (OverflowError) instead of a JSON error."""
+    huge = "1" + "0" * 400
+    design = {"points": "[[1, 2], [2, 1]]", "weights": "[0.5, 0.5]"}
+    design[field] = {"points": f"[[1, {huge}], [2, 1]]", "weights": f"[{huge}, 0.5]"}[field]
+    design_file = tmp_path / "design.json"
+    design_file.write_text('{"points": %(points)s, "weights": %(weights)s}' % design)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--nu", "2", "--region", "hypercube", "--a", "1", "--b", "2",
+        "--beta", "1,1", "--design", str(design_file),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_verify_missing_design_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

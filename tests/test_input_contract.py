@@ -3,7 +3,12 @@ inadmissible parameter point, is reported as a ValidationError."""
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gammadesign import (
     Design,
@@ -24,6 +29,7 @@ from gammadesign import (
     d_optimal_two_factor,
     efficiency_sweep,
     equal_beta_threshold,
+    feature_matrix,
     first_order_ratio_map,
     gamma_grid,
     induced_polytope_vertices,
@@ -92,6 +98,15 @@ REPRODUCERS = {
     "simplex_design_nu": lambda: simplex_design(3.0, 1, 2),
     "orthant_axis_points": lambda: orthant_axis_points("3"),
     "equal_beta_threshold": lambda: equal_beta_threshold("3"),
+    # An int too large for a float raised a bare OverflowError.
+    "Design_huge_int": lambda: Design([(1.0, 10**400)], [1.0]),
+    "hypercube_huge_int": lambda: ExperimentalRegion.hypercube(1, 10**400, 2),
+    "verify_optimality_huge_int": lambda: verify_optimality(M2, (1, 10**400), D2, "D", [(1.0, 2.0)]),
+    "validate_positivity_huge_int": lambda: validate_positivity(M2, (1, 10**400), SQUARE),
+    "multiplicative_huge_int": lambda: multiplicative(M2, (1, 1), [(1.0, 2.0), (2.0, 10**400)]),
+    "gamma_grid_huge_int": lambda: gamma_grid(0, 10**400, 1),
+    "ThreeFactorScenario_huge_int": lambda: ThreeFactorScenario(1, 10**400),
+    "SolverParams_huge_int": lambda: SolverParams(convergence_tol=10**400),
 }
 
 # Further entry points that convert caller numbers through the same rules.
@@ -170,3 +185,62 @@ def test_converted_bounds_are_stored_as_floats():
     assert type(family.a) is float and family.name == "interaction_square_1_4"
     assert ThreeFactorScenario(1, 0).beta_vector() == (1.0, 0.0, 0.0)
 
+
+
+# ---------------------------------------------------------------- point batches
+
+# One malformed batch of two-coordinate points per rule of the point judge.
+# A set has no order, so it is refused as a point.
+MALFORMED_BATCHES = {
+    "ragged": [[1.0, 2.0], [1.0]],
+    "empty_rows": [[], []],
+    "str_point": ["12", "21"],
+    "set_point": [{1.0, 2.0}, (2.0, 1.0)],
+    "nan": [[1.0, float("nan")], [2.0, 1.0]],
+    "huge_int": [[1.0, 10**400], [2.0, 1.0]],
+}
+BATCH_CALLS = {
+    "Design": lambda batch: Design(batch, [0.5, 0.5]),
+    "feature_matrix": lambda batch: feature_matrix(M2, batch),
+    "verify_candidates": lambda batch: verify_optimality(M2, (1, 1), D2, "D", batch),
+    "solver_candidates": lambda batch: multiplicative(M2, (1, 1), batch),
+}
+
+
+@pytest.mark.parametrize("batch", MALFORMED_BATCHES.values(), ids=MALFORMED_BATCHES.keys())
+@pytest.mark.parametrize("call", BATCH_CALLS.values(), ids=BATCH_CALLS.keys())
+def test_every_point_entry_refuses_malformed_batches(call, batch):
+    with pytest.raises(ValidationError):
+        call(batch)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("name", [n for n in MALFORMED_BATCHES if n != "set_point"])  # JSON has no sets
+def test_cli_candidate_files_refuse_malformed_batches(capsys, tmp_path, command, name):
+    from gammadesign.cli import run
+
+    design_file, cand_file = tmp_path / "design.json", tmp_path / "cands.json"
+    design_file.write_text(json.dumps({"points": [[1, 2], [2, 1]], "weights": [0.5, 0.5]}))
+    cand_file.write_text(json.dumps(MALFORMED_BATCHES[name]))
+    argv = [command, "--nu", "2", "--beta", "1,1", "--candidates", str(cand_file)]
+    code = run(argv + ["--design", str(design_file)] if command == "verify" else argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
+
+COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**300), 10**300),
+    st.fractions(max_denominator=10**20),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(COORDINATES, min_size=d, max_size=d), min_size=1, max_size=5)))
+def test_judged_points_are_the_floats_of_their_coordinates(points):
+    """The judged tuples hold float() of each coordinate, however it was written."""
+    from gammadesign.model_core import _canonical_points, _judged
+
+    assert _canonical_points(_judged(points)) == tuple(tuple(map(float, pt)) for pt in points)

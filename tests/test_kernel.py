@@ -14,6 +14,7 @@ from hypothesis import assume, given, strategies as st
 
 from gammadesign import (
     Design,
+    ExperimentalRegion,
     GammaModel,
     NonpositivePredictor,
     SingularInformation,
@@ -21,8 +22,18 @@ from gammadesign import (
     feature_matrix,
     features,
     information_matrix,
+    region_vertices,
 )
-from gammadesign.model_core import _a_sensitivities, _d_sensitivities, _factor, _intensity_arrays, _whitened
+from gammadesign.model_core import (
+    _a_sensitivities,
+    _d_sensitivities,
+    _factor,
+    _information,
+    _intensity_arrays,
+    _outer,
+    _vertex_array,
+    _whitened,
+)
 
 from oracles import raw_features, raw_information, raw_intensities
 
@@ -89,13 +100,14 @@ def test_sensitivities_match_inverse_formula(case):
     u = raw_intensities(kind, beta, candidates)
     inv = np.linalg.inv(raw_information(kind, beta, design.points, design.weights))
     psi = u * np.einsum("ij,jk,ik->i", F, inv, F)
-    np.testing.assert_allclose(_d_sensitivities(L, F, u), psi, rtol=1e-10)
+    G = F.T * np.sqrt(u)
+    np.testing.assert_allclose(_d_sensitivities(L, G), psi, rtol=1e-10)
     # The whitened rows: |z_i|^2 = psi_i and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2,
     # the latter to round-off of its Cauchy-Schwarz bound psi_i psi_j.
-    Z = _whitened(L, F, u)
+    Z = _whitened(L, G)
     np.testing.assert_allclose((Z * Z).sum(axis=0), psi, rtol=1e-10)
     assert np.all(np.abs((Z.T @ Z) ** 2 - np.outer(u, u) * (F @ inv @ F.T) ** 2) <= 1e-10 * np.outer(psi, psi))
-    values, bound = _a_sensitivities(L, F, u)
+    values, bound = _a_sensitivities(L, G)
     np.testing.assert_allclose(values, u * np.einsum("ij,jk,ik->i", F, inv @ inv, F), rtol=1e-10)
     assert bound == pytest.approx(np.trace(inv), rel=1e-10)
 
@@ -217,7 +229,7 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
     """Positive betas on [0.5, 2]^nu, except one member whose entries may
     be negative: the stack raises exactly when that member does."""
     rng = np.random.default_rng(seed)
-    points = [tuple(pt) for pt in rng.uniform(0.5, 2.0, (int(rng.integers(1, 10)), model.nu))]
+    points = rng.uniform(0.5, 2.0, (int(rng.integers(1, 10)), model.nu))
     betas = rng.uniform(0.1, 2.0, (size, model.p))
     betas[rng.integers(size)] = rng.uniform(-1.5, 2.0, model.p)
     try:
@@ -234,4 +246,45 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
 @pytest.mark.parametrize("betas", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, np.nan]]])
 def test_stacked_intensities_reject_malformed_betas(betas):
     with pytest.raises(ValidationError):
-        _intensity_arrays(GammaModel.first_order(2), betas, [(1.0, 1.0)], stacked=True)
+        _intensity_arrays(GammaModel.first_order(2), betas, np.array([(1.0, 1.0)]), stacked=True)
+
+
+# ---------------------------------------------------------------- K table and judged arrays
+
+
+@given(admissible_designs(), st.integers(1, 6))
+def test_outer_product_table_gives_single_and_stacked_information(case, size):
+    """M = (w u) K over the table K of the outer products: for one weight vector,
+    and for a (G, n) stack of w u from G parameter points at once."""
+    model, beta, design, _ = case
+    kind = model.kind.value
+    rng = np.random.default_rng(size)
+    betas = np.vstack([beta, rng.uniform(0.1, 2.0, (size - 1, model.p))])
+    F, u = _intensity_arrays(model, betas, design._pts, stacked=True)
+    K = _outer(F)
+    np.testing.assert_allclose(
+        _information(K, design._wts * u[0]), raw_information(kind, beta, design.points, design.weights), rtol=1e-12
+    )
+    stack = _information(K, design._wts * u)
+    assert stack.shape == (size, model.p, model.p)
+    for M, b in zip(stack, betas):
+        np.testing.assert_allclose(M, raw_information(kind, b, design.points, design.weights), rtol=1e-12)
+
+
+@given(admissible_designs())
+def test_design_keeps_read_only_arrays_equal_to_its_tuples(case):
+    _, _, design, _ = case
+    for array, values in ((design._pts, design.points), (design._wts, design.weights)):
+        assert not array.flags.writeable
+        assert array.tolist() == [list(v) if isinstance(v, tuple) else v for v in values]
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # The arrays are not fields: equality, hashing and repr stay on the tuples.
+    twin = Design(list(design.points), list(design.weights))
+    assert twin == design and hash(twin) == hash(design) and "_pts" not in repr(design)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 6])
+def test_vertex_array_is_region_vertices(nu):
+    cube = ExperimentalRegion.hypercube(0.5, 3.0, nu)
+    assert _vertex_array(cube).tolist() == [list(v) for v in region_vertices(cube)]

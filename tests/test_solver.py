@@ -164,9 +164,9 @@ def test_band_certifies_within_factorization_budget(monkeypatch):
         factorizations.append(M)
         return factor(M)
 
-    def counting_whitened(L, F, u):
+    def counting_whitened(L, G):
         whitenings.append(L)
-        return whitened(L, F, u)
+        return whitened(L, G)
 
     monkeypatch.setattr(gammadesign.solver, "_factor", counting)
     monkeypatch.setattr(gammadesign.solver, "_whitened", counting_whitened)
