@@ -356,8 +356,10 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     model = GammaModel.interaction()
     vec = _check_beta(model, beta)
     _, eta = _positive_predictor(model, vec, np.array(v))  # raises unless positive at every vertex
-    tol = _DROP_CONDITION_RTOL * float(vec @ vec)
-    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
+    e = math.frexp(max(1.0, float(np.abs(vec).max())))[1] - 1  # scaled as by ``_tamed``: every bit kept, no square overflows
+    scaled = np.ldexp(vec, -e)
+    tol = _DROP_CONDITION_RTOL * float(scaled @ scaled)
+    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(np.ldexp(eta, -e).tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
     beta1, beta2, beta3 = vec.tolist()
@@ -394,7 +396,8 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     """
     a, b = _check_bounds(a, b)
     (gamma,) = _floats((gamma,), "gamma")
-    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (gamma, gamma, 1.0), np.array(_square(a, b)))[2].all():
+    g, one = _tamed(gamma, 1.0)  # the pair (gamma, 1) judged in scaled form keeps its sign and overflows nowhere
+    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (g, g, one), np.array(_square(a, b)))[2].all():
         raise ValidationError("gamma must exceed -a/2")
     table, index = _interaction_cases(a, b, gamma)
     return Classification(*table[index], gamma)

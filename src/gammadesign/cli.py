@@ -54,7 +54,7 @@ from .analytic_designs import (
     simplex_design,
     three_factor_vertices,
 )
-from .solver import SolverParams, multiplicative
+from .solver import SolverParams, _solve_path, multiplicative
 from .efficiency import (
     InteractionFamily,
     ThreeFactorFamily,
@@ -294,9 +294,9 @@ def _cmd_reproduce(args) -> int:
     if args.target == "table2":
         vertices = three_factor_vertices(1.0, 2.0)
         lines = ["gamma," + ",".join(f"v{k}" for k in range(1, 9))]
-        for gamma in (-2.9, -2.5, -2.0, -1.5, -1.23):
-            beta = (-1.0, -gamma, -gamma)
-            design, _ = multiplicative(GammaModel.first_order(3), beta, vertices)
+        gammas = (-2.9, -2.5, -2.0, -1.5, -1.23)
+        solved = _solve_path(GammaModel.first_order(3), [(-1.0, -gamma, -gamma) for gamma in gammas], vertices, SolverParams())
+        for gamma, (design, _) in zip(gammas, solved):
             by_point = dict(zip(design.points, design.weights))
             row = [gamma] + [by_point.get(v, 0.0) for v in vertices]
             lines.append(",".join(_CSV_FLOAT_FORMAT % value for value in row))

@@ -42,11 +42,12 @@ from .analytic_designs import (
     ThreeFactorLabel,
     ThreeFactorScenario,
     _interaction_cases,
+    _tamed,
     _three_factor_cases,
     interaction_vertices,
     three_factor_vertices,
 )
-from .solver import SolverParams, multiplicative
+from .solver import SolverParams, _solve_path
 
 __all__ = [
     "d_efficiency",
@@ -81,8 +82,8 @@ def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optim
 
 class _Family:
     """Admissibility, parameter path and optima, shared by the sweep families. Each
-    family states its path in ``_beta`` and its case function in ``_cases``; both
-    take a float or an array of ratios."""
+    family states its path in ``_beta``, at (gamma, 1) or a scaled pair (gamma, one),
+    and its case function in ``_cases``; both take a float or an array of ratios."""
 
     def admissible(self, gamma: float) -> bool:
         return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
@@ -101,15 +102,14 @@ class _Family:
     def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray, Sequence[int]]]:
         """Optima at the admissible ratios ``gammas`` as (support, weights, rows)
         groups: each closed-form case once, with a weight row per ratio of it, and
-        a numerical solve per ratio of a case without a closed form."""
+        a numerical solve per ratio of the case without a closed form."""
         table, index = self._cases(gammas)
         groups = []
         for case, (_, points, weights) in enumerate(table):
             rows = np.flatnonzero(index == case)
-            if points is None:
-                for row in rows.tolist():
-                    design, _ = multiplicative(self.model, self._beta(gammas[row]), self.vertices, _REFERENCE_PARAMS)
-                    groups.append((design.points, design.weights, [row]))
+            if points is None and len(rows):  # one solver path through the case's ratios, in grid order
+                path = _solve_path(self.model, [self._beta(gammas[row]) for row in rows], self.vertices, _REFERENCE_PARAMS)
+                groups.extend((design.points, design.weights, [row]) for row, (design, _) in zip(rows.tolist(), path))
             elif len(rows):
                 groups.append((points, np.broadcast_to(_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
@@ -141,9 +141,9 @@ class ThreeFactorFamily(_Family):
     def scenario(self, gamma: float) -> ThreeFactorScenario:
         return ThreeFactorScenario(*self.beta(gamma)[:2])
 
-    def _beta(self, gamma):
+    def _beta(self, gamma, one=1.0):
         sign = float(self.beta1_sign)
-        return (sign, sign * gamma, sign * gamma)
+        return (sign * one, sign * gamma, sign * gamma)
 
     def _cases(self, gammas: np.ndarray):
         return _three_factor_cases(float(self.beta1_sign), gammas)
@@ -173,8 +173,8 @@ class InteractionFamily(_Family):
     def vertices(self) -> tuple[tuple[float, float], ...]:
         return interaction_vertices(self.a, self.b)
 
-    def _beta(self, gamma):
-        return (gamma, gamma, 1.0)
+    def _beta(self, gamma, one=1.0):
+        return (gamma, gamma, one)
 
     def _cases(self, gammas: np.ndarray):
         return _interaction_cases(self.a, self.b, gammas)
@@ -189,11 +189,13 @@ def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, n
     """Which of the float ratios ``gammas`` are admissible, and the (K, p)
     stack of betas of the K that are: a ratio is admissible when it is
     finite and the kernel's positivity rule holds at every vertex of the
-    family's region, decided for the whole grid in one call."""
+    family's region, decided for the whole grid in one call on the pairs
+    (gamma, 1) scaled by ``_tamed``, which keeps the sign and cannot overflow."""
     grid = np.array(gammas)
     ok = np.isfinite(grid)
+    one, g = _tamed(1.0, grid[ok])
+    positive = _predictor(family.model, _columns(family._beta(g, one)), np.array(family.vertices), stacked=True)[2].all(axis=1)
     betas = _columns(family._beta(grid[ok]))
-    positive = _predictor(family.model, betas, np.array(family.vertices), stacked=True)[2].all(axis=1)
     ok[ok] = positive
     return ok, betas[positive]
 

@@ -415,12 +415,12 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         raise SingularInformation("information matrix is numerically singular (not positive definite)") from exc
     if M.ndim == 2:  # Python floats: with a handful of parameters they cost less than numpy reductions
         return L, _pivot_logdet(L.diagonal().tolist(), M.diagonal().tolist())
-    pivots = L.diagonal(0, -2, -1)
-    smallest = pivots.min(axis=1)  # nan for a nan pivot
-    failing = np.flatnonzero(~_above_floor(smallest, M.diagonal(0, -2, -1).max(axis=1)))
+    pivots = L.diagonal(0, -2, -1).T.copy()  # (p, G): reduced over contiguous rows, in row order
+    smallest = pivots.min(axis=0)  # nan for a nan pivot
+    failing = np.flatnonzero(~_above_floor(smallest, M.diagonal(0, -2, -1).T.copy().max(axis=0)))
     if failing.size:
         raise _singular(smallest[failing[0]])
-    return L, 2.0 * np.log(pivots).sum(axis=1)
+    return L, 2.0 * np.log(pivots).sum(axis=0)
 
 
 def _pivot_logdet(pivots: list[float], scales: list[float]) -> float:

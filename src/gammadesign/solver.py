@@ -6,7 +6,7 @@ candidates are judged once, and their columns G = [sqrt(u_i) f_i] and the
 table K of outer products u_i f_i f_i' are formed once per solve from the
 ``model_core`` kernel. Each iterate takes M = w K, its Cholesky factor L
 and one solve Z = L^-1 G; psi_i = |z_i|^2, and every step below slices Z.
-From uniform weights, each iterate is one of three steps:
+From its start, each iterate is one of three steps:
 
 - Deletion: support points below the Harman & Pronzato (2007) bound are in
   no optimal support; they lose their weight unless that lowers log det M.
@@ -24,6 +24,11 @@ of Z: no factorization, and round-off that scales with the change. The
 loop stops once the global excess max psi - p is at most the tolerance,
 and returns that certified iterate, its candidates of positive weight.
 The trace holds one ``log_dets`` entry per accepted iterate.
+
+A path of parameter points (``_solve_path``) judges the candidates once and
+starts each later point from the previous certified weights, exact zeros
+kept, so its ``log_dets[0]`` is taken there; a start whose M fails the pivot
+floor is replaced by uniform weights.
 """
 
 from __future__ import annotations
@@ -109,64 +114,84 @@ def multiplicative(
     ``trace.final_excess`` is its global sensitivity excess. Hitting the
     iteration cap first emits ``IterationCapExceeded``; ``trace.converged``
     records which case occurred."""
+    return _solve_path(model, (beta,), candidates, params)[0]
+
+
+def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params: SolverParams) -> list[tuple[Design, SolverTrace]]:
+    """``multiplicative`` at each parameter point of the path ``betas``, each point
+    started as the module docstring says."""
     X = _judged(candidates)
     if len(X) == 0:
         raise ValidationError("candidate set must be nonempty")
     if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
-    F, eta = _positive_predictor(model, beta, X)
-    G = F.T / eta  # the columns sqrt(u_i) f_i, and the table K of their outer products u_i f_i f_i'
-    K = _outer(G.T)
     p = model.p
-    w = np.full(len(X), 1.0 / len(X))
-    try:
-        L, logdet = _factor(_information(K, w))
-    except SingularInformation as exc:  # every candidate carries weight
-        raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
-    log_dets = [logdet]
-    while True:
-        Z = _whitened(L, G)
-        psi = (Z * Z).sum(axis=0)
-        excess = float(psi.max() - p)
-        if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
-            break
-        w = _next_weights(Z, w, psi, p, excess)
-        L, logdet = _factor(_information(K, w))
-        log_dets.append(logdet)
-    converged = excess <= params.convergence_tol
-    if not converged:
-        warnings.warn(
-            f"solver stopped after {params.max_iterations} iterations with sensitivity excess {excess:.3e}",
-            IterationCapExceeded,
-            stacklevel=2,
-        )
-    support = np.flatnonzero(w)
-    design = Design(X[support], w[support])
-    return design, SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)
+    w = uniform = np.full(len(X), 1.0 / len(X))
+    results = []
+    for beta in betas:
+        F, eta = _positive_predictor(model, beta, X)
+        G = F.T / eta  # the columns sqrt(u_i) f_i, and the table K of their outer products u_i f_i f_i'
+        K = _outer(G.T)
+        for w in (w,) if w is uniform else (w, uniform):  # the previous certified weights, else uniform ones
+            try:
+                L, logdet = _factor(_information(K, w))
+                break
+            except SingularInformation as exc:
+                if w is uniform:  # every candidate carries weight
+                    raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
+        log_dets = [logdet]
+        while True:
+            Z = _whitened(L, G)
+            psi = (Z * Z).sum(axis=0)
+            top = psi.max()
+            excess = float(top - p)
+            if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
+                break
+            w = _next_weights(Z, w, psi, p, top)
+            L, logdet = _factor(_information(K, w))
+            log_dets.append(logdet)
+        converged = excess <= params.convergence_tol
+        if not converged:
+            warnings.warn(
+                f"solver stopped after {params.max_iterations} iterations with sensitivity excess {excess:.3e}",
+                IterationCapExceeded,
+                stacklevel=3,
+            )
+        support = np.flatnonzero(w)
+        results.append((Design(X[support], w[support]), SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)))
+    return results
 
 
-def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, excess: float) -> np.ndarray:
+def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, top: float) -> np.ndarray:
     """The next iterate from the whitened candidates Z: a deletion, a damped Newton step, or else a multiplicative step."""
+    excess = float(top - p)
     bound = p * (1.0 + excess / 2.0 - math.sqrt(excess * (4.0 + excess - 4.0 / p)) / 2.0)
     drop = np.flatnonzero((psi < bound) & (w > 0.0))
     if drop.size and _gain(Z[:, drop], -w[drop]) >= 0.0:
         kept = np.where(psi < bound, 0.0, w)
         return kept / kept.sum()
-    work = np.flatnonzero((w > 0.0) | (psi == psi.max()))
-    if work.size <= _NEWTON_MAX_POINTS:
+    work = np.flatnonzero((w > 0.0) | (psi == top))
+    n = work.size
+    if n <= _NEWTON_MAX_POINTS:
         w_work, Z_work = w[work], Z[:, work]
-        H = (Z_work.T @ Z_work) ** 2
-        H.flat[:: work.size + 1] += _RIDGE
+        H = Z_work.T @ Z_work
+        H *= H
+        H.reshape(-1)[:: n + 1] += _RIDGE
         # The KKT system by elimination: d = a - lambda b, with H a = psi, H b = 1 and 1'd = 0.
-        a, b = np.linalg.solve(H, np.column_stack((psi[work], np.ones(work.size)))).T
+        rhs = np.ones((n, 2))
+        rhs[:, 0] = psi[work]
+        a, b = np.linalg.solve(H, rhs).T
         d = a - (a.sum() / b.sum()) * b
-        zero_at = np.full(work.size, np.inf)  # step length at which each weight reaches zero
-        shrinking = d < 0.0
-        zero_at[shrinking] = w_work[shrinking] / -d[shrinking]
-        t_ratio = zero_at[w_work > 0.0].min(initial=np.inf)
+        # Step length at which each weight reaches zero, and the first of them among positive weights.
+        zero_at = np.divide(w_work, -d, out=np.full(n, np.inf), where=d < 0.0)
+        t_ratio = zero_at.min(where=w_work > 0.0, initial=np.inf)
+        stepped = np.empty(n)
         t = 1.0
         for _ in range(30):  # cuts before the line search counts as stalled
-            stepped = np.where(zero_at <= t, 0.0, np.maximum(w_work + t * d, 0.0))
+            np.multiply(d, t, out=stepped)
+            stepped += w_work
+            np.maximum(stepped, 0.0, out=stepped)
+            stepped[zero_at <= t] = 0.0
             if _gain(Z_work, stepped - w_work) >= 0.0:
                 w = w.copy()
                 w[work] = stepped

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -750,16 +751,32 @@ def test_scaled_weights_agree_with_the_unscaled_formulas(gamma, a, ratio):
         np.testing.assert_allclose((w1, w2, w4), _four_point_unscaled(a, a * ratio, gamma), rtol=1e-12)
 
 
-@pytest.mark.parametrize("gamma", [1e200, 1e300])
+@pytest.mark.parametrize("gamma", [1e200, 1e300, 1.7e308, sys.float_info.max])
 def test_equal_beta_weights_stay_finite_at_huge_ratios(gamma):
     """The four-point weights overflowed to nan at gamma = 1e200, and the admissible
-    ratio's design then refused them as not strictly positive."""
+    ratio's design then refused them as not strictly positive. Near the largest
+    float, admissibility overflowed the predictor."""
+    assert InteractionFamily(1.0, 2.0).admissible(gamma) and not InteractionFamily(1.0, 2.0).admissible(-gamma)
+    assert ThreeFactorFamily().admissible(gamma) and ThreeFactorFamily(-1).admissible(-gamma)
     result = interaction_equal_beta(1.0, 2.0, gamma)
     assert result.label is InteractionLabel.CASE_V_FOUR_POINT
     assert all(0.0 < w < 1.0 for w in result.weights)
     assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
     assert result.design.weights == result.weights
     assert InteractionFamily(1.0, 2.0).reference(gamma) == result.design
+
+
+@pytest.mark.parametrize(
+    "a, b, beta",
+    [(1.0, 2.0, (1.0, 1.0, 1e-160)), (1.0, 4.0, (5.0, 5.0, 1.0)), (1.0, 4.0, (2.0, -0.5, 0.3)),
+     (1.0, 4.0, (-0.5, 2.0, 0.3)), (1.0, 4.0, (-0.4, -0.4, 1.0)), (1.0, 2.0, (1.0, 2.0, 0.5))],
+)
+def test_interaction_drop_rule_is_scale_invariant_up_to_huge_betas(a, b, beta):
+    """At (1e160, 1e160, 1) the drop rule's squares overflowed: a warning, then OverflowError."""
+    base = d_optimal_interaction(a, b, beta)
+    for scale in (1e160, 2.0**900):
+        scaled = d_optimal_interaction(a, b, tuple(scale * c for c in beta))
+        assert scaled.label is base.label and scaled.weights == base.weights
 
 
 def test_three_factor_sweep_at_a_huge_ratio_warns_of_no_overflow():

@@ -373,7 +373,7 @@ def _grid_optima(family, gammas):
     the family would solve numerically gets the support ("solved",)."""
     rows = {}
     solved = (SimpleNamespace(points=("solved",), weights=(1.0,)), None)
-    with mock.patch.object(efficiency, "multiplicative", lambda *args: solved):
+    with mock.patch.object(efficiency, "_solve_path", lambda model, betas, *args: [solved] * len(betas)):
         for points, weights, group in family._optima(np.array(gammas, dtype=float)):
             for row, w in zip(group, np.broadcast_to(weights, (len(group), len(points)))):
                 rows[row] = (points, tuple(w.tolist()))

@@ -182,6 +182,90 @@ def test_band_certifies_within_factorization_budget(monkeypatch):
         assert verify_optimality(m3, beta, design, Criterion.D, region_vertices(CUBE3), tol=1e-9).passed, gamma
 
 
+# ---------------------------------------------------------------- parameter paths
+
+TABLE2_BETAS = [(-1.0, -gamma, -gamma) for gamma in (-2.9, -2.5, -2.0, -1.5, -1.23)]
+BAND_BETAS = [(-1.0, -gamma, -gamma) for gamma in gamma_grid(-2.99, -1.21, 0.01)]
+
+
+@pytest.mark.parametrize("betas, params", [(TABLE2_BETAS, SolverParams()), (BAND_BETAS, SolverParams(convergence_tol=1e-10))], ids=["table2", "band"])
+def test_path_points_match_their_cold_solves(betas, params):
+    """Each warm-started point verifies, has the support and log det of its cold
+    solve, and takes no more iterations; its trace keeps the trace contract."""
+    m3 = GammaModel.first_order(3)
+    path = gammadesign.solver._solve_path(m3, betas, V, params)
+    assert len(path) == len(betas)
+    for beta, (design, trace) in zip(betas, path):
+        cold, cold_trace = multiplicative(m3, beta, V, params)
+        assert trace.converged and trace.iterations <= cold_trace.iterations, beta
+        assert verify_optimality(m3, beta, design, Criterion.D, V, tol=params.convergence_tol).passed, beta
+        assert design.points == cold.points, beta
+        assert trace.log_dets[-1] == pytest.approx(cold_trace.log_dets[-1], rel=1e-12), beta
+        log_dets = np.asarray(trace.log_dets)
+        assert log_dets.size == trace.iterations + 1
+        assert np.all(np.diff(log_dets) >= -1e-12 * np.maximum(1.0, np.abs(log_dets[:-1]))), beta
+
+
+def test_path_iteration_counts(monkeypatch):
+    """Table 2 takes 22 iterations along its path (37 cold). The band at tol
+    1e-10 takes at most 450 iterations (1,386 cold), at most 9 per ratio, and
+    one factorization per iterate plus one per ratio for its start."""
+    factorizations = []
+    factor = gammadesign.solver._factor
+
+    def counting(M):
+        factorizations.append(M)
+        return factor(M)
+
+    monkeypatch.setattr(gammadesign.solver, "_factor", counting)
+    m3 = GammaModel.first_order(3)
+    table2 = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams())
+    assert sum(trace.iterations for _, trace in table2) == 22
+    factorizations.clear()
+    band = gammadesign.solver._solve_path(m3, BAND_BETAS, V, SolverParams(convergence_tol=1e-10))
+    iterations = [trace.iterations for _, trace in band]
+    assert sum(iterations) <= 450 and max(iterations) <= 9
+    assert len(factorizations) == sum(iterations) + len(BAND_BETAS)
+
+
+def test_path_judges_its_candidates_once(counted_calls):
+    """One coincidence search over the candidates for the whole path (each
+    returned Design still judges its own support)."""
+    coincident = counted_calls(gammadesign.model_core, "_has_coincident")
+    gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V, SolverParams())
+    assert [args for args in coincident if args == ([list(v) for v in V],)] == [([list(v) for v in V],)]
+    factored = counted_calls(gammadesign.model_core, "_factor")
+    with pytest.raises(ValidationError, match="^candidate points must be pairwise distinct$"):
+        gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V + V[:1], SolverParams())
+    assert factored == []
+
+
+@pytest.mark.parametrize("uniform_fails", [False, True])
+def test_singular_warm_start_falls_back_to_uniform_weights(monkeypatch, uniform_fails):
+    """A warm start whose M fails the pivot floor restarts the point from uniform
+    weights, which then solves it exactly as a cold solve does; when uniform
+    weights fail too, the candidates are rank deficient."""
+    m3 = GammaModel.first_order(3)
+    (_, first), (cold, cold_trace) = (multiplicative(m3, beta, V) for beta in TABLE2_BETAS[:2])
+    failing = {first.iterations + 1, first.iterations + 2} if uniform_fails else {first.iterations + 1}
+    calls = []
+    factor = gammadesign.solver._factor
+
+    def failing_factor(M):
+        calls.append(M)
+        if len(calls) - 1 in failing:
+            raise gammadesign.model_core.SingularInformation("forced")
+        return factor(M)
+
+    monkeypatch.setattr(gammadesign.solver, "_factor", failing_factor)
+    if uniform_fails:
+        with pytest.raises(RankDeficientCandidates):
+            gammadesign.solver._solve_path(m3, TABLE2_BETAS[:2], V, SolverParams())
+        return
+    _, (design, trace) = gammadesign.solver._solve_path(m3, TABLE2_BETAS[:2], V, SolverParams())
+    assert design == cold and trace == cold_trace
+
+
 def test_returned_weights_sum_to_one():
     w, _ = cube_weights((-1.0, 2.0, 2.0))
     assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
