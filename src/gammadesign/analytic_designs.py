@@ -288,13 +288,13 @@ def _xi3_weights(gamma):
 
 
 def _tamed(x, y):
-    """x and y scaled by one power of two to below 2 in magnitude, on floats or elementwise on arrays. A weight
-    homogeneous of degree 0 in (x, y) keeps every bit where its unscaled form neither overflows nor
-    underflows, and no square overflows at a huge ratio."""
+    """x and y scaled by one power of two so that the larger magnitude lies in [1, 2), on floats or elementwise
+    on arrays. A weight homogeneous of degree 0 in (x, y) keeps every bit where its unscaled form neither
+    overflows nor underflows, and no square overflows at a huge pair nor underflows at a tiny one."""
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        e = np.frexp(np.maximum(1.0, np.maximum(np.abs(x), np.abs(y))))[1] - 1
+        e = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1] - 1
         return np.ldexp(x, -e), np.ldexp(y, -e)
-    e = math.frexp(max(1.0, abs(x), abs(y)))[1] - 1
+    e = math.frexp(max(abs(x), abs(y)))[1] - 1
     return math.ldexp(x, -e), math.ldexp(y, -e)
 
 
@@ -355,11 +355,11 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     v = interaction_vertices(a, b)
     model = GammaModel.interaction()
     vec = _check_beta(model, beta)
-    _, eta = _positive_predictor(model, vec, np.array(v))  # raises unless positive at every vertex
-    e = math.frexp(max(1.0, float(np.abs(vec).max())))[1] - 1  # scaled as by ``_tamed``: every bit kept, no square overflows
-    scaled = np.ldexp(vec, -e)
+    F, _ = _positive_predictor(model, vec, np.array(v))  # raises unless positive at every vertex
+    # beta scaled as by ``_tamed``, its largest entry into [1, 2): every bit kept, no square over- or underflows
+    scaled = np.ldexp(vec, 1 - math.frexp(float(np.abs(vec).max()))[1])
     tol = _DROP_CONDITION_RTOL * float(scaled @ scaled)
-    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(np.ldexp(eta, -e).tolist(), v)]
+    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip((scaled @ F.T).tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
     beta1, beta2, beta3 = vec.tolist()

@@ -9,7 +9,8 @@ tables and sweeps).
 Output is deterministic: floats are printed with 10 significant digits
 in JSON and 4 decimals in reproduction CSVs. Validation problems exit
 with status 2, computation failures with 1; both write one JSON error
-object to stderr.
+object to stderr. A ``solve`` that stops at its iteration cap still
+writes its design and exits 0, with one JSON warning object on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +28,7 @@ from .model_core import (
     ExperimentalRegion,
     GammaDesignError,
     GammaModel,
+    IterationCapExceeded,
     ModelKind,
     RegionKind,
     ValidationError,
@@ -257,7 +260,14 @@ def _cmd_solve(args) -> int:
     else:
         raise ValidationError("either --candidates or --region is required")
     params = SolverParams(max_iterations=args.max_iterations, convergence_tol=args.convergence_tol)
-    design, trace = multiplicative(model, beta, candidates, params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IterationCapExceeded)
+        design, trace = multiplicative(model, beta, candidates, params)
+    for warning in caught:  # a cap hit is reported as data; any other warning is shown as it would have been
+        if issubclass(warning.category, IterationCapExceeded):
+            _print_error(warning.message, "warning")
+        else:
+            warnings.showwarning(warning.message, warning.category, warning.filename, warning.lineno)
     if args.trace is not None:
         _emit(trace.to_json(), args.trace)
     _emit({**design_to_json(design), "provenance": "numerical"}, args.output)
@@ -398,8 +408,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def _print_error(exc: Exception) -> None:
-    obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+def _print_error(exc: Exception, key: str = "error") -> None:
+    obj = {key: {"type": type(exc).__name__, "message": str(exc)}}
     sys.stderr.write(render_json(obj) + "\n")
 
 

@@ -16,11 +16,18 @@ Cholesky factor L of M. So psi(x) = |z(x)|^2 for D; for A, the one inverse
 of L gives u(x) |L^-T L^-1 f(x)|^2 and the bound |L^-1|_F^2. The factor
 holds the package's one singularity rule: M is singular when its Cholesky
 factorization fails or min diag(L)^2 <= 1e-12 * max diag(M).
+
+A report keeps the judged candidate array and the sensitivity array, both
+read-only. Its verdict (criterion, bound, worst excess, pass flag) is set
+when it is made; the per-candidate tuples (points, sensitivities, worst
+point) are built from the arrays on first read, so a caller that reads
+only the verdict never builds them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,17 +68,66 @@ class Criterion(str, enum.Enum):
     A = "A"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class VerificationReport:
-    """Outcome of checking the optimality bound over a candidate set."""
+    """Outcome of checking the optimality bound over a candidate set.
+
+    ``criterion``, ``bound``, ``worst_excess`` and ``passed`` are set when the
+    report is made. ``points``, ``sensitivities`` and ``worst_point`` are
+    tuples built from the report's read-only candidate and sensitivity
+    arrays on first read, and then kept. Equality, hash and repr are those of
+    a frozen dataclass of the seven values in the order of ``_FIELDS``.
+    """
 
     criterion: Criterion
     bound: float
-    points: tuple[tuple[float, ...], ...]
-    sensitivities: tuple[float, ...]
-    worst_point: tuple[float, ...]
     worst_excess: float
     passed: bool
+
+    _FIELDS = ("criterion", "bound", "points", "sensitivities", "worst_point", "worst_excess", "passed")
+
+    def __init__(
+        self, criterion: Criterion, bound: float, candidates: np.ndarray, sensitivities: np.ndarray,
+        worst: int, worst_excess: float, passed: bool,
+    ) -> None:
+        """A report on the judged ``candidates`` (n, d) with their ``sensitivities`` (n,), whose
+        largest is at index ``worst``. Both arrays are made read-only and kept, not copied."""
+        candidates.setflags(write=False)
+        sensitivities.setflags(write=False)
+        vars(self).update(
+            criterion=criterion, bound=bound, worst_excess=worst_excess, passed=passed,
+            _candidates=candidates, _sensitivities=sensitivities, _worst=worst,
+        )
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        """The candidates as float tuples, built on first read."""
+        return _canonical_points(self._candidates)
+
+    @functools.cached_property
+    def sensitivities(self) -> tuple[float, ...]:
+        """Each candidate's sensitivity, built on first read."""
+        return tuple(self._sensitivities.tolist())
+
+    @functools.cached_property
+    def worst_point(self) -> tuple[float, ...]:
+        """The first candidate of largest sensitivity, built on first read."""
+        return self.points[self._worst]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def to_json(self) -> dict:
         return {
@@ -141,16 +197,7 @@ def _verification_report(
         vals, bound = _a_sensitivities(L, G[:, k:])
     worst = int(vals.argmax())  # ties resolved by first index
     excess = float(vals[worst] - bound)
-    points = _canonical_points(C)
-    return VerificationReport(
-        criterion=criterion,
-        bound=bound,
-        points=points,
-        sensitivities=tuple(vals.tolist()),
-        worst_point=points[worst],
-        worst_excess=excess,
-        passed=excess <= tol,
-    )
+    return VerificationReport(criterion, bound, C, vals, worst, excess, excess <= tol)
 
 
 def verify_optimality(

@@ -11,6 +11,7 @@ it may call into the optimality machinery of the package itself.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,11 +140,20 @@ def min_trace_weight(kind: str, beta, pair, *, tol: float = 1e-12) -> float:
 # vertex-dropping conditions of the interaction model on [a,b]^2
 
 
+def unit_scaled(beta) -> tuple[float, ...]:
+    """beta times the power of two that puts its largest |beta_j| in [1, 2):
+    every bit is kept, and no square of an entry over- or underflows."""
+    top = max(abs(float(c)) for c in beta)
+    return tuple(math.ldexp(float(c), 1 - math.frexp(top)[1]) for c in beta)
+
+
 def drop_vertex_forms(a: float, b: float, beta) -> tuple[float, float, float, float]:
     """Quadratic forms in beta deciding, in order, whether v4, v2, v3 or v1
     can be dropped from the support (form <= 0 means: drop), expanded by
-    hand from the source model without the intercept reduction."""
-    b1, b2, b3 = (float(c) for c in beta)
+    hand from the source model without the intercept reduction. The forms
+    are those of ``unit_scaled(beta)``: homogeneous of degree 2, each keeps
+    its sign, and none underflows at a tiny beta or overflows at a huge one."""
+    b1, b2, b3 = unit_scaled(beta)
     ia, ib = 1.0 / a, 1.0 / b
     form_i = b3**2 + ib**2 * (b1**2 + b2**2) + (ib**2 - ia**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ib * b3 * (b1 + b2)
     form_ii = b3**2 + ib**2 * b1**2 + ia**2 * b2**2 + 2.0 * ib * b3 * b1 + 2.0 * ia * b3 * b2 + (ib**2 + ia**2) * b1 * b2
@@ -164,3 +174,46 @@ def ulp_steps(x: float, k: int) -> float:
     for _ in range(abs(k)):
         x = math.nextafter(x, math.copysign(math.inf, k))
     return x
+
+
+# --------------------------------------------------------------------------
+# the verification report with every tuple built when it is made
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """The eager form of ``gammadesign.VerificationReport``: a frozen dataclass
+    of seven fields, each set when it is made. It shares the class name, so
+    its repr is the one the package's report must print."""
+
+    criterion: object
+    bound: float
+    points: tuple[tuple[float, ...], ...]
+    sensitivities: tuple[float, ...]
+    worst_point: tuple[float, ...]
+    worst_excess: float
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "criterion": self.criterion.value,
+            "bound": self.bound,
+            "worst_point": list(self.worst_point),
+            "worst_excess": self.worst_excess,
+            "pass": self.passed,
+            "values": [
+                {"point": list(pt), "sensitivity": s}
+                for pt, s in zip(self.points, self.sensitivities)
+            ],
+        }
+
+
+def eager_report(report) -> VerificationReport:
+    """The eager report built from the candidate and sensitivity arrays that
+    ``report`` keeps, with the worst point at the first largest sensitivity."""
+    points = tuple(tuple(float(c) for c in row) for row in report._candidates)
+    sensitivities = tuple(float(s) for s in report._sensitivities)
+    worst = sensitivities.index(max(sensitivities))
+    return VerificationReport(
+        report.criterion, report.bound, points, sensitivities, points[worst], report.worst_excess, report.passed
+    )

@@ -44,7 +44,7 @@ from gammadesign import (
     xi3_weights,
 )
 
-from oracles import drop_vertex_forms, equal_beta_edges, min_trace_weight, trace_inverse, ulp_steps
+from oracles import drop_vertex_forms, equal_beta_edges, min_trace_weight, trace_inverse, ulp_steps, unit_scaled
 
 
 CUBE3 = ExperimentalRegion.hypercube(1.0, 2.0, 3)
@@ -577,8 +577,9 @@ DROP_LABELS = (InteractionLabel.CASE_I, InteractionLabel.CASE_II, InteractionLab
 
 def oracle_drop_label(a: float, b: float, beta) -> InteractionLabel:
     """The label the hand-expanded quadratic forms give, at the package's
-    tolerance 1e-12 |beta|^2."""
-    tol = 1e-12 * float(np.dot(beta, beta))
+    tolerance 1e-12 |beta|^2, both taken at ``unit_scaled(beta)``."""
+    scaled = unit_scaled(beta)
+    tol = 1e-12 * float(np.dot(scaled, scaled))
     for label, form in zip(DROP_LABELS, drop_vertex_forms(a, b, beta)):
         if form <= tol:
             return label
@@ -772,11 +773,25 @@ def test_equal_beta_weights_stay_finite_at_huge_ratios(gamma):
      (1.0, 4.0, (-0.5, 2.0, 0.3)), (1.0, 4.0, (-0.4, -0.4, 1.0)), (1.0, 2.0, (1.0, 2.0, 0.5))],
 )
 def test_interaction_drop_rule_is_scale_invariant_up_to_huge_betas(a, b, beta):
-    """At (1e160, 1e160, 1) the drop rule's squares overflowed: a warning, then OverflowError."""
+    """At (1e160, 1e160, 1) the drop rule's squares overflowed: a warning, then OverflowError.
+    At tiny scales they underflowed, and the rule dropped a vertex it must keep."""
     base = d_optimal_interaction(a, b, beta)
-    for scale in (1e160, 2.0**900):
-        scaled = d_optimal_interaction(a, b, tuple(scale * c for c in beta))
+    for scale in (1e160, 2.0**900, 1e-160, 1e-200, 1e-300, 2.0**-900):
+        product = tuple(scale * c for c in beta)
+        if any(c != 0.0 and p == 0.0 for c, p in zip(beta, product)):
+            continue  # an entry underflowed to 0, so the product is no multiple of beta
+        scaled = d_optimal_interaction(a, b, product)
         assert scaled.label is base.label and scaled.weights == base.weights
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 2.0**-900])
+def test_interaction_design_at_tiny_equal_betas(scale):
+    """(1e-200,)*3 and (1e-300,)*3 dropped v4 where (1, 1, 1) keeps all four vertices,
+    and at (1e-160,)*3 the middle weights were off in the sixth digit."""
+    base = d_optimal_interaction(1.0, 4.0, (1.0, 1.0, 1.0))
+    tiny = d_optimal_interaction(1.0, 4.0, (scale,) * 3)
+    assert tiny.label is base.label is InteractionLabel.CASE_V_FOUR_POINT
+    assert tiny.weights == pytest.approx(base.weights, rel=1e-15)
 
 
 def test_three_factor_sweep_at_a_huge_ratio_warns_of_no_overflow():

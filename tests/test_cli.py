@@ -363,6 +363,22 @@ def test_solve_deterministic_output(capsys, tmp_path):
     assert first == second
 
 
+def test_solve_cap_hit_is_one_json_warning(capsys):
+    """A cap hit used to reach stderr as Python's warning text with the source line."""
+    argv = ("solve", "--nu", "3", "--beta=-1,2.5,2.5", "--region", "hypercube", "--a", "1", "--b", "2")
+    code, out, err = run_cli(capsys, *argv, "--max-iterations", "1")
+    assert code == 0
+    assert out == (
+        '{"points": [[1, 1, 2], [1, 2, 1], [1, 2, 2], [2, 1, 1], [2, 1, 2], [2, 2, 1]], '
+        '"weights": [0.1666666667, 0.1666666667, 0.1666666667, 0.1666666667, 0.1666666667, 0.1666666667], '
+        '"provenance": "numerical"}\n'
+    )
+    message = "solver stopped after 1 iterations with sensitivity excess 1.609e+00"
+    assert err == cli.render_json({"warning": {"type": "IterationCapExceeded", "message": message}}) + "\n"
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+
+
 def test_solve_bad_beta_length(capsys):
     code, _, err = run_cli(
         capsys,
@@ -506,6 +522,21 @@ def test_reproduce_matches_golden_bytes(capsys, tmp_path, target):
     code, _, err = run_cli(capsys, "reproduce", target, "--outdir", str(tmp_path))
     assert code == 0, err
     assert (tmp_path / f"{target}.csv").read_bytes() == (GOLDEN_DIR / f"{target}.csv").read_bytes()
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+EXPECTED_DIR = REPO_ROOT / "tests" / "cli_expected"
+# One "name argv..." line per command; the CI workflow runs the same lines with the installed script.
+EXPECTED_COMMANDS = [line.split(maxsplit=1) for line in (EXPECTED_DIR / "commands.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name, argv", EXPECTED_COMMANDS, ids=[name for name, _ in EXPECTED_COMMANDS])
+def test_design_and_verify_match_expected_bytes(capsys, monkeypatch, name, argv):
+    """``design`` and ``verify`` stdout, D and A, byte for byte as committed."""
+    monkeypatch.chdir(REPO_ROOT)  # the verify lines name their design files from the repository root
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == "", err
+    assert out.encode() == (EXPECTED_DIR / f"{name}.json").read_bytes()
 
 
 # ----------------------------------------------------------- console script

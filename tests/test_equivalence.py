@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammadesign import (
     Criterion,
@@ -13,15 +17,21 @@ from gammadesign import (
     NonpositivePredictor,
     SingularInformation,
     ValidationError,
+    d_optimal_interaction,
+    interaction_to_intercept,
+    interaction_vertices,
     is_simplex_design_d_optimal,
+    map_design_interaction,
     orthant_axis_points,
     region_vertices,
     sensitivity,
     simplex_design,
+    verify_intercept_design,
     verify_optimality,
 )
+from gammadesign import equivalence
 
-from oracles import raw_features, raw_information, raw_intensities
+from oracles import eager_report, raw_features, raw_information, raw_intensities
 
 
 # ---------------------------------------------------------------- helpers
@@ -250,6 +260,80 @@ def test_criterion_given_as_string_runs_its_own_check(name):
     assert report.criterion is Criterion(name) and report.to_json()["criterion"] == name
     if name == "D":
         assert report.bound == 2.0 and report.passed
+
+
+# ---------------------------------------------------------------- lazy tuples
+
+
+def _both_reports():
+    """Two report makers, one per entry point: D on the [1, 4]^2 interaction
+    square, and A of the mapped design on the intercept square."""
+    beta, square = (2.0, 2.0, 1.0), interaction_vertices(1.0, 4.0)
+    design = d_optimal_interaction(1.0, 4.0, beta).design
+    transform = interaction_to_intercept(1.0, 4.0, beta)
+    mapped = map_design_interaction(design, 1.0, 4.0)
+    return (
+        lambda: verify_optimality(GammaModel.interaction(), beta, design, Criterion.D, square),
+        lambda: verify_intercept_design(transform, mapped, Criterion.A),
+    )
+
+
+@pytest.mark.parametrize("read", ["points", "sensitivities", "worst_point", "to_json"])
+def test_reports_build_no_point_tuples_until_read(monkeypatch, read):
+    """Both entry points turned every judged candidate back into a tuple on each call,
+    though most callers read only the verdict."""
+    makers = _both_reports()
+    calls = []
+    original = equivalence._canonical_points
+    monkeypatch.setattr(equivalence, "_canonical_points", lambda X: calls.append(X.shape) or original(X))
+    for make in makers:
+        calls.clear()
+        report = make()
+        expected = eager_report(report)  # reads the verdict and the two arrays
+        assert calls == []
+        value = report.to_json() if read == "to_json" else getattr(report, read)
+        assert len(calls) == (read != "sensitivities")
+        assert value == (expected.to_json() if read == "to_json" else getattr(expected, read))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(2, 6),
+    st.sampled_from([Criterion.D, Criterion.A]),
+    st.floats(0.5, 2.0),
+    st.floats(1.1, 4.0),
+    st.lists(st.floats(0.1, 3.0), min_size=6, max_size=6),
+    st.lists(st.floats(0.05, 1.0), min_size=64, max_size=64),
+)
+def test_lazy_report_matches_the_eager_oracle(nu, criterion, a, ratio, beta, weights):
+    vertices = region_vertices(ExperimentalRegion.hypercube(a, a * ratio, nu))
+    w = np.array(weights[: len(vertices)])
+    design = Design(vertices, (w / w.sum()).tolist())
+    check = lambda crit: verify_optimality(GammaModel.first_order(nu), beta[:nu], design, crit, vertices)
+    report, twin = check(criterion), check(criterion)
+    other = check(Criterion.A if criterion is Criterion.D else Criterion.D)
+    eager = eager_report(report)
+    for name in ("criterion", "bound", "points", "sensitivities", "worst_point", "worst_excess", "passed"):
+        assert getattr(report, name) == getattr(eager, name), name
+    assert repr(report) == repr(eager)
+    assert hash(report) == hash(eager) == hash(twin)
+    assert report.to_json() == eager.to_json()
+    assert report == twin and eager == eager_report(twin)
+    assert report != other and eager != eager_report(other)
+    assert report.__eq__(eager) is NotImplemented  # as a dataclass answers another class
+
+
+def test_reports_are_frozen_with_read_only_arrays():
+    report = _both_reports()[0]()
+    for name in ("criterion", "bound", "points", "sensitivities", "worst_point", "worst_excess", "passed"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(report, name)
+    for array in (report._candidates, report._sensitivities):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 # ---------------------------------------------------------------- errors
