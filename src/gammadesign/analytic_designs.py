@@ -29,7 +29,7 @@ from .model_core import (
     _floats,
     _intensity_arrays,
     _positive_predictor,
-    _predictor,
+    _tamed,
     _vertex_array,
     design_to_json,
     region_vertices,
@@ -248,7 +248,8 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     """
     model = GammaModel.first_order(_check_count(nu, 3))
     region = ExperimentalRegion.hypercube(a, b, nu)
-    a, b, vec = region.a, region.b, _check_beta(model, beta)
+    # beta scaled by ``_tamed``: both sides of the condition are homogeneous of degree 2 in it
+    a, b, vec = region.a, region.b, np.array(_tamed(*_check_beta(model, beta).tolist()))
     X, eta = _positive_predictor(model, vec, _vertex_array(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
@@ -285,17 +286,6 @@ def _xi3_weights(gamma):
     w2 = 9.0 * (t * t) / (32.0 * (one + g) * (one + 4.0 * g))
     w4 = (one * one - one * g - 20.0 * (g * g)) / (8.0 * (one + g) * (one + 4.0 * g))
     return (w1, w2, w2, w4)
-
-
-def _tamed(x, y):
-    """x and y scaled by one power of two so that the larger magnitude lies in [1, 2), on floats or elementwise
-    on arrays. A weight homogeneous of degree 0 in (x, y) keeps every bit where its unscaled form neither
-    overflows nor underflows, and no square overflows at a huge pair nor underflows at a tiny one."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        e = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1] - 1
-        return np.ldexp(x, -e), np.ldexp(y, -e)
-    e = math.frexp(max(abs(x), abs(y)))[1] - 1
-    return math.ldexp(x, -e), math.ldexp(y, -e)
 
 
 def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
@@ -342,38 +332,38 @@ def _case_index(first, second):
 def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classification:
     """D-optimal design for the interaction model on [a,b]^2.
 
-    Vertex v_k may be dropped, giving an equal-weight three-point design,
-    when the intercept-model rule transferred through the square map holds
+    For beta_1 = beta_2 with beta_3 >= 0 the four-point weights decide the
+    case, as ``interaction_equal_beta`` states. Otherwise vertex v_k may be
+    dropped, giving an equal-weight three-point design, when the
+    intercept-model rule transferred through the square map holds
     (Gaffke, Idais & Schwabe): with e_k = f(v_k)' beta / (v_k1 v_k2) the
-    intercept predictor at the mapped corner,
-    sum_{j != k} e_j^2 <= e_k^2. Otherwise all four vertices support the
-    optimum; the weights are in closed form when beta_1 = beta_2 and
-    numerical (support and weights None) when not. Vertices are tried in
-    the order v4, v2, v3, v1, labelled ``Case_i`` to ``Case_iv``.
+    intercept predictor at the mapped corner, sum_{j != k} e_j^2 <= e_k^2,
+    tried in the order v4, v2, v3, v1 (``Case_i`` to ``Case_iv``); else all
+    four vertices support the optimum with numerical weights (None). Both
+    rules read beta scaled by ``_tamed``, so they are invariant to scale.
     """
     a, b = _check_bounds(a, b)
-    v = interaction_vertices(a, b)
+    v = _square(a, b)
     model = GammaModel.interaction()
-    vec = _check_beta(model, beta)
-    F, _ = _positive_predictor(model, vec, np.array(v))  # raises unless positive at every vertex
-    # beta scaled as by ``_tamed``, its largest entry into [1, 2): every bit kept, no square over- or underflows
-    scaled = np.ldexp(vec, 1 - math.frexp(float(np.abs(vec).max()))[1])
-    tol = _DROP_CONDITION_RTOL * float(scaled @ scaled)
-    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip((scaled @ F.T).tolist(), v)]
+    vec = _check_beta(model, beta).tolist()
+    scaled = _tamed(*vec)
+    _, eta = _positive_predictor(model, scaled, np.array(v))  # raises unless positive at every vertex
+    gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
+    if vec[0] == vec[1] and vec[2] >= 0.0:
+        table, index = _interaction_cases(a, b, scaled[0], scaled[2])
+        return Classification(*table[index], gamma)
+    tol = _DROP_CONDITION_RTOL * float(np.dot(scaled, scaled))
+    e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
-    beta1, beta2, beta3 = vec.tolist()
-    gamma = beta1 / beta3 if beta1 == beta2 and beta3 != 0.0 else None
     for label, k in drops:
         if half - e2[k] <= tol:
             return Classification(label, *_equal_weight(v[:k] + v[k + 1:]), gamma)
-    if gamma is not None and gamma > -a / 2.0:
-        return Classification(InteractionLabel.CASE_V_FOUR_POINT, v, _four_point_interaction(a, b, beta1, beta3), gamma)
     return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 
 
 def _four_point_interaction(a: float, b: float, beta1, beta3=1.0):
-    """The four-vertex weights at beta = (beta1, beta1, beta3 > 0), on floats or elementwise
+    """The four-vertex weights at beta = (beta1, beta1, beta3 >= 0), on floats or elementwise
     on arrays: beta3 = 1 on the ratio path, and a tiny beta3 passed as such overflows no
     ratio, nor does a huge one in the scaled form of ``_tamed``. Squares are written as
     products for the reason given in ``_xi3_weights``."""
@@ -388,26 +378,26 @@ def _four_point_interaction(a: float, b: float, beta1, beta3=1.0):
 
 def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     """D-optimal design on [a,b]^2 when beta_1 = beta_2, by the ratio
-    gamma = beta/beta_3, admissible when the predictor is positive at every
-    vertex (gamma > -a/2). The four-point weights decide the case: the
-    weight of v1 = (b,b) vanishes at gamma = -ab/(3b-a) and, when b > 3a,
-    that of v4 = (a,a) at ab/(b-3a); a vertex whose weight is not positive
-    is dropped (``Case_iv``, ``Case_i``).
+    gamma = beta/beta_3: ``d_optimal_interaction`` at (gamma, gamma, 1),
+    admissible when the predictor is positive at every vertex
+    (gamma > -a/2). The four-point weights decide the case: the weight of
+    v1 = (b,b) vanishes at gamma = -ab/(3b-a) and, when b > 3a, that of
+    v4 = (a,a) at ab/(b-3a); a vertex whose weight is not positive is
+    dropped (``Case_iv``, ``Case_i``).
     """
     a, b = _check_bounds(a, b)
     (gamma,) = _floats((gamma,), "gamma")
-    g, one = _tamed(gamma, 1.0)  # the pair (gamma, 1) judged in scaled form keeps its sign and overflows nowhere
-    if not math.isfinite(gamma) or not _predictor(GammaModel.interaction(), (g, g, one), np.array(_square(a, b)))[2].all():
-        raise ValidationError("gamma must exceed -a/2")
-    table, index = _interaction_cases(a, b, gamma)
-    return Classification(*table[index], gamma)
+    try:
+        return d_optimal_interaction(a, b, (gamma, gamma, 1.0))
+    except ValidationError as exc:
+        raise ValidationError("gamma must exceed -a/2") from exc
 
 
-def _interaction_cases(a: float, b: float, gamma):
-    """Case table (label, support, weights) of the equal-beta square [a,b]^2 on
-    validated bounds, and the case index of gamma as in ``_three_factor_cases``."""
+def _interaction_cases(a: float, b: float, gamma, beta3=1.0):
+    """Case table (label, support, weights) of the square [a,b]^2 on validated bounds at
+    beta = (gamma, gamma, beta3 >= 0), and the case index as in ``_three_factor_cases``."""
     labels = (InteractionLabel.CASE_IV, InteractionLabel.CASE_I, InteractionLabel.CASE_V_FOUR_POINT)
-    return _four_point_cases(labels, _square(a, b), _four_point_interaction(a, b, gamma))
+    return _four_point_cases(labels, _square(a, b), _four_point_interaction(a, b, gamma, beta3))
 
 
 def intensity_ranking(

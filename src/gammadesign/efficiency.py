@@ -36,13 +36,13 @@ from .model_core import (
     _intensity_arrays,
     _outer,
     _predictor,
+    _tamed,
 )
 from .analytic_designs import (
     InteractionLabel,
     ThreeFactorLabel,
     ThreeFactorScenario,
     _interaction_cases,
-    _tamed,
     _three_factor_cases,
     interaction_vertices,
     three_factor_vertices,
@@ -82,8 +82,8 @@ def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optim
 
 class _Family:
     """Admissibility, parameter path and optima, shared by the sweep families. Each
-    family states its path in ``_beta``, at (gamma, 1) or a scaled pair (gamma, one),
-    and its case function in ``_cases``; both take a float or an array of ratios."""
+    family states its path in ``_beta`` and its case function in ``_cases``; both
+    take a float or an array of ratios."""
 
     def admissible(self, gamma: float) -> bool:
         return bool(_admissible(self, _floats((gamma,), "gamma"))[0][0])
@@ -141,9 +141,9 @@ class ThreeFactorFamily(_Family):
     def scenario(self, gamma: float) -> ThreeFactorScenario:
         return ThreeFactorScenario(*self.beta(gamma)[:2])
 
-    def _beta(self, gamma, one=1.0):
+    def _beta(self, gamma):
         sign = float(self.beta1_sign)
-        return (sign * one, sign * gamma, sign * gamma)
+        return (sign, sign * gamma, sign * gamma)
 
     def _cases(self, gammas: np.ndarray):
         return _three_factor_cases(float(self.beta1_sign), gammas)
@@ -173,8 +173,8 @@ class InteractionFamily(_Family):
     def vertices(self) -> tuple[tuple[float, float], ...]:
         return interaction_vertices(self.a, self.b)
 
-    def _beta(self, gamma, one=1.0):
-        return (gamma, gamma, one)
+    def _beta(self, gamma):
+        return (gamma, gamma, 1.0)
 
     def _cases(self, gammas: np.ndarray):
         return _interaction_cases(self.a, self.b, gammas)
@@ -189,13 +189,13 @@ def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, n
     """Which of the float ratios ``gammas`` are admissible, and the (K, p)
     stack of betas of the K that are: a ratio is admissible when it is
     finite and the kernel's positivity rule holds at every vertex of the
-    family's region, decided for the whole grid in one call on the pairs
-    (gamma, 1) scaled by ``_tamed``, which keeps the sign and cannot overflow."""
+    family's region, decided for the whole grid in one call on the betas
+    scaled by ``_tamed``, which keeps the sign and cannot overflow."""
     grid = np.array(gammas)
     ok = np.isfinite(grid)
-    one, g = _tamed(1.0, grid[ok])
-    positive = _predictor(family.model, _columns(family._beta(g, one)), np.array(family.vertices), stacked=True)[2].all(axis=1)
-    betas = _columns(family._beta(grid[ok]))
+    path = family._beta(grid[ok])
+    positive = _predictor(family.model, _columns(_tamed(*path)), np.array(family.vertices))[2].all(axis=1)
+    betas = _columns(path)
     ok[ok] = positive
     return ok, betas[positive]
 

@@ -40,6 +40,7 @@ from .model_core import (
     ValidationError,
     _a_sensitivities,
     _canonical_points,
+    _check_beta,
     _check_count,
     _d_sensitivities,
     _factor,
@@ -213,4 +214,4 @@ def verify_optimality(
     The report records each candidate's sensitivity; the design passes
     iff the largest excess over the bound is at most ``tol``.
     """
-    return _verification_report(lambda X: _positive_predictor(model, beta, X), design, candidates, criterion, tol)
+    return _verification_report(lambda X: _positive_predictor(model, _check_beta(model, beta), X), design, candidates, criterion, tol)

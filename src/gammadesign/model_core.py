@@ -356,35 +356,41 @@ def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False)
     return vec
 
 
-def _predictor(
-    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tamed(*values):
+    """``values`` scaled by one power of two so that the largest magnitude lies in [1, 2): floats, or elementwise
+    on arrays and floats that broadcast together. A quantity homogeneous in the values keeps its sign, and one of
+    degree 0 every bit, wherever its unscaled form neither overflows nor underflows; no square overflows at huge
+    values nor underflows at tiny ones. This is the package's one overflow-safe scaling of beta."""
+    if np.ndarray in map(type, values):
+        e = 1 - np.frexp(np.abs(np.broadcast_arrays(*values)).max(axis=0))[1]
+        return tuple(np.ldexp(v, e) for v in values)
+    e = 1 - math.frexp(max(map(abs, values)))[1]
+    return tuple(map(math.ldexp, values, (e,) * len(values)))
+
+
+def _predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature matrix F of the judged points X, the predictor eta = B F' and
-    the mask eta > 0, which is the package's one admissibility rule. B is
-    beta, or with ``stacked`` a (G, p) stack of parameter points, giving
-    (G, n) eta."""
+    the mask eta > 0, which is the package's one admissibility rule. B is a
+    beta judged by ``_check_beta`` (or its floats, scaled or not), or a (G, p)
+    stack of parameter points, giving (G, n) eta."""
     F = _widened(model, X)
-    eta = _check_beta(model, beta, stacked) @ F.T
+    eta = B @ F.T
     return F, eta, eta > 0.0
 
 
-def _positive_predictor(
-    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F and eta of ``_predictor``; raises NonpositivePredictor where eta is not positive."""
-    F, eta, positive = _predictor(model, beta, X, stacked)
+    F, eta, positive = _predictor(model, B, X)
     if not positive.all():
         at = tuple(int(axis[0]) for axis in np.nonzero(~positive))  # (k,), or (g, k) for a stack
-        raise NonpositivePredictor(f"predictor {eta[at]:.6g} at {tuple(X[at[-1]].tolist())} is not positive")
+        raise NonpositivePredictor(f"predictor is not positive at {tuple(X[at[-1]].tolist())}")
     return F, eta
 
 
-def _intensity_arrays(
-    model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """F and intensities u = eta**-2 of the judged points X under the positivity rule of
     ``_positive_predictor``; with ``stacked``, beta is a (G, p) stack and u is (G, n)."""
-    F, eta = _positive_predictor(model, beta, X, stacked)
+    F, eta = _positive_predictor(model, _check_beta(model, beta, stacked), X)
     return F, eta**-2
 
 
@@ -513,7 +519,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         if model.kind is ModelKind.FIRST_ORDER:
             return bool((vec > 0.0).all())
         return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    return bool(_predictor(model, vec, _vertex_array(region))[2].all())
+    return bool(_predictor(model, _tamed(*vec.tolist()), _vertex_array(region))[2].all())
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:

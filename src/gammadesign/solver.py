@@ -47,6 +47,7 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
+    _check_beta,
     _check_count,
     _factor,
     _floats,
@@ -129,7 +130,7 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
     w = uniform = np.full(len(X), 1.0 / len(X))
     results = []
     for beta in betas:
-        F, eta = _positive_predictor(model, beta, X)
+        F, eta = _positive_predictor(model, _check_beta(model, beta), X)
         G = F.T / eta  # the columns sqrt(u_i) f_i, and the table K of their outer products u_i f_i f_i'
         K = _outer(G.T)
         for w in (w,) if w is uniform else (w, uniform):  # the previous certified weights, else uniform ones

@@ -100,7 +100,8 @@ class InterceptTransform:
 
     def _predictors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F and the positive predictor eta of the judged points Z, lifted to (1, z1, z2) by one column stack."""
-        return _positive_predictor(_LIFTED, (self.beta0, self.beta1, self.beta2), np.column_stack((np.ones(len(Z)), Z)))
+        beta = _check_beta(_LIFTED, (self.beta0, self.beta1, self.beta2))  # the fields of a directly built transform are caller input
+        return _positive_predictor(_LIFTED, beta, np.column_stack((np.ones(len(Z)), Z)))
 
     def intensity(self, z: Sequence[float]) -> float:
         return float((self._predictors(_judged([z]))[1] ** -2)[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 
@@ -40,6 +41,7 @@ from gammadesign import (
     simplex_design,
     three_factor_benchmark_designs,
     three_factor_vertices,
+    validate_positivity,
     verify_optimality,
     xi3_weights,
 )
@@ -560,6 +562,19 @@ def test_interaction_four_point_weights_at_a_tiny_interaction_coefficient():
     assert report.passed
 
 
+@pytest.mark.parametrize("beta", [(1.0, 1.0, 0.0), (1e-200, 1e-200, 1e-360)])
+def test_interaction_four_point_closed_form_at_a_zero_interaction_coefficient(beta):
+    """At beta_3 = 0 (1e-360 underflows to it) the ratio gamma is undefined, and the
+    weights were once left to the solver although their closed form holds there."""
+    c = d_optimal_interaction(1.0, 2.0, beta)
+    assert c.label is InteractionLabel.CASE_V_FOUR_POINT and c.gamma is None
+    assert c.points == interaction_vertices(1.0, 2.0)
+    assert c.weights == pytest.approx((5 / 16, 9 / 32, 9 / 32, 1 / 8), rel=1e-15)
+    # D-optimality is invariant to the scale of beta; verification is not: at 1e-200 M overflows
+    report = verify_optimality(GammaModel.interaction(), unit_scaled(beta), c.design, Criterion.D, interaction_vertices(1.0, 2.0))
+    assert report.passed
+
+
 def test_interaction_four_point_numerical_flag():
     c = d_optimal_interaction(1.0, 2.0, (1.0, 2.0, 0.5))
     assert c.label is InteractionLabel.CASE_V_FOUR_POINT
@@ -600,17 +615,18 @@ def test_interaction_drop_rule_matches_quadratic_forms(a, ratio, beta):
 
 
 @given(st.floats(0.1, 5.0), st.floats(1.01, 8.0), st.integers(-3, 3), st.booleans())
-def test_interaction_drop_rule_matches_quadratic_forms_on_threshold_lines(a, ratio, ulps, upper):
-    """The same agreement on the equal-beta threshold lines
-    gamma = -ab/(3b-a) and, where b > 3a, gamma = ab/(b-3a), and within a
-    few ulp of them."""
+def test_interaction_equal_beta_rule_on_threshold_lines(a, ratio, ulps, upper):
+    """On the equal-beta threshold lines gamma = -ab/(3b-a) and, where
+    b > 3a, gamma = ab/(b-3a), and within a few ulp of them, the general
+    classifier gives the design of ``interaction_equal_beta``, and it verifies."""
     b = a * ratio
     assume(not upper or b > 3.0 * a)
-    gamma = a * b / (b - 3.0 * a) if upper else -a * b / (3.0 * b - a)
-    for _ in range(abs(ulps)):
-        gamma = float(np.nextafter(gamma, np.inf if ulps > 0 else -np.inf))
+    gamma = ulp_steps(a * b / (b - 3.0 * a) if upper else -a * b / (3.0 * b - a), ulps)
     beta = (gamma, gamma, 1.0)
-    assert d_optimal_interaction(a, b, beta).label is oracle_drop_label(a, b, beta)
+    got, want = d_optimal_interaction(a, b, beta), interaction_equal_beta(a, b, gamma)
+    assert (got.label, got.points, got.weights) == (want.label, want.points, want.weights)
+    report = verify_optimality(GammaModel.interaction(), beta, got.design, Criterion.D, interaction_vertices(a, b))
+    assert report.passed, (a, b, gamma, report.worst_excess)
 
 
 # ---------------------------------------------------------------- equal-beta
@@ -671,6 +687,32 @@ def test_equal_beta_designs_have_positive_weights_near_the_edges(a, ratio):
         for k in range(-3, 4):
             c = interaction_equal_beta(a, b, ulp_steps(edge, k))
             assert min(c.design.weights) > 0.0
+
+
+def test_equal_beta_rules_agree_near_the_edges_of_narrow_squares():
+    """The narrow squares of a seeded sweep within 1e-8 relative of the edge
+    -ab/(3b-a). A drop rule with slack 1e-12 |beta|^2 once decided these
+    ratios in ``d_optimal_interaction``: its label differed from that of the
+    weight signs out to 2.5e-10 relative, and three of its three-point designs
+    here failed verification at tol 1e-9 (excess 1.07e-9 at a = 2.48438995154029,
+    b = 2.655893790137105, gamma = -1.2033421790607075)."""
+    rng = np.random.default_rng(0)
+    squares = []
+    for _ in range(400):
+        a = float(rng.uniform(0.2, 3.0))
+        squares.append((a, a * float(rng.uniform(1.05, 8.0))))
+    narrow = [(a, b) for a, b in squares if b < 1.1 * a]
+    assert len(narrow) == 3
+    offsets = np.geomspace(1e-15, 1e-8, 36).tolist()
+    for a, b in narrow:
+        for edge in equal_beta_edges(a, b):
+            for gamma in [edge * (1.0 + sign * offset) for offset in offsets for sign in (1.0, -1.0)]:
+                got, want = d_optimal_interaction(a, b, (gamma, gamma, 1.0)), interaction_equal_beta(a, b, gamma)
+                assert (got.label, got.points, got.weights) == (want.label, want.points, want.weights)
+                report = verify_optimality(
+                    GammaModel.interaction(), (gamma, gamma, 1.0), got.design, Criterion.D, interaction_vertices(a, b), tol=1e-9
+                )
+                assert report.passed, (a, b, gamma, report.worst_excess)
 
 
 # ---------------------------------------------------------------- mixtures
@@ -782,6 +824,43 @@ def test_interaction_drop_rule_is_scale_invariant_up_to_huge_betas(a, b, beta):
             continue  # an entry underflowed to 0, so the product is no multiple of beta
         scaled = d_optimal_interaction(a, b, product)
         assert scaled.label is base.label and scaled.weights == base.weights
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except NonpositivePredictor:
+        return NonpositivePredictor
+
+
+@given(
+    st.integers(2, 6),
+    st.floats(0.2, 3.0),
+    st.floats(1.05, 8.0),
+    st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    st.integers(-1000, 1000),
+)
+def test_kernel_verdicts_are_invariant_to_power_of_two_scales(nu, a, ratio, entries, k):
+    """Positivity on a cube, the simplex-design rule, the interaction classifier and
+    the interaction family's admissibility give the same answer at 2^k beta as at
+    beta, and warn of no overflow: the predictor of beta near the largest float
+    overflowed, and the squares of the simplex rule under- and overflowed."""
+    b = a * ratio
+    times = [math.ldexp(c, k) for c in entries]
+    assume(all(math.ldexp(c, -k) == e for c, e in zip(times, entries)))  # 2^k beta is exact
+    cube, first_order = ExperimentalRegion.hypercube(a, b, nu), GammaModel.first_order(nu)
+    square = ExperimentalRegion.hypercube(a, b, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert validate_positivity(first_order, times[:nu], cube) == validate_positivity(first_order, entries[:nu], cube)
+        if nu > 2:
+            want, got = (_verdict(is_simplex_design_d_optimal, nu, a, b, beta[:nu]) for beta in (entries, times))
+            assert got == want
+        for beta in (entries[:3], (entries[0], entries[0], abs(entries[1]))):
+            want, got = (_verdict(d_optimal_interaction, a, b, [math.ldexp(c, s) for c in beta]) for s in (0, k))
+            assert got is want or (got.label, got.points, got.weights) == (want.label, want.points, want.weights)
+        ratio_path = [math.ldexp(c, k) for c in (entries[0], entries[0], 1.0)]
+        assert InteractionFamily(a, b).admissible(entries[0]) == validate_positivity(GammaModel.interaction(), ratio_path, square)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 2.0**-900])

@@ -15,6 +15,7 @@ from gammadesign import (
     ExperimentalRegion,
     GammaModel,
     InteractionFamily,
+    InterceptTransform,
     NonpositivePredictor,
     RegionKind,
     SolverParams,
@@ -113,6 +114,7 @@ REPRODUCERS = {
 FURTHER = {
     "contains": lambda: SQUARE.contains((1, "x")),
     "predictor": lambda: interaction_to_intercept(1, 2, (1, 1, 1)).predictor((0.5, "x")),
+    "intercept_fields": lambda: InterceptTransform(1, 2, "x", 1, 1).intensity((0.5, 0.5)),
     "family_admissible": lambda: InteractionFamily().admissible("x"),
     "family_beta": lambda: ThreeFactorFamily(-1).beta("x"),
     "solver_iterations": lambda: SolverParams(max_iterations=2.5),
