@@ -23,6 +23,7 @@ from .model_core import (
     GammaModel,
     NonpositivePredictor,
     ValidationError,
+    _canonical_points,
     _check_beta,
     _check_bounds,
     _check_count,
@@ -30,7 +31,6 @@ from .model_core import (
     _intensity_arrays,
     _positive_predictor,
     _tamed,
-    _vertex_array,
     design_to_json,
     region_vertices,
 )
@@ -250,7 +250,7 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     region = ExperimentalRegion.hypercube(a, b, nu)
     # beta scaled by ``_tamed``: both sides of the condition are homogeneous of degree 2 in it
     a, b, vec = region.a, region.b, np.array(_tamed(*_check_beta(model, beta).tolist()))
-    X, eta = _positive_predictor(model, vec, _vertex_array(region))  # raises unless positive at every vertex
+    X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
     lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
@@ -408,10 +408,9 @@ def intensity_ranking(
     Each group collects vertices whose intensities agree to relative
     ``1e-12``; within a group the vertex enumeration order is kept.
     """
-    vertices = region_vertices(region)  # raises unless the region is a hypercube
-    _, u = _intensity_arrays(model, beta, np.array(vertices))
-    values = list(zip(vertices, u.tolist()))
-    values.sort(key=lambda item: -item[1])
+    V = region_vertices(region)  # raises unless the region is a hypercube
+    _, u = _intensity_arrays(model, beta, V)
+    values = sorted(zip(_canonical_points(V), u.tolist()), key=lambda item: -item[1])
     groups: list[list[tuple[tuple[float, ...], float]]] = []
     for pt, val in values:
         if groups and groups[-1][0][1] - val <= _RANKING_TIE_RTOL * groups[-1][0][1]:

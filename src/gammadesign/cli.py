@@ -255,8 +255,7 @@ def _cmd_solve(args) -> int:
     if args.candidates is not None:
         candidates = _load_json(args.candidates)
     elif args.region is not None:
-        region = _make_region(args, model)
-        candidates = region_vertices(region)
+        candidates = region_vertices(_make_region(args, model))
     else:
         raise ValidationError("either --candidates or --region is required")
     params = SolverParams(max_iterations=args.max_iterations, convergence_tol=args.convergence_tol)

@@ -23,7 +23,7 @@ Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -145,7 +145,7 @@ class ExperimentalRegion:
     """The set of admissible experimental settings.
 
     Either the positive orthant (no bounds stored) or the cube
-    [a, b]**nu with 0 < a < b.
+    [a, b]**nu with 0 < a < b < inf.
     """
 
     kind: RegionKind
@@ -162,8 +162,7 @@ class ExperimentalRegion:
             if self.a is None or self.b is None:
                 raise ValidationError("hypercube regions require bounds a and b")
             a, b = _check_bounds(self.a, self.b)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+            vars(self).update(a=a, b=b)  # frozen: the converted floats are stored past the dataclass guard
 
     @staticmethod
     def orthant(nu: int) -> "ExperimentalRegion":
@@ -208,10 +207,10 @@ def _check_count(n: int, minimum: int, what: str = "nu", message: str | None = N
 
 
 def _check_bounds(a: float, b: float) -> tuple[float, float]:
-    """The cube bounds rule: a and b as floats, or ValidationError unless 0 < a < b."""
+    """The cube bounds rule: a and b as floats, or ValidationError unless 0 < a < b < inf."""
     a, b = _floats((a, b), "bounds")
-    if not 0.0 < a < b:
-        raise ValidationError("bounds must satisfy 0 < a < b")
+    if not 0.0 < a < b < math.inf:
+        raise ValidationError("bounds must satisfy 0 < a < b < inf")
     return a, b
 
 
@@ -489,18 +488,21 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     return (M + M.T) / 2.0
 
 
-def region_vertices(region: ExperimentalRegion) -> list[tuple[float, ...]]:
-    """All 2**nu vertices of a hypercube, in lexicographic order (a < b,
-    first coordinate varying slowest). Orthants have no vertices."""
+def region_vertices(region: ExperimentalRegion) -> np.ndarray:
+    """The 2**nu vertices of a hypercube as one read-only (2**nu, nu) float array, lexicographic: a < b, first coordinate slowest."""
     if region.kind is not RegionKind.HYPERCUBE:
         raise ValidationError("only hypercube regions have vertices")
-    return list(itertools.product((region.a, region.b), repeat=region.nu))
+    V = np.where(_index_bits(region.nu), region.b, region.a)
+    V.setflags(write=False)
+    return V
 
 
-def _vertex_array(region: ExperimentalRegion) -> np.ndarray:
-    """``region_vertices`` of a hypercube as one (2**nu, nu) array, from the bits of the vertex index."""
-    bits = (np.arange(2**region.nu)[:, None] >> np.arange(region.nu - 1, -1, -1)) & 1
-    return np.where(bits == 1, region.b, region.a)
+@functools.lru_cache(maxsize=16)
+def _index_bits(nu: int) -> np.ndarray:
+    """The bits of the vertex indices 0 .. 2**nu - 1 as a read-only (2**nu, nu) bool table, most significant first."""
+    bits = (np.arange(2**nu)[:, None] >> np.arange(nu - 1, -1, -1)) & 1 == 1
+    bits.setflags(write=False)
+    return bits
 
 
 def validate_positivity(model: GammaModel, beta: Sequence[float], region: ExperimentalRegion) -> bool:
@@ -519,7 +521,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         if model.kind is ModelKind.FIRST_ORDER:
             return bool((vec > 0.0).all())
         return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    return bool(_predictor(model, _tamed(*vec.tolist()), _vertex_array(region))[2].all())
+    return bool(_predictor(model, _tamed(*vec.tolist()), region_vertices(region))[2].all())
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:

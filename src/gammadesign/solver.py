@@ -78,8 +78,8 @@ class SolverParams:
     def __post_init__(self) -> None:
         _check_count(self.max_iterations, 1, "max_iterations")
         (convergence_tol,) = _floats((self.convergence_tol,), "convergence_tol")
-        if not convergence_tol > 0.0:
-            raise ValidationError("convergence_tol must be positive")
+        if not 0.0 < convergence_tol < math.inf:  # an infinite one would certify the uniform start, whatever its excess
+            raise ValidationError("convergence_tol must be positive and finite")
         object.__setattr__(self, "convergence_tol", convergence_tol)
 
 

@@ -53,7 +53,7 @@ def _plane(X: np.ndarray) -> np.ndarray:
 
 def _square_map(X: np.ndarray, a: float, b: float, inverse: bool = False) -> np.ndarray:
     """The square map of the judged points X of [a,b]^2 onto [0,1]^2, or its ``inverse``, in one expression,
-    after the input rule of both maps: 0 < a < b, and every point in [a,b]^2 ([0,1]^2 for the inverse)."""
+    after the input rule of both maps: 0 < a < b < inf, and every point in [a,b]^2 ([0,1]^2 for the inverse)."""
     a, b = _check_bounds(a, b)
     lo, hi = (0, 1) if inverse else (a, b)
     inside = _in_box(_plane(X), lo, hi)

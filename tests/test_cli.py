@@ -532,7 +532,7 @@ EXPECTED_COMMANDS = [line.split(maxsplit=1) for line in (EXPECTED_DIR / "command
 
 @pytest.mark.parametrize("name, argv", EXPECTED_COMMANDS, ids=[name for name, _ in EXPECTED_COMMANDS])
 def test_design_and_verify_match_expected_bytes(capsys, monkeypatch, name, argv):
-    """``design`` and ``verify`` stdout, D and A, byte for byte as committed."""
+    """``design``, ``verify`` (D and A) and ``solve`` stdout, byte for byte as committed."""
     monkeypatch.chdir(REPO_ROOT)  # the verify lines name their design files from the repository root
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == "", err

@@ -55,12 +55,12 @@ def simplex_support(nu: int, a: float, b: float):
 
 def test_region_vertices_square():
     square = ExperimentalRegion.hypercube(1.0, 2.0, 2)
-    assert region_vertices(square) == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)]
+    assert region_vertices(square).tolist() == [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]
 
 
 def test_region_vertices_cube():
     cube = ExperimentalRegion.hypercube(1.0, 2.0, 3)
-    verts = region_vertices(cube)
+    verts = list(map(tuple, region_vertices(cube).tolist()))
     assert len(verts) == 8
     assert verts[0] == (1.0, 1.0, 1.0)
     assert verts[-1] == (2.0, 2.0, 2.0)
@@ -70,8 +70,8 @@ def test_region_vertices_cube():
 def test_region_vertices_thin_box():
     eps = 1e-6
     thin = ExperimentalRegion.hypercube(2.0 - eps, 2.0, 2)
-    verts = region_vertices(thin)
-    assert len(set(verts)) == 4
+    verts = region_vertices(thin).tolist()
+    assert len(set(map(tuple, verts))) == 4
 
 
 def test_region_vertices_rejects_orthant():
@@ -260,6 +260,24 @@ def test_criterion_given_as_string_runs_its_own_check(name):
     assert report.criterion is Criterion(name) and report.to_json()["criterion"] == name
     if name == "D":
         assert report.bound == 2.0 and report.passed
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 6),
+    st.floats(0.5, 2.0),
+    st.floats(1.1, 4.0),
+    st.lists(st.floats(0.1, 3.0), min_size=6, max_size=6),
+    st.lists(st.floats(0.05, 1.0), min_size=64, max_size=64),
+)
+def test_vertex_array_and_vertex_tuples_give_equal_reports(nu, a, ratio, beta, weights):
+    """The read-only vertex array and the same vertices as a list of tuples are the same candidates."""
+    vertices = region_vertices(ExperimentalRegion.hypercube(a, a * ratio, nu))
+    w = np.array(weights[: len(vertices)])
+    design = Design(vertices, (w / w.sum()).tolist())
+    for criterion in (Criterion.D, Criterion.A):
+        check = lambda candidates: verify_optimality(GammaModel.first_order(nu), beta[:nu], design, criterion, candidates)
+        assert check(vertices) == check(list(map(tuple, vertices.tolist())))
 
 
 # ---------------------------------------------------------------- lazy tuples

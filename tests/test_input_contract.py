@@ -4,6 +4,7 @@ inadmissible parameter point, is reported as a ValidationError."""
 from __future__ import annotations
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,18 @@ FURTHER = {
     "region_json_nu_bool": lambda: region_from_json({"kind": "orthant", "nu": True}),
     "region_json_nu_string": lambda: region_from_json({"kind": "hypercube", "nu": "3", "a": 1.0, "b": 2.0}),
     "region_json_nu_float": lambda: region_from_json({"kind": "hypercube", "nu": 3.0, "a": 1.0, "b": 2.0}),
+    # An infinite upper bound built a cube on which validate_positivity answered True and the
+    # simplex rule warned "invalid value encountered in multiply".
+    "hypercube_infinite_bound": lambda: ExperimentalRegion.hypercube(1, float("inf"), 3),
+    "region_json_infinite_bound": lambda: region_from_json({"kind": "hypercube", "nu": 3, "a": 1.0, "b": float("inf")}),
+    "simplex_rule_infinite_bound": lambda: is_simplex_design_d_optimal(3, 1, float("inf"), (1, 1, 1)),
+    "simplex_design_infinite_bound": lambda: simplex_design(3, 1, float("inf")),
+    "two_factor_infinite_bound": lambda: d_optimal_two_factor(1, float("inf")),
+    "three_factor_vertices_infinite_bound": lambda: three_factor_vertices(1, float("inf")),
+    "interaction_family_infinite_bound": lambda: InteractionFamily(1, float("inf")),
+    "interaction_to_intercept_infinite_bound": lambda: interaction_to_intercept(1, float("inf"), (1, 1, 1)),
+    # An infinite tolerance certified the uniform start after 0 iterations, whatever its excess.
+    "solver_tolerance_infinite": lambda: SolverParams(convergence_tol=float("inf")),
 }
 
 
@@ -229,6 +242,29 @@ def test_cli_candidate_files_refuse_malformed_batches(capsys, tmp_path, command,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["design", "--nu", "3", "--region", "hypercube", "--a", "1", "--b", "inf", "--beta=1,1,1"], "bounds must satisfy"),
+        (["solve", "--nu", "3", "--region", "hypercube", "--a", "1", "--b", "2", "--beta=-1,2,2", "--convergence-tol", "inf"],
+         "convergence_tol must be positive and finite"),
+    ],
+    ids=["infinite_bound", "infinite_convergence_tol"],
+)
+def test_cli_refuses_infinite_bounds_and_tolerances(capsys, argv, message):
+    """The design warned "invalid value encountered in multiply" before a points error, and the solve
+    printed the uniform start with exit status 0."""
+    from gammadesign.cli import run
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValidationError" and message in error["message"]
 
 
 COORDINATES = st.one_of(

@@ -6,6 +6,7 @@ each against a loop of one-point calls."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from gammadesign.model_core import (
     _information,
     _intensity_arrays,
     _outer,
-    _vertex_array,
     _whitened,
 )
 
@@ -284,7 +284,12 @@ def test_design_keeps_read_only_arrays_equal_to_its_tuples(case):
     assert twin == design and hash(twin) == hash(design) and "_pts" not in repr(design)
 
 
-@pytest.mark.parametrize("nu", [1, 2, 3, 6])
-def test_vertex_array_is_region_vertices(nu):
-    cube = ExperimentalRegion.hypercube(0.5, 3.0, nu)
-    assert _vertex_array(cube).tolist() == [list(v) for v in region_vertices(cube)]
+@pytest.mark.parametrize("nu", range(1, 9))
+def test_region_vertices_is_the_read_only_product_array(nu):
+    """One float64 array, row for row the lexicographic product of the bounds, that no caller can write."""
+    V = region_vertices(ExperimentalRegion.hypercube(0.5, 3.0, nu))
+    expected = np.array(list(itertools.product((0.5, 3.0), repeat=nu)))
+    assert V.shape == expected.shape == (2**nu, nu) and (V == expected).all()
+    assert V.dtype == np.float64
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0

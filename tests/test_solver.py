@@ -52,6 +52,12 @@ def test_params_validation():
         SolverParams(convergence_tol=0.0)
 
 
+def test_vertex_array_and_vertex_tuples_give_equal_solves():
+    vertices = region_vertices(CUBE3)
+    solve = lambda candidates: multiplicative(GammaModel.first_order(3), (-1.0, 2.0, 2.0), candidates)
+    assert solve(vertices) == solve(list(map(tuple, vertices.tolist())))
+
+
 # ---------------------------------------------------------------- benchmarks
 
 
