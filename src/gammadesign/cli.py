@@ -46,6 +46,7 @@ from .equivalence import (
     verify_optimality,
 )
 from .analytic_designs import (
+    THREE_FACTOR_VERTEX_NAMES,
     ThreeFactorScenario,
     a_optimal_orthant,
     a_optimal_two_factor,
@@ -55,7 +56,6 @@ from .analytic_designs import (
     d_optimal_two_factor,
     is_simplex_design_d_optimal,
     simplex_design,
-    three_factor_vertices,
 )
 from .solver import SolverParams, _solve_path, multiplicative
 from .efficiency import (
@@ -301,13 +301,12 @@ def _cmd_reproduce(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{args.target}.csv"
     if args.target == "table2":
-        vertices = three_factor_vertices(1.0, 2.0)
-        lines = ["gamma," + ",".join(f"v{k}" for k in range(1, 9))]
-        gammas = (-2.9, -2.5, -2.0, -1.5, -1.23)
-        solved = _solve_path(GammaModel.first_order(3), [(-1.0, -gamma, -gamma) for gamma in gammas], vertices, SolverParams())
+        family, gammas = ThreeFactorFamily(-1), (-2.9, -2.5, -2.0, -1.5, -1.23)
+        lines = [",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES)]
+        solved = _solve_path(family.model, [family.beta(gamma) for gamma in gammas], family.vertices, SolverParams())
         for gamma, (design, _) in zip(gammas, solved):
             by_point = dict(zip(design.points, design.weights))
-            row = [gamma] + [by_point.get(v, 0.0) for v in vertices]
+            row = [gamma] + [by_point.get(v, 0.0) for v in family.vertices]
             lines.append(",".join(_CSV_FLOAT_FORMAT % value for value in row))
         _write("\n".join(lines) + "\n", path)
     else:

@@ -27,7 +27,6 @@ only the verdict never builds them.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,6 +46,7 @@ from .model_core import (
     _floats,
     _judged,
     _positive_predictor,
+    _tamed,
     region_vertices,
 )
 
@@ -69,23 +69,23 @@ class Criterion(str, enum.Enum):
     A = "A"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False)
 class VerificationReport:
     """Outcome of checking the optimality bound over a candidate set.
 
     ``criterion``, ``bound``, ``worst_excess`` and ``passed`` are set when the
     report is made. ``points``, ``sensitivities`` and ``worst_point`` are
     tuples built from the report's read-only candidate and sensitivity
-    arrays on first read, and then kept. Equality, hash and repr are those of
-    a frozen dataclass of the seven values in the order of ``_FIELDS``.
+    arrays on first read, and then kept.
     """
 
     criterion: Criterion
     bound: float
+    points: tuple[tuple[float, ...], ...]
+    sensitivities: tuple[float, ...]
+    worst_point: tuple[float, ...]
     worst_excess: float
     passed: bool
-
-    _FIELDS = ("criterion", "bound", "points", "sensitivities", "worst_point", "worst_excess", "passed")
 
     def __init__(
         self, criterion: Criterion, bound: float, candidates: np.ndarray, sensitivities: np.ndarray,
@@ -100,35 +100,19 @@ class VerificationReport:
             _candidates=candidates, _sensitivities=sensitivities, _worst=worst,
         )
 
-    @functools.cached_property
-    def points(self) -> tuple[tuple[float, ...], ...]:
-        """The candidates as float tuples, built on first read."""
-        return _canonical_points(self._candidates)
-
-    @functools.cached_property
-    def sensitivities(self) -> tuple[float, ...]:
-        """Each candidate's sensitivity, built on first read."""
-        return tuple(self._sensitivities.tolist())
-
-    @functools.cached_property
-    def worst_point(self) -> tuple[float, ...]:
-        """The first candidate of largest sensitivity, built on first read."""
-        return self.points[self._worst]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{self.__class__.__qualname__}({fields})"
+    def __getattr__(self, name: str):
+        """Builds ``points``, ``sensitivities`` or ``worst_point`` from the arrays on first read and keeps it.
+        Runs only when a lookup misses, so every other name is an AttributeError."""
+        if name == "points":
+            value = _canonical_points(self._candidates)
+        elif name == "sensitivities":
+            value = tuple(self._sensitivities.tolist())
+        elif name == "worst_point":
+            value = self.points[self._worst]
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self)[name] = value
+        return value
 
     def to_json(self) -> dict:
         return {
@@ -167,14 +151,19 @@ def sensitivity(
 
 
 def _verification_report(
-    predictors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    model: GammaModel,
+    beta: Sequence[float],
     design: Design,
     candidates: Sequence[Sequence[float]],
     criterion: Criterion,
     tol: float,
+    lift: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> VerificationReport:
-    """Report for ``design`` over ``candidates``, judged once: one ``predictors`` call gives F and the
-    positive predictor eta of the design's points and the candidates together, and G = F' / eta of all."""
+    """Report for ``design`` over ``candidates``, judged once: one predictor call gives F and the positive
+    predictor eta of the design's points and the candidates together (each point mapped by ``lift`` first,
+    if given), and G = F' / eta of all. G is formed at beta scaled by ``_tamed``, so no square overflows or
+    underflows: the D-sensitivities are homogeneous of degree 0 in beta and keep every bit, and the
+    A-sensitivities and their bound, of degree 2, are scaled back by the exact power of four."""
     try:
         criterion = Criterion(criterion)  # a plain "D" or "A" too
     except ValueError as exc:
@@ -188,7 +177,10 @@ def _verification_report(
     if not 0.0 <= tol < math.inf:  # a nan tol fails every design, a negative one even an exact optimum
         raise ValidationError("tol must be nonnegative" if tol < 0.0 else "tol must be finite")
     k = design.size
-    F, eta = predictors(np.concatenate((design._pts, C)))
+    beta = _check_beta(model, beta).tolist()
+    scaled = _tamed(*beta)
+    X = np.concatenate((design._pts, C))
+    F, eta = _positive_predictor(model, scaled, X if lift is None else lift(X))
     G = F.T / eta
     Gs = G[:, :k]  # M = sum_i w_i g_i g_i' from columns G already holds: one product, no K table to build
     L, _ = _factor((Gs * design._wts) @ Gs.T)
@@ -196,6 +188,8 @@ def _verification_report(
         vals, bound = _d_sensitivities(L, G[:, k:]), float(L.shape[0])
     else:
         vals, bound = _a_sensitivities(L, G[:, k:])
+        ratio = max(map(abs, beta)) / max(map(abs, scaled))  # the power of two the scaling divided beta by
+        vals, bound = vals * (ratio * ratio), bound * (ratio * ratio)
     worst = int(vals.argmax())  # ties resolved by first index
     excess = float(vals[worst] - bound)
     return VerificationReport(criterion, bound, C, vals, worst, excess, excess <= tol)
@@ -214,4 +208,4 @@ def verify_optimality(
     The report records each candidate's sensitivity; the design passes
     iff the largest excess over the bound is at most ``tol``.
     """
-    return _verification_report(lambda X: _positive_predictor(model, _check_beta(model, beta), X), design, candidates, criterion, tol)
+    return _verification_report(model, beta, design, candidates, criterion, tol)

@@ -44,6 +44,11 @@ UNIT_SQUARE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 _LIFTED = GammaModel.first_order(3)
 
 
+def _lifted(Z: np.ndarray) -> np.ndarray:
+    """The judged points Z lifted to (1, z1, z2) by one column stack."""
+    return np.column_stack((np.ones(len(Z)), Z))
+
+
 def _plane(X: np.ndarray) -> np.ndarray:
     """The judged points X, which must have two coordinates."""
     if X.shape[1] != 2:
@@ -99,9 +104,9 @@ class InterceptTransform:
         return self.beta0 + self.beta1 * z1 + self.beta2 * z2
 
     def _predictors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F and the positive predictor eta of the judged points Z, lifted to (1, z1, z2) by one column stack."""
+        """F and the positive predictor eta of the judged points Z, lifted to (1, z1, z2)."""
         beta = _check_beta(_LIFTED, (self.beta0, self.beta1, self.beta2))  # the fields of a directly built transform are caller input
-        return _positive_predictor(_LIFTED, beta, np.column_stack((np.ones(len(Z)), Z)))
+        return _positive_predictor(_LIFTED, beta, _lifted(Z))
 
     def intensity(self, z: Sequence[float]) -> float:
         return float((self._predictors(_judged([z]))[1] ** -2)[0])
@@ -132,7 +137,8 @@ def verify_intercept_design(
     this model class.
     """
     points = UNIT_SQUARE_VERTICES if candidates is None else candidates
-    return _verification_report(transform._predictors, design, points, criterion, tol)
+    beta = (transform.beta0, transform.beta1, transform.beta2)
+    return _verification_report(_LIFTED, beta, design, points, criterion, tol, lift=_lifted)
 
 
 def induced_polytope_vertices(a: float, b: float) -> list[tuple[float, float]]:

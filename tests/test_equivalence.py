@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
+import pickle
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -14,9 +19,11 @@ from gammadesign import (
     Design,
     ExperimentalRegion,
     GammaModel,
+    InterceptTransform,
     NonpositivePredictor,
     SingularInformation,
     ValidationError,
+    VerificationReport,
     d_optimal_interaction,
     interaction_to_intercept,
     interaction_vertices,
@@ -352,6 +359,86 @@ def test_reports_are_frozen_with_read_only_arrays():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_report_fields_are_the_seven_dataclass_fields_in_order():
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+        "criterion", "bound", "points", "sensitivities", "worst_point", "worst_excess", "passed",
+    ]
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_reports_survive_pickle_and_deepcopy(clone, read_first):
+    for make in _both_reports():
+        report = make()
+        if read_first:
+            report.to_json()
+        twin = clone(report)
+        assert ("points" in vars(twin)) == read_first  # an unread report stays lazy in its copy
+        assert twin == report and hash(twin) == hash(report)
+        assert twin == make() and repr(twin) == repr(report)
+
+
+def test_unknown_report_attribute_raises_attribute_error():
+    report = _both_reports()[0]()
+    with pytest.raises(AttributeError, match="no attribute 'weights'"):
+        report.weights
+    # an instance with no state, as unpickling makes one: a lazy field fails on its missing array, without recursion
+    with pytest.raises(AttributeError, match="_candidates"):
+        object.__new__(VerificationReport).points
+
+
+# ---------------------------------------------------------------- scale of beta
+#
+# D-sensitivities are homogeneous of degree 0 in beta and A-sensitivities and
+# their bound of degree 2, so at 2^k beta a D report is the same report and an
+# A report is the one at beta scaled by exactly 4^k. Both entry points form G
+# at beta scaled by a power of two, so neither overflows nor underflows.
+
+_SQUARE = interaction_vertices(1.0, 2.0)
+
+
+def _scaled_reports(beta, scale, criterion):
+    """The report at beta times ``scale`` for each entry point, with every warning raised as an error:
+    the uniform design on the interaction square [1, 2]^2, and its image under the intercept transform
+    at beta, whose parameters are scaled alike."""
+    transform = interaction_to_intercept(1.0, 2.0, beta)
+    lifted = InterceptTransform(1.0, 2.0, *(value * scale for value in (transform.beta0, transform.beta1, transform.beta2)))
+    square = equal_weight_design(_SQUARE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (
+            verify_optimality(GammaModel.interaction(), [value * scale for value in beta], square, criterion, _SQUARE),
+            verify_intercept_design(lifted, map_design_interaction(square, 1.0, 2.0), criterion),
+        )
+
+
+_POSITIVE_BETA = st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0))
+
+
+@settings(max_examples=60)
+@given(_POSITIVE_BETA, st.integers(-1000, 1000))
+def test_d_reports_are_the_same_at_every_power_of_two_scale_of_beta(beta, k):
+    assert _scaled_reports(beta, math.ldexp(1.0, k), Criterion.D) == _scaled_reports(beta, 1.0, Criterion.D)
+
+
+@settings(max_examples=60)
+@given(_POSITIVE_BETA, st.integers(-200, 200))
+def test_a_reports_scale_by_the_exact_power_of_four(beta, k):
+    for scaled, base in zip(_scaled_reports(beta, math.ldexp(1.0, k), Criterion.A), _scaled_reports(beta, 1.0, Criterion.A)):
+        assert scaled.bound == math.ldexp(base.bound, 2 * k)
+        assert scaled.sensitivities == tuple(math.ldexp(value, 2 * k) for value in base.sensitivities)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_d_verification_at_extreme_beta_scales(scale):
+    """A tiny beta overflowed G, and a huge one underflowed M to a singular matrix."""
+    unit = (1.0, 1.0, 1.0)
+    for report, base in zip(_scaled_reports(unit, scale, Criterion.D), _scaled_reports(unit, 1.0, Criterion.D)):
+        assert report.passed is base.passed
+        assert report.worst_point == base.worst_point
+        assert report.worst_excess == pytest.approx(base.worst_excess, rel=1e-12)
 
 
 # ---------------------------------------------------------------- errors
