@@ -59,12 +59,6 @@ __all__ = [
     "intensity_ranking",
 ]
 
-# Relative slack on the vertex condition of the simplex-design test;
-# support vertices satisfy it with equality, so exact zero is on the edge.
-_VERTEX_CONDITION_RTOL = 1e-9
-# Conditions for dropping a square vertex count as satisfied below this
-# multiple of |beta|^2.
-_DROP_CONDITION_RTOL = 1e-12
 # Relative gap under which two vertex intensities count as tied.
 _RANKING_TIE_RTOL = 1e-12
 
@@ -241,10 +235,10 @@ def simplex_design(nu: int, a: float, b: float) -> Design:
 def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[float]) -> bool:
     """Whether the single-high-coordinate design is D-optimal at ``beta``.
 
-    Checks the vertex condition
-    sum_j (x_j - q T(x))^2 c_j^2 <= (b-a)^2 (sum_j beta_j x_j)^2
-    with T(x) = sum x_i, q = a/((nu-1)a + b) and
-    c_j = (b-a) beta_j + a sum(beta) at every cube vertex.
+    Checks the vertex condition sum_j (x_j - q T(x))^2 c_j^2 <= (b-a)^2 (sum_j beta_j x_j)^2,
+    with T(x) = sum x_i, q = a/((nu-1)a + b) and c_j = (b-a) beta_j + a sum(beta), exactly at
+    every cube vertex but the design's own support vertices (in ``region_vertices`` order, the
+    indices with one bit set), which meet it with equality whatever beta is and are not judged.
     """
     model = GammaModel.first_order(_check_count(nu, 3))
     region = ExperimentalRegion.hypercube(a, b, nu)
@@ -253,9 +247,8 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
-    lhs = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2
-    rhs = (b - a) ** 2 * eta**2
-    return bool(np.all(lhs <= rhs * (1.0 + _VERTEX_CONDITION_RTOL)))
+    violated = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2 > (b - a) ** 2 * eta**2
+    return all(0 < k and k & (k - 1) == 0 for k in np.flatnonzero(violated).tolist())
 
 
 def equal_beta_threshold(nu: int) -> float:
@@ -352,12 +345,11 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     if vec[0] == vec[1] and vec[2] >= 0.0:
         table, index = _interaction_cases(a, b, scaled[0], scaled[2])
         return Classification(*table[index], gamma)
-    tol = _DROP_CONDITION_RTOL * float(np.dot(scaled, scaled))
     e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
     for label, k in drops:
-        if half - e2[k] <= tol:
+        if half <= e2[k]:
             return Classification(label, *_equal_weight(v[:k] + v[k + 1:]), gamma)
     return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 

@@ -95,13 +95,9 @@ def _dump_json(value, pieces: list[str]) -> None:
                 pieces.append(", ")
             _dump_json(item, pieces)
         pieces.append("]")
-    elif isinstance(value, bool) or value is None:
-        pieces.append(json.dumps(value))
     elif isinstance(value, float):
         pieces.append(_JSON_FLOAT_FORMAT % value)
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    else:
+    else:  # str, int, bool and None as the stdlib prints them
         pieces.append(json.dumps(value))
 
 

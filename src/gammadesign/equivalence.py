@@ -93,12 +93,16 @@ class VerificationReport:
     ) -> None:
         """A report on the judged ``candidates`` (n, d) with their ``sensitivities`` (n,), whose
         largest is at index ``worst``. Both arrays are made read-only and kept, not copied."""
-        candidates.setflags(write=False)
-        sensitivities.setflags(write=False)
-        vars(self).update(
+        self.__setstate__(dict(
             criterion=criterion, bound=bound, worst_excess=worst_excess, passed=passed,
             _candidates=candidates, _sensitivities=sensitivities, _worst=worst,
-        )
+        ))
+
+    def __setstate__(self, state: dict) -> None:
+        """Sets the state of a report made, copied or unpickled, with its two arrays made read-only."""
+        vars(self).update(state)
+        self._candidates.setflags(write=False)
+        self._sensitivities.setflags(write=False)
 
     def __getattr__(self, name: str):
         """Builds ``points``, ``sensitivities`` or ``worst_point`` from the arrays on first read and keeps it.

@@ -293,6 +293,10 @@ class Design:
         vars(self).update(points=_canonical_points(X), weights=weights, _pts=X, _wts=w)
         self._validate()
 
+    def __reduce__(self):
+        """Copies and pickles are rebuilt through ``__init__``, so their judged arrays are read-only too."""
+        return type(self), (self.points, self.weights)
+
     def _validate(self) -> None:
         if not self.points:
             raise ValidationError("design needs at least one support point")

@@ -10,8 +10,10 @@ it may call into the optimality machinery of the package itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -153,12 +155,16 @@ def drop_vertex_forms(a: float, b: float, beta) -> tuple[float, float, float, fl
     hand from the source model without the intercept reduction. The forms
     are those of ``unit_scaled(beta)``: homogeneous of degree 2, each keeps
     its sign, and none underflows at a tiny beta or overflows at a huge one."""
-    b1, b2, b3 = unit_scaled(beta)
-    ia, ib = 1.0 / a, 1.0 / b
-    form_i = b3**2 + ib**2 * (b1**2 + b2**2) + (ib**2 - ia**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ib * b3 * (b1 + b2)
-    form_ii = b3**2 + ib**2 * b1**2 + ia**2 * b2**2 + 2.0 * ib * b3 * b1 + 2.0 * ia * b3 * b2 + (ib**2 + ia**2) * b1 * b2
-    form_iii = b3**2 + ib**2 * b2**2 + ia**2 * b1**2 + 2.0 * ib * b3 * b2 + 2.0 * ia * b3 * b1 + (ib**2 + ia**2) * b1 * b2
-    form_iv = b3**2 + ia**2 * (b1**2 + b2**2) + (ia**2 - ib**2 + 2.0 * ia * ib) * b1 * b2 + 2.0 * ia * b3 * (b1 + b2)
+    return _drop_forms(1.0 / a, 1.0 / b, *unit_scaled(beta))
+
+
+def _drop_forms(ia, ib, b1, b2, b3):
+    """The four forms at ia = 1/a and ib = 1/b, in the arithmetic of the inputs:
+    floats, or exact on Fractions (every constant is an int)."""
+    form_i = b3**2 + ib**2 * (b1**2 + b2**2) + (ib**2 - ia**2 + 2 * ia * ib) * b1 * b2 + 2 * ib * b3 * (b1 + b2)
+    form_ii = b3**2 + ib**2 * b1**2 + ia**2 * b2**2 + 2 * ib * b3 * b1 + 2 * ia * b3 * b2 + (ib**2 + ia**2) * b1 * b2
+    form_iii = b3**2 + ib**2 * b2**2 + ia**2 * b1**2 + 2 * ib * b3 * b2 + 2 * ia * b3 * b1 + (ib**2 + ia**2) * b1 * b2
+    form_iv = b3**2 + ia**2 * (b1**2 + b2**2) + (ia**2 - ib**2 + 2 * ia * ib) * b1 * b2 + 2 * ia * b3 * (b1 + b2)
     return form_i, form_ii, form_iii, form_iv
 
 
@@ -174,6 +180,36 @@ def ulp_steps(x: float, k: int) -> float:
     for _ in range(abs(k)):
         x = math.nextafter(x, math.copysign(math.inf, k))
     return x
+
+
+# --------------------------------------------------------------------------
+# exact verdicts: rational arithmetic on the float inputs, no package call
+
+
+def exact_drop_forms(a: float, b: float, beta) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The four ``drop_vertex_forms`` evaluated exactly at the given floats. Form k
+    equals half the sum of e_j^2 over j != k less e_k^2 (e_j the intercept
+    predictor at mapped corner j), so the four forms sum to sum_j e_j^2 > 0: the
+    scale their margins are measured against."""
+    return _drop_forms(1 / Fraction(a), 1 / Fraction(b), *map(Fraction, beta))
+
+
+def exact_simplex_margins(nu: int, a: float, b: float, beta) -> dict[tuple[float, ...], tuple[Fraction, Fraction]]:
+    """rhs - lhs and rhs of the vertex condition of the single-high-coordinate
+    simplex design on [a,b]^nu, exactly, at every vertex x (the key):
+    lhs = sum_j (x_j - q T(x))^2 c_j^2 and rhs = (b-a)^2 (beta'x)^2, with
+    T(x) = sum x_j, q = a/((nu-1)a + b) and c_j = (b-a) beta_j + a sum(beta).
+    The design is D-optimal iff no margin is negative."""
+    lo, hi, vec = Fraction(a), Fraction(b), [Fraction(c) for c in beta]
+    q = lo / ((nu - 1) * lo + hi)
+    c2 = [((hi - lo) * c + lo * sum(vec)) ** 2 for c in vec]
+    margins = {}
+    for x in itertools.product((lo, hi), repeat=nu):
+        shift = q * sum(x)
+        lhs = sum((xj - shift) ** 2 * cj for xj, cj in zip(x, c2))
+        rhs = (hi - lo) ** 2 * sum(c * xj for c, xj in zip(vec, x)) ** 2
+        margins[tuple(map(float, x))] = (rhs - lhs, rhs)
+    return margins
 
 
 # --------------------------------------------------------------------------

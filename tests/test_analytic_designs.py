@@ -591,12 +591,9 @@ DROP_LABELS = (InteractionLabel.CASE_I, InteractionLabel.CASE_II, InteractionLab
 
 
 def oracle_drop_label(a: float, b: float, beta) -> InteractionLabel:
-    """The label the hand-expanded quadratic forms give, at the package's
-    tolerance 1e-12 |beta|^2, both taken at ``unit_scaled(beta)``."""
-    scaled = unit_scaled(beta)
-    tol = 1e-12 * float(np.dot(scaled, scaled))
+    """The label the hand-expanded quadratic forms give at ``unit_scaled(beta)``."""
     for label, form in zip(DROP_LABELS, drop_vertex_forms(a, b, beta)):
-        if form <= tol:
+        if form <= 0.0:
             return label
     return InteractionLabel.CASE_V_FOUR_POINT
 

@@ -380,6 +380,20 @@ def test_reports_survive_pickle_and_deepcopy(clone, read_first):
         assert twin == make() and repr(twin) == repr(report)
 
 
+@pytest.mark.parametrize(
+    "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+)
+def test_report_copies_keep_their_arrays_read_only(clone):
+    """A copied report's arrays were writable, so a write before its tuples were
+    built would have set them apart from the verdict."""
+    for make in _both_reports():
+        twin = clone(make())
+        for array in (twin._candidates, twin._sensitivities):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 def test_unknown_report_attribute_raises_attribute_error():
     report = _both_reports()[0]()
     with pytest.raises(AttributeError, match="no attribute 'weights'"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +174,23 @@ def test_design_json_round_trip():
     obj = design_to_json(design)
     assert set(obj) == {"points", "weights"}
     assert design_from_json(obj) == design
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+)
+def test_design_copies_keep_their_judged_arrays_read_only(clone):
+    """A deep copy's arrays were writable: written, the copy still compared equal
+    to its original while its information matrix differed."""
+    model, beta = GammaModel.first_order(2), (1.0, 1.0)
+    design = Design(points=[(1.0, 2.0), (2.0, 1.0)], weights=[0.25, 0.75])
+    twin = clone(design)
+    for array in (twin._pts, twin._wts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert twin == design
+    np.testing.assert_array_equal(information_matrix(model, beta, twin), information_matrix(model, beta, design))
 
 
 def test_design_from_json_repairs_rounded_weights():
