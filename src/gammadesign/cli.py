@@ -151,6 +151,21 @@ def _make_region(args, model: GammaModel) -> ExperimentalRegion:
     return ExperimentalRegion.hypercube(args.a, args.b, model.nu)
 
 
+def _candidates(args, model: GammaModel, design: Design | None = None):
+    """Candidates from the --candidates file, else from --region: a hypercube's vertices, or an orthant
+    ``design``'s points plus the axis points it lacks. A given ``design`` must lie in the region."""
+    if args.candidates is not None:
+        return _load_json(args.candidates)
+    if args.region is None:
+        raise ValidationError("either --candidates or --region is required")
+    region = _make_region(args, model)
+    if design is not None:
+        validate_design_region(design, region)
+        if region.kind is RegionKind.ORTHANT:
+            return list(design.points) + [pt for pt in orthant_axis_points(model.nu) if pt not in design.points]
+    return region_vertices(region)  # an orthant has none: ValidationError
+
+
 def _require_beta(args, model: GammaModel) -> tuple[float, ...]:
     if args.beta is None:
         raise ValidationError("--beta is required for this configuration")
@@ -227,20 +242,7 @@ def _cmd_verify(args) -> int:
     model = _make_model(args)
     beta = _require_beta(args, model)
     design = design_from_json(_load_json(args.design))
-    if args.candidates is not None:
-        candidates = _load_json(args.candidates)
-    elif args.region is not None:
-        region = _make_region(args, model)
-        validate_design_region(design, region)
-        if region.kind is RegionKind.HYPERCUBE:
-            candidates = region_vertices(region)
-        else:
-            candidates = list(design.points) + [
-                pt for pt in orthant_axis_points(model.nu) if pt not in design.points
-            ]
-    else:
-        raise ValidationError("either --candidates or --region is required")
-    report = verify_optimality(model, beta, design, Criterion(args.criterion), candidates, args.tol)
+    report = verify_optimality(model, beta, design, Criterion(args.criterion), _candidates(args, model, design), args.tol)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -248,12 +250,7 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     model = _make_model(args)
     beta = _require_beta(args, model)
-    if args.candidates is not None:
-        candidates = _load_json(args.candidates)
-    elif args.region is not None:
-        candidates = region_vertices(_make_region(args, model))
-    else:
-        raise ValidationError("either --candidates or --region is required")
+    candidates = _candidates(args, model)
     params = SolverParams(max_iterations=args.max_iterations, convergence_tol=args.convergence_tol)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IterationCapExceeded)
@@ -391,15 +388,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (GammaDesignError, OSError) as exc:
         _print_error(exc)
-        return 2
-    except GammaDesignError as exc:
-        _print_error(exc)
-        return 1
-    except OSError as exc:
-        _print_error(exc)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 def _print_error(exc: Exception, key: str = "error") -> None:

@@ -33,8 +33,8 @@ from .model_core import (
     _factor,
     _floats,
     _information,
-    _intensity_arrays,
     _outer,
+    _positive_predictor,
     _predictor,
     _tamed,
 )
@@ -67,14 +67,14 @@ _REFERENCE_PARAMS = SolverParams(convergence_tol=1e-10)
 
 def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
     """log det M of one support (a design's judged array, or a library-built table) at each row of the
-    (G, p) stack ``betas``, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
-    F, u = _intensity_arrays(model, betas, np.asarray(points), stacked=True)
-    return _factor(_information(_outer(F), np.asarray(weights) * u))[1]
+    library-built (G, p) stack ``betas``, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
+    F, eta = _positive_predictor(model, betas, np.asarray(points))
+    return _factor(_information(_outer(F), np.asarray(weights) * eta**-2))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
-    """Efficiency of ``design`` relative to ``optimal`` at the point ``beta``."""
-    betas = _check_beta(model, beta)[None]
+    """Efficiency of ``design`` relative to ``optimal`` at ``beta``, taken scaled by ``_tamed``: it is of degree 0."""
+    betas = np.array([_tamed(*_check_beta(model, beta).tolist())])
     ld_design = _logdets(model, betas, design._pts, design._wts)
     ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
@@ -111,7 +111,7 @@ class _Family:
                 path = _solve_path(self.model, [self._beta(gammas[row]) for row in rows], self.vertices, _REFERENCE_PARAMS)
                 groups.extend((design.points, design.weights, [row]) for row, (design, _) in zip(rows.tolist(), path))
             elif len(rows):
-                groups.append((points, np.broadcast_to(_columns(weights), (len(gammas), len(points)))[rows], rows))
+                groups.append((points, np.broadcast_to(_as_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
 
 
@@ -180,7 +180,7 @@ class InteractionFamily(_Family):
         return _interaction_cases(self.a, self.b, gammas)
 
 
-def _columns(values) -> np.ndarray:
+def _as_columns(values) -> np.ndarray:
     """Floats and equal-length arrays as the columns of one array: (n,), or (k, n) with arrays of k."""
     return np.stack(np.broadcast_arrays(*values), axis=-1)
 
@@ -194,8 +194,8 @@ def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, n
     grid = np.array(gammas)
     ok = np.isfinite(grid)
     path = family._beta(grid[ok])
-    positive = _predictor(family.model, _columns(_tamed(*path)), np.array(family.vertices))[2].all(axis=1)
-    betas = _columns(path)
+    positive = _predictor(family.model, _as_columns(_tamed(*path)), np.array(family.vertices))[2].all(axis=1)
+    betas = _as_columns(path)
     ok[ok] = positive
     return ok, betas[positive]
 

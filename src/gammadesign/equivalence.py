@@ -9,7 +9,7 @@ hypercubes the vertices form an essentially complete class, so they are
 the canonical candidates.
 
 Both come from the kernel in ``model_core``, which the solver also uses:
-one predictor call on the design's points and the judged candidates gives
+one ``_columns`` call on the design's points and the judged candidates gives
 the columns g(x) = sqrt(u(x)) f(x) of both, M = sum_i w_i g_i g_i' over the
 support, and one solve whitens the candidates, z(x) = L^-1 g(x) for the
 Cholesky factor L of M. So psi(x) = |z(x)|^2 for D; for A, the one inverse
@@ -39,14 +39,12 @@ from .model_core import (
     ValidationError,
     _a_sensitivities,
     _canonical_points,
-    _check_beta,
     _check_count,
-    _d_sensitivities,
+    _columns,
     _factor,
     _floats,
     _judged,
-    _positive_predictor,
-    _tamed,
+    _whitened,
     region_vertices,
 )
 
@@ -163,11 +161,11 @@ def _verification_report(
     tol: float,
     lift: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> VerificationReport:
-    """Report for ``design`` over ``candidates``, judged once: one predictor call gives F and the positive
-    predictor eta of the design's points and the candidates together (each point mapped by ``lift`` first,
-    if given), and G = F' / eta of all. G is formed at beta scaled by ``_tamed``, so no square overflows or
-    underflows: the D-sensitivities are homogeneous of degree 0 in beta and keep every bit, and the
-    A-sensitivities and their bound, of degree 2, are scaled back by the exact power of four."""
+    """Report for ``design`` over ``candidates``, judged once: one ``_columns`` call gives G = F' / eta of the
+    design's points and the candidates together (each point mapped by ``lift`` first, if given), at beta / r
+    for the power of two r of ``_tamed``, so no square overflows or underflows. The verdict is taken there:
+    D-sensitivities are homogeneous of degree 0 in beta and keep every bit; the A excess is judged relative to
+    its bound, and the A values, of degree 2, are scaled back by r twice, to inf or 0 beyond the float range."""
     try:
         criterion = Criterion(criterion)  # a plain "D" or "A" too
     except ValueError as exc:
@@ -181,22 +179,22 @@ def _verification_report(
     if not 0.0 <= tol < math.inf:  # a nan tol fails every design, a negative one even an exact optimum
         raise ValidationError("tol must be nonnegative" if tol < 0.0 else "tol must be finite")
     k = design.size
-    beta = _check_beta(model, beta).tolist()
-    scaled = _tamed(*beta)
     X = np.concatenate((design._pts, C))
-    F, eta = _positive_predictor(model, scaled, X if lift is None else lift(X))
-    G = F.T / eta
+    G, r = _columns(model, beta, X if lift is None else lift(X))
     Gs = G[:, :k]  # M = sum_i w_i g_i g_i' from columns G already holds: one product, no K table to build
     L, _ = _factor((Gs * design._wts) @ Gs.T)
     if criterion is Criterion.D:
-        vals, bound = _d_sensitivities(L, G[:, k:]), float(L.shape[0])
+        Z = _whitened(L, G[:, k:])
+        vals, bound = (Z * Z).sum(axis=0), float(L.shape[0])
     else:
         vals, bound = _a_sensitivities(L, G[:, k:])
-        ratio = max(map(abs, beta)) / max(map(abs, scaled))  # the power of two the scaling divided beta by
-        vals, bound = vals * (ratio * ratio), bound * (ratio * ratio)
     worst = int(vals.argmax())  # ties resolved by first index
     excess = float(vals[worst] - bound)
-    return VerificationReport(criterion, bound, C, vals, worst, excess, excess <= tol)
+    if criterion is Criterion.D:
+        return VerificationReport(criterion, bound, C, vals, worst, excess, excess <= tol)
+    with np.errstate(over="ignore", under="ignore"):  # r twice: r * r itself may overflow
+        vals = vals * r * r
+    return VerificationReport(criterion, bound * r * r, C, vals, worst, excess * r * r, excess <= tol * bound)
 
 
 def verify_optimality(
@@ -210,6 +208,7 @@ def verify_optimality(
     """Check the equivalence-theorem bound at every candidate point.
 
     The report records each candidate's sensitivity; the design passes
-    iff the largest excess over the bound is at most ``tol``.
+    iff the largest excess over the bound is at most ``tol``: absolute for
+    D, and relative to the bound tr(M^-1) for A.
     """
     return _verification_report(model, beta, design, candidates, criterion, tol)

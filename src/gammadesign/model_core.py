@@ -6,10 +6,10 @@ approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
 The solver, verification, efficiencies and transforms share one numeric
-kernel here: one judge checks each point batch once; F and eta give the
-columns G = [sqrt(u_i) f_i]; M is one product (w u) K over the table K of
-outer products, for one weight vector or a stack over many parameter
-points; one Cholesky factor of M gives log det M, and one solve L^-1 G.
+kernel here: one judge checks each point batch once; ``_columns`` gives
+G = [sqrt(u_i) f_i] at caller beta scaled by ``_tamed``; M is one product
+(w u) K over the table K of outer products, for one weight vector or a stack
+over parameter points; one Cholesky factor L gives log det M, one solve L^-1 G.
 
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
@@ -345,16 +345,15 @@ def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
     return feature_matrix(model, [x])[0]
 
 
-def _check_beta(model: GammaModel, beta: Sequence[float], stacked: bool = False) -> np.ndarray:
-    """beta as a (p,) array, or as a (G, p) stack of parameter points when ``stacked``."""
+def _check_beta(model: GammaModel, beta: Sequence[float]) -> np.ndarray:
+    """Caller beta as a (p,) array of finite floats, judged in Python floats, which cost less than a numpy reduction."""
     try:
         vec = np.asarray(beta, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"beta must be numbers: {exc}") from exc
-    if vec.ndim != 1 + stacked or vec.shape[-1] != model.p:
-        raise ValidationError(f"beta has dimension {vec.shape}, expected {('G', model.p) if stacked else (model.p,)}")
-    # One vector is checked in Python floats, which cost less than a numpy reduction.
-    if not (np.isfinite(vec).all() if stacked else all(map(math.isfinite, vec.tolist()))):
+    if vec.shape != (model.p,):
+        raise ValidationError(f"beta has dimension {vec.shape}, expected {(model.p,)}")
+    if not all(map(math.isfinite, vec.tolist())):
         raise ValidationError("beta entries must be finite")
     return vec
 
@@ -390,11 +389,20 @@ def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray
     return F, eta
 
 
-def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """F and intensities u = eta**-2 of the judged points X under the positivity rule of
-    ``_positive_predictor``; with ``stacked``, beta is a (G, p) stack and u is (G, n)."""
-    F, eta = _positive_predictor(model, _check_beta(model, beta, stacked), X)
+def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and intensities u = eta**-2 of the judged points X at caller ``beta``, under the
+    positivity rule of ``_positive_predictor``."""
+    F, eta = _positive_predictor(model, _check_beta(model, beta), X)
     return F, eta**-2
+
+
+def _columns(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, float]:
+    """G = F' / eta = [sqrt(u_i) f_i] of the judged points X at caller ``beta``, judged once, scaled by ``_tamed``
+    and under the positivity rule of ``_positive_predictor``; and the power of two r the scaling divided beta by."""
+    vec = _check_beta(model, beta).tolist()
+    scaled = _tamed(*vec)
+    F, eta = _positive_predictor(model, scaled, X)
+    return F.T / eta, max(map(abs, vec)) / max(map(abs, scaled))
 
 
 def _outer(F: np.ndarray) -> np.ndarray:
@@ -455,11 +463,6 @@ def _whitened(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Z = L^-1 G by one solve, for the Cholesky factor L of M and G = [sqrt(u_i) f_i] = [f_i / eta_i],
     formed once per point set. |z_i|^2 is the D-sensitivity of column i, and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2."""
     return np.linalg.solve(L, G)
-
-
-def _d_sensitivities(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """D-sensitivities u(x) f(x)' M^-1 f(x) = |z(x)|^2 of the columns of G."""
-    return (_whitened(L, G) ** 2).sum(axis=0)
 
 
 def _a_sensitivities(L: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float]:

@@ -23,7 +23,8 @@ Trials are judged by log det(I + L^-1 dM L^-T) from the changed columns
 of Z: no factorization, and round-off that scales with the change. The
 loop stops once the global excess max psi - p is at most the tolerance,
 and returns that certified iterate, its candidates of positive weight.
-The trace holds one ``log_dets`` entry per accepted iterate.
+The trace holds one ``log_dets`` entry per accepted iterate, at beta; the
+iterates take G from ``_columns``, so they are the same at every 2^k beta.
 
 A path of parameter points (``_solve_path``) judges the candidates once and
 starts each later point from the previous certified weights, exact zeros
@@ -47,15 +48,14 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
-    _check_beta,
     _check_count,
+    _columns,
     _factor,
     _floats,
     _has_coincident,
     _information,
     _judged,
     _outer,
-    _positive_predictor,
     _whitened,
 )
 
@@ -130,8 +130,7 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
     w = uniform = np.full(len(X), 1.0 / len(X))
     results = []
     for beta in betas:
-        F, eta = _positive_predictor(model, _check_beta(model, beta), X)
-        G = F.T / eta  # the columns sqrt(u_i) f_i, and the table K of their outer products u_i f_i f_i'
+        G, r = _columns(model, beta, X)  # the columns sqrt(u_i) f_i at beta / r, and the table K of their outer products
         K = _outer(G.T)
         for w in (w,) if w is uniform else (w, uniform):  # the previous certified weights, else uniform ones
             try:
@@ -159,7 +158,9 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
                 stacklevel=3,
             )
         support = np.flatnonzero(w)
-        results.append((Design(X[support], w[support]), SolverTrace(len(log_dets) - 1, tuple(log_dets), excess, converged)))
+        shift = 2 * p * math.log(r)  # log det M at beta is log det M at beta / r less 2p ln r
+        trace = SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)
+        results.append((Design(X[support], w[support]), trace))
     return results
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _positive_predictor
+from .model_core import Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _positive_predictor, _predictor
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
@@ -100,13 +100,12 @@ class InterceptTransform:
     beta2: float
 
     def predictor(self, z: Sequence[float]) -> float:
-        z1, z2 = _plane(_judged([z]))[0].tolist()
-        return self.beta0 + self.beta1 * z1 + self.beta2 * z2
+        return float(self._predictors(_plane(_judged([z])), _predictor)[1][0])  # any sign: no positivity rule
 
-    def _predictors(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F and the positive predictor eta of the judged points Z, lifted to (1, z1, z2)."""
+    def _predictors(self, Z: np.ndarray, rule=_positive_predictor) -> tuple[np.ndarray, np.ndarray]:
+        """F and the predictor eta of the judged points Z, lifted to (1, z1, z2), by the kernel ``rule``."""
         beta = _check_beta(_LIFTED, (self.beta0, self.beta1, self.beta2))  # the fields of a directly built transform are caller input
-        return _positive_predictor(_LIFTED, beta, _lifted(Z))
+        return rule(_LIFTED, beta, _lifted(Z))[:2]
 
     def intensity(self, z: Sequence[float]) -> float:
         return float((self._predictors(_judged([z]))[1] ** -2)[0])

@@ -334,6 +334,14 @@ def test_verify_missing_design_file(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+def test_output_to_a_directory_exits_one(capsys, tmp_path):
+    """An OSError is a computation failure: exit 1, one JSON error object, nothing on stdout."""
+    code, out, err = run_cli(capsys, "design", "--nu", "3", "--region", "orthant", "--output", str(tmp_path))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "IsADirectoryError"
+
+
 # -------------------------------------------------------------------- solve
 
 

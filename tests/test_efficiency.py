@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gammadesign import (
     Criterion,
@@ -74,6 +75,20 @@ def test_efficiency_scale_invariant_in_beta():
     for lam in (0.1, 7.0):
         value = d_efficiency(POS.model, lam * beta, designs["xi4"], designs["xi1"])
         assert value == pytest.approx(base, abs=1e-10)
+
+
+@given(st.integers(-1000, 1000))
+@example(664)
+@example(-664)
+def test_efficiency_is_the_same_at_every_power_of_two_scale_of_beta(k):
+    """d_efficiency is taken at beta scaled by a power of two: at the raw (s, 0.1 s, 0.1 s), s = 1e200
+    underflowed M to a singular matrix and s = 1e-200 overflowed its intensities."""
+    designs = three_factor_benchmark_designs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = d_efficiency(POS.model, (1.0, 0.1, 0.1), designs["xi4"], designs["xi3"])
+        value = d_efficiency(POS.model, [math.ldexp(v, k) for v in (1.0, 0.1, 0.1)], designs["xi4"], designs["xi3"])
+    assert value == pytest.approx(base, rel=1e-12)
 
 
 def test_efficiency_scale_invariant_in_x():

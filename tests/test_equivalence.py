@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammadesign import (
@@ -24,6 +24,7 @@ from gammadesign import (
     SingularInformation,
     ValidationError,
     VerificationReport,
+    a_optimal_two_factor,
     d_optimal_interaction,
     interaction_to_intercept,
     interaction_vertices,
@@ -443,6 +444,44 @@ def test_a_reports_scale_by_the_exact_power_of_four(beta, k):
     for scaled, base in zip(_scaled_reports(beta, math.ldexp(1.0, k), Criterion.A), _scaled_reports(beta, 1.0, Criterion.A)):
         assert scaled.bound == math.ldexp(base.bound, 2 * k)
         assert scaled.sensitivities == tuple(math.ldexp(value, 2 * k) for value in base.sensitivities)
+
+
+# Designs that fail or pass either criterion: the uniform square design fails both, the A-optimal
+# two-point design passes A only, and the four-point D-optimal interaction design passes D only.
+_VERDICT_CASES = {
+    "uniform_square": (GammaModel.interaction(), (1.0, 1.0, 1.0), equal_weight_design(_SQUARE), _SQUARE),
+    "two_factor_a": (
+        GammaModel.first_order(2), (1.0, 3.0), a_optimal_two_factor(1.0, 3.0, (1.0, 3.0)),
+        region_vertices(ExperimentalRegion.hypercube(1.0, 3.0, 2)),
+    ),
+    "four_point_d": (GammaModel.interaction(), (1.0, 1.0, 0.2), d_optimal_interaction(1.0, 2.0, (1.0, 1.0, 0.2)).design, _SQUARE),
+}
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(_VERDICT_CASES)), st.sampled_from(list(Criterion)), st.integers(-1000, 1000))
+@example("uniform_square", Criterion.A, -600)
+def test_verdicts_are_the_same_at_every_power_of_two_scale_of_beta(case, criterion, k):
+    """The A excess is judged relative to its bound, both at one scale of beta. Judged as an absolute
+    excess, the uniform square design, which fails A at (1, 1, 1), passed at 2^-600 (1, 1, 1), where
+    excess and bound both underflowed to 0."""
+    model, beta, design, candidates = _VERDICT_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = verify_optimality(model, beta, design, criterion, candidates)
+        scaled = verify_optimality(model, [math.ldexp(value, k) for value in beta], design, criterion, candidates)
+    assert scaled.passed is base.passed
+    if abs(k) <= 200:
+        assert scaled.worst_excess / scaled.bound == base.worst_excess / base.bound
+
+
+def test_verdict_cases_pass_and_fail_each_criterion():
+    verdicts = {
+        (case, criterion): verify_optimality(model, beta, design, criterion, candidates).passed
+        for case, (model, beta, design, candidates) in _VERDICT_CASES.items()
+        for criterion in Criterion
+    }
+    assert [name for name, passed in verdicts.items() if passed] == [("two_factor_a", Criterion.A), ("four_point_d", Criterion.D)]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

@@ -116,6 +116,11 @@ FURTHER = {
     "contains": lambda: SQUARE.contains((1, "x")),
     "predictor": lambda: interaction_to_intercept(1, 2, (1, 1, 1)).predictor((0.5, "x")),
     "intercept_fields": lambda: InterceptTransform(1, 2, "x", 1, 1).intensity((0.5, 0.5)),
+    # The predictor was stated by hand, past the beta judge: a string field raised TypeError,
+    # and a nan or infinite one returned nan or inf where the intensity refuses it.
+    "intercept_fields_predictor": lambda: InterceptTransform(1, 2, "x", 1, 1).predictor((0.5, 0.5)),
+    "intercept_nan_field_predictor": lambda: InterceptTransform(1, 2, float("nan"), 1, 1).predictor((0.5, 0.5)),
+    "intercept_infinite_field_predictor": lambda: InterceptTransform(1, 2, 1, float("inf"), 1).predictor((0.5, 0.5)),
     "family_admissible": lambda: InteractionFamily().admissible("x"),
     "family_beta": lambda: ThreeFactorFamily(-1).beta("x"),
     "solver_iterations": lambda: SolverParams(max_iterations=2.5),

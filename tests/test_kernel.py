@@ -1,7 +1,7 @@
 """Property tests of the numeric kernel: batched features, the Cholesky
 factor with its log-determinant, the whitened rows and the D- and
 A-sensitivities, each against the explicit formula rebuilt in
-``oracles``; and the stacked forms of the intensities and the factor,
+``oracles``; and the stacked forms of the predictor and the factor,
 each against a loop of one-point calls."""
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from gammadesign import (
 )
 from gammadesign.model_core import (
     _a_sensitivities,
-    _d_sensitivities,
     _factor,
     _information,
     _intensity_arrays,
     _outer,
+    _positive_predictor,
     _whitened,
 )
 
@@ -101,7 +101,6 @@ def test_sensitivities_match_inverse_formula(case):
     inv = np.linalg.inv(raw_information(kind, beta, design.points, design.weights))
     psi = u * np.einsum("ij,jk,ik->i", F, inv, F)
     G = F.T * np.sqrt(u)
-    np.testing.assert_allclose(_d_sensitivities(L, G), psi, rtol=1e-10)
     # The whitened rows: |z_i|^2 = psi_i and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2,
     # the latter to round-off of its Cauchy-Schwarz bound psi_i psi_j.
     Z = _whitened(L, G)
@@ -236,17 +235,11 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
         per_beta = [_intensity_arrays(model, beta, points)[1] for beta in betas]
     except NonpositivePredictor:
         with pytest.raises(NonpositivePredictor):
-            _intensity_arrays(model, betas, points, stacked=True)
+            _positive_predictor(model, betas, points)
         return
-    F, u = _intensity_arrays(model, betas, points, stacked=True)
+    F, eta = _positive_predictor(model, betas, points)
     np.testing.assert_array_equal(F, feature_matrix(model, points))
-    np.testing.assert_allclose(u, np.array(per_beta), rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("betas", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, np.nan]]])
-def test_stacked_intensities_reject_malformed_betas(betas):
-    with pytest.raises(ValidationError):
-        _intensity_arrays(GammaModel.first_order(2), betas, np.array([(1.0, 1.0)]), stacked=True)
+    np.testing.assert_allclose(eta**-2, np.array(per_beta), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- K table and judged arrays
@@ -260,7 +253,8 @@ def test_outer_product_table_gives_single_and_stacked_information(case, size):
     kind = model.kind.value
     rng = np.random.default_rng(size)
     betas = np.vstack([beta, rng.uniform(0.1, 2.0, (size - 1, model.p))])
-    F, u = _intensity_arrays(model, betas, design._pts, stacked=True)
+    F, eta = _positive_predictor(model, betas, design._pts)
+    u = eta**-2
     K = _outer(F)
     np.testing.assert_allclose(
         _information(K, design._wts * u[0]), raw_information(kind, beta, design.points, design.weights), rtol=1e-12

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import gammadesign.model_core
 import gammadesign.solver
@@ -24,6 +25,7 @@ from gammadesign import (
     multiplicative,
     region_vertices,
     three_factor_vertices,
+    validate_positivity,
     verify_optimality,
 )
 
@@ -122,6 +124,39 @@ def test_output_stable_under_beta_scaling():
     assert set(w1) == set(w2)
     for pt in w1:
         assert w1[pt] == pytest.approx(w2[pt], abs=1e-8)
+
+
+def _scale_case(seed):
+    """[1,2]^3 at (-1, 2, 2) for seed None, else a random admissible beta on a random cube of 4 to 6 factors."""
+    if seed is None:
+        return GammaModel.first_order(3), (-1.0, 2.0, 2.0), region_vertices(CUBE3)
+    rng = np.random.default_rng(seed)
+    nu = int(rng.integers(4, 7))
+    a = rng.uniform(0.5, 2.0)
+    region = ExperimentalRegion.hypercube(a, a * rng.uniform(1.5, 4.0), nu)
+    model = GammaModel.first_order(nu)
+    while True:
+        beta = tuple(rng.uniform(-1.0, 3.0, nu).tolist())
+        if validate_positivity(model, beta, region):
+            return model, beta, region_vertices(region)
+
+
+@given(st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.integers(-1000, 1000))
+@example(None, 664)
+@example(None, -664)
+def test_solve_is_the_same_at_every_power_of_two_scale_of_beta(seed, k):
+    """The solver forms G at beta scaled by a power of two, so at 2^k beta it takes the same iterates and
+    only its log-dets move, by -2pk ln 2. Forming G at the raw beta, (-1, 2, 2) 2^664 underflowed M to a
+    rank-deficient matrix, and 2^-664 overflowed it."""
+    model, beta, candidates = _scale_case(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design, trace = multiplicative(model, beta, candidates)
+        scaled_design, scaled_trace = multiplicative(model, [math.ldexp(value, k) for value in beta], candidates)
+    assert scaled_design == design
+    assert (scaled_trace.iterations, scaled_trace.final_excess) == (trace.iterations, trace.final_excess)
+    shift = 2 * model.p * k * math.log(2.0)
+    assert scaled_trace.log_dets == pytest.approx([ld - shift for ld in trace.log_dets], rel=1e-12)
 
 
 def test_result_passes_verification():
