@@ -28,7 +28,6 @@ from .model_core import (
     _check_bounds,
     _check_count,
     _floats,
-    _intensity_arrays,
     _positive_predictor,
     _tamed,
     design_to_json,
@@ -398,15 +397,22 @@ def intensity_ranking(
     """Cube vertices grouped by descending intensity.
 
     Each group collects vertices whose intensities agree to relative
-    ``1e-12``; within a group the vertex enumeration order is kept.
+    ``1e-12``; within a group the vertex enumeration order is kept. The
+    intensities are compared at beta scaled by ``_tamed``, so the groups are
+    the same at every 2^k beta; the reported u(x, beta) is scaled back by the
+    exact power of four, to inf or 0 beyond the float range.
     """
     V = region_vertices(region)  # raises unless the region is a hypercube
-    _, u = _intensity_arrays(model, beta, V)
-    values = sorted(zip(_canonical_points(V), u.tolist()), key=lambda item: -item[1])
+    vec = _check_beta(model, beta).tolist()
+    _, eta = _positive_predictor(model, _tamed(*vec), V)
+    with np.errstate(over="ignore"):
+        keys = eta**-2
+        u = np.ldexp(keys, 2 - 2 * math.frexp(max(map(abs, vec)))[1])  # u at beta is keys / r**2, r of ``_tamed``
     groups: list[list[tuple[tuple[float, ...], float]]] = []
-    for pt, val in values:
-        if groups and groups[-1][0][1] - val <= _RANKING_TIE_RTOL * groups[-1][0][1]:
+    for pt, key, val in sorted(zip(_canonical_points(V), keys.tolist(), u.tolist()), key=lambda item: -item[1]):
+        if groups and head - key <= _RANKING_TIE_RTOL * head:
             groups[-1].append((pt, val))
         else:
             groups.append([(pt, val)])
+            head = key  # the largest key of the new group
     return groups

@@ -14,8 +14,9 @@ the columns g(x) = sqrt(u(x)) f(x) of both, M = sum_i w_i g_i g_i' over the
 support, and one solve whitens the candidates, z(x) = L^-1 g(x) for the
 Cholesky factor L of M. So psi(x) = |z(x)|^2 for D; for A, the one inverse
 of L gives u(x) |L^-T L^-1 f(x)|^2 and the bound |L^-1|_F^2. The factor
-holds the package's one singularity rule: M is singular when its Cholesky
-factorization fails or min diag(L)^2 <= 1e-12 * max diag(M).
+holds the package's one singularity rule: M is singular when a pivot of its
+Cholesky factor is nan, as a failed factorization returns, or
+min diag(L)^2 <= 1e-12 * max diag(M).
 
 A report keeps the judged candidate array and the sensitivity array, both
 read-only. Its verdict (criterion, bound, worst excess, pass flag) is set

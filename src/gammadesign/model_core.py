@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+# numpy's LAPACK gufuncs, the module np.linalg itself calls, without its per-call checks: the kernel's matrices
+# are float64 and square by construction. A gufunc that fails raises nothing; it fills that matrix with nan.
+from numpy.linalg import _umath_linalg as _lapack
 
 __all__ = [
     "GammaDesignError",
@@ -422,14 +425,12 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     (G, p, p) stack is factored in one call and gives (G,) log-dets.
 
     This is the package's one singularity rule: SingularInformation is
-    raised when the factorization fails or
-    min diag(L)**2 <= 1e-12 * max diag(M), a nan pivot included, for any
-    matrix of a stack, naming the smallest pivot of the first that fails.
+    raised when a pivot is nan or min diag(L)**2 <= 1e-12 * max diag(M),
+    for any matrix of a stack, naming the smallest pivot of the first that
+    fails. A failed factorization returns nan pivots.
     """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformation("information matrix is numerically singular (not positive definite)") from exc
+    with np.errstate(invalid="ignore"):
+        L = _lapack.cholesky_lo(M, signature="d->d")
     if M.ndim == 2:  # Python floats: with a handful of parameters they cost less than numpy reductions
         return L, _pivot_logdet(L.diagonal().tolist(), M.diagonal().tolist())
     pivots = L.diagonal(0, -2, -1).T.copy()  # (p, G): reduced over contiguous rows, in row order
@@ -462,13 +463,13 @@ def _singular(smallest: float) -> SingularInformation:
 def _whitened(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Z = L^-1 G by one solve, for the Cholesky factor L of M and G = [sqrt(u_i) f_i] = [f_i / eta_i],
     formed once per point set. |z_i|^2 is the D-sensitivity of column i, and (z_i' z_j)^2 = u_i u_j (f_i' M^-1 f_j)^2."""
-    return np.linalg.solve(L, G)
+    return _lapack.solve(L, G, signature="dd->d")  # L passed the pivot floor: nonsingular, so the solve cannot fail
 
 
 def _a_sensitivities(L: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float]:
     """A-sensitivities u(x) |L^-T L^-1 f(x)|^2 = u(x) |M^-1 f(x)|^2 of the columns of G, and
     their bound tr(M^-1) = |L^-1|_F^2, from the one inverse of L the bound needs."""
-    Linv = np.linalg.inv(L)
+    Linv = _lapack.inv(L, signature="d->d")
     H = Linv.T @ (Linv @ G)
     return (H * H).sum(axis=0), float((Linv * Linv).sum())
 

@@ -55,6 +55,7 @@ from .model_core import (
     _has_coincident,
     _information,
     _judged,
+    _lapack,
     _outer,
     _whitened,
 )
@@ -182,7 +183,7 @@ def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, top: fl
         # The KKT system by elimination: d = a - lambda b, with H a = psi, H b = 1 and 1'd = 0.
         rhs = np.ones((n, 2))
         rhs[:, 0] = psi[work]
-        a, b = np.linalg.solve(H, rhs).T
+        a, b = _lapack.solve(H, rhs, signature="dd->d").T  # H is positive definite: the solve cannot fail
         d = a - (a.sum() / b.sum()) * b
         # Step length at which each weight reaches zero, and the first of them among positive weights.
         zero_at = np.divide(w_work, -d, out=np.full(n, np.inf), where=d < 0.0)
@@ -206,7 +207,8 @@ def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, top: fl
 def _gain(Z: np.ndarray, change: np.ndarray) -> float:
     """log det M(w + change) - log det M(w) - p log sum(w + change), the gain of the
     renormalized iterate, from the whitened features Z of the changed candidates."""
-    lam = np.linalg.eigvalsh((Z * change) @ Z.T)
+    with np.errstate(invalid="ignore"):  # eigenvalues that do not converge come back nan: a nan gain accepts no step
+        lam = _lapack.eigvalsh_lo((Z * change) @ Z.T, signature="d->d")
     if lam[0] <= -1.0:
         return -math.inf
     return math.fsum(map(math.log1p, lam.tolist())) - len(lam) * math.log1p(change.sum())

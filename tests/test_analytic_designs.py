@@ -753,6 +753,25 @@ def test_ranking_ties_at_gamma_one():
     assert tiers[V[4]] == tiers[V[5]] == tiers[V[6]]
 
 
+@given(
+    st.integers(-1000, 1000),
+    st.one_of(
+        st.sampled_from([(1.0, 0.1, 0.2), (1.0, 2.0, 2.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]),
+        st.tuples(*[st.floats(0.01, 100.0)] * 3),
+    ),
+)
+def test_ranking_is_the_same_at_every_power_of_two_of_beta(k, beta):
+    """The groups at 2^k beta are the groups at beta, with no warning; within the
+    float range each value is the value at beta times 4^-k, exactly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = intensity_ranking(cube_model(), beta, CUBE3)
+        scaled = intensity_ranking(cube_model(), [math.ldexp(b, k) for b in beta], CUBE3)
+    assert [[pt for pt, _ in g] for g in scaled] == [[pt for pt, _ in g] for g in base]
+    if abs(k) <= 200:
+        assert [[u for _, u in g] for g in scaled] == [[math.ldexp(u, -2 * k) for _, u in g] for g in base]
+
+
 def test_ranking_rejects_bad_inputs():
     with pytest.raises(NonpositivePredictor):
         intensity_ranking(cube_model(), (-1.0, 1.0, 1.0), CUBE3)

@@ -343,17 +343,11 @@ def test_nonpositive_sweep_row_is_named():
         efficiency_sweep(SQUARE, designs, (1.0, -0.4))
 
 
-def test_sweep_factors_once_per_design_and_reference_support(monkeypatch):
+def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
     """A count, not a timing: a fallback to one factorization per row
-    would make it grow with the grid."""
-    cholesky = np.linalg.cholesky
-    calls = []
-
-    def counting(a):
-        calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    would make it grow with the grid. ``_factor`` holds the package's only
+    Cholesky call, so its calls count the factorizations."""
+    calls = counted_calls(model_core, "_factor")
     designs = interaction_benchmark_designs()
     for step in (0.01, 0.005):  # 550 and 1099 ratios
         grid = gamma_grid(-0.49, 5.0, step)
