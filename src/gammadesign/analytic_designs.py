@@ -29,6 +29,8 @@ from .model_core import (
     _check_count,
     _floats,
     _positive_predictor,
+    _rescaled,
+    _scaled_intensities,
     _tamed,
     design_to_json,
     region_vertices,
@@ -403,11 +405,8 @@ def intensity_ranking(
     exact power of four, to inf or 0 beyond the float range.
     """
     V = region_vertices(region)  # raises unless the region is a hypercube
-    vec = _check_beta(model, beta).tolist()
-    _, eta = _positive_predictor(model, _tamed(*vec), V)
-    with np.errstate(over="ignore"):
-        keys = eta**-2
-        u = np.ldexp(keys, 2 - 2 * math.frexp(max(map(abs, vec)))[1])  # u at beta is keys / r**2, r of ``_tamed``
+    _, keys, s = _scaled_intensities(model, beta, V)
+    u = _rescaled(keys, s)
     groups: list[list[tuple[tuple[float, ...], float]]] = []
     for pt, key, val in sorted(zip(_canonical_points(V), keys.tolist(), u.tolist()), key=lambda item: -item[1]):
         if groups and head - key <= _RANKING_TIE_RTOL * head:

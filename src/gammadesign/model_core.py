@@ -392,11 +392,27 @@ def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray
     return F, eta
 
 
+def _scaled_intensities(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """F and intensities eta**-2 of the judged points X at caller ``beta`` scaled by ``_tamed``, under the
+    positivity rule of ``_positive_predictor``; and the exponent s with 2**s = r**-2 for the power of two r
+    the scaling divided beta by, so that ``_rescaled(u, s)`` is u at beta."""
+    vec = _check_beta(model, beta).tolist()
+    F, eta = _positive_predictor(model, _tamed(*vec), X)
+    with np.errstate(over="ignore"):  # u is inf where eta at the scaled beta is below about 1e-154
+        return F, eta**-2, 2 - 2 * math.frexp(max(map(abs, vec)))[1]
+
+
+def _rescaled(values: np.ndarray, s: int) -> np.ndarray:
+    """``values`` times 2**s, exactly within the float range and saturating to inf or 0 beyond it, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, s)
+
+
 def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and intensities u = eta**-2 of the judged points X at caller ``beta``, under the
-    positivity rule of ``_positive_predictor``."""
-    F, eta = _positive_predictor(model, _check_beta(model, beta), X)
-    return F, eta**-2
+    """F and intensities u = eta**-2 of the judged points X at caller ``beta``, read at beta scaled by ``_tamed``
+    as in ``_scaled_intensities``: u at 2^k beta is u at beta times 4^-k, exactly within the float range."""
+    F, u, s = _scaled_intensities(model, beta, X)
+    return F, _rescaled(u, s)
 
 
 def _columns(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -491,9 +507,9 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
-    F, u = _intensity_arrays(model, beta, design._pts)
+    F, u, s = _scaled_intensities(model, beta, design._pts)
     M = _information(_outer(F), design._wts * u)
-    return (M + M.T) / 2.0
+    return _rescaled((M + M.T) / 2.0, s)
 
 
 def region_vertices(region: ExperimentalRegion) -> np.ndarray:

@@ -27,9 +27,11 @@ The trace holds one ``log_dets`` entry per accepted iterate, at beta; the
 iterates take G from ``_columns``, so they are the same at every 2^k beta.
 
 A path of parameter points (``_solve_path``) judges the candidates once and
-starts each later point from the previous certified weights, exact zeros
-kept, so its ``log_dets[0]`` is taken there; a start whose M fails the pivot
-floor is replaced by uniform weights.
+starts each later point from a tangent prediction (``_predicted``): the
+previous certified weights plus the first-order change that keeps psi = p on
+their support, so its ``log_dets[0]`` is taken there; a start whose M fails
+the pivot floor is replaced by uniform weights. The predictor and the Newton
+step solve their KKT systems with one helper, ``_kkt_step``.
 """
 
 from __future__ import annotations
@@ -128,12 +130,14 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
     if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
     p = model.p
-    w = uniform = np.full(len(X), 1.0 / len(X))
+    uniform = np.empty(len(X))
+    uniform.fill(1.0 / len(X))
+    certified = None  # G, Z and weights of the previous point's last iterate
     results = []
     for beta in betas:
         G, r = _columns(model, beta, X)  # the columns sqrt(u_i) f_i at beta / r, and the table K of their outer products
         K = _outer(G.T)
-        for w in (w,) if w is uniform else (w, uniform):  # the previous certified weights, else uniform ones
+        for w in (uniform,) if certified is None else (_predicted(G, *certified, p), uniform):  # tangent, else uniform
             try:
                 L, logdet = _factor(_information(K, w))
                 break
@@ -143,8 +147,8 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
         log_dets = [logdet]
         while True:
             Z = _whitened(L, G)
-            psi = (Z * Z).sum(axis=0)
-            top = psi.max()
+            psi = np.add.reduce(Z * Z, axis=0)
+            top = np.maximum.reduce(psi)
             excess = float(top - p)
             if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
                 break
@@ -158,36 +162,65 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
                 IterationCapExceeded,
                 stacklevel=3,
             )
-        support = np.flatnonzero(w)
+        certified = G, Z, w
+        support = w.nonzero()[0]
         shift = 2 * p * math.log(r)  # log det M at beta is log det M at beta / r less 2p ln r
         trace = SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)
         results.append((Design(X[support], w[support]), trace))
     return results
 
 
+def _predicted(G: np.ndarray, G_prev: np.ndarray, Z: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The tangent start at the columns G from the previous point's columns G_prev, whitened Z and weights w.
+
+    Each column only rescales between the points, g_i = t_i g_prev_i, so M(w) here is the previous M at the
+    weights w t^2. With t normalized to sum(w t) = 1 and eps = t - 1, this is the first-order weight change on
+    the support that keeps psi_i = p there: psi_i moves by 2 p eps_i - 2 (H (w eps))_i with the weights held and
+    by -(H delta)_i with a weight change delta, H the Newton Hessian of the support."""
+    support = (w > 0.0).nonzero()[0]
+    G_s, Z_s, w_s = G_prev[:, support], Z[:, support], w[support]
+    t = np.add.reduce(G[:, support] * G_s, axis=0) / np.add.reduce(G_s * G_s, axis=0)
+    eps = t / np.add.reduce(w_s * t) - 1.0
+    H = Z_s.T @ Z_s
+    H *= H
+    delta = _kkt_step(H, 2.0 * p * eps - 2.0 * (H @ (w_s * eps)))
+    start = np.zeros(len(w))
+    start[support] = np.maximum(w_s + delta, 0.0)
+    return start / np.add.reduce(start)
+
+
+def _kkt_step(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """d of the KKT system [H 1; 1' 0] [d; lambda] = [rhs; 0] with the ridge added to H in place, by elimination:
+    d = a - lambda b, with H a = rhs, H b = 1 and 1'd = 0."""
+    n = len(rhs)
+    H.reshape(-1)[:: n + 1] += _RIDGE
+    columns = np.empty((n, 2))
+    columns[:, 0] = rhs
+    columns[:, 1] = 1.0
+    a, b = _lapack.solve(H, columns, signature="dd->d").T  # H is positive definite: the solve cannot fail
+    return a - (np.add.reduce(a) / np.add.reduce(b)) * b
+
+
 def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, top: float) -> np.ndarray:
     """The next iterate from the whitened candidates Z: a deletion, a damped Newton step, or else a multiplicative step."""
     excess = float(top - p)
     bound = p * (1.0 + excess / 2.0 - math.sqrt(excess * (4.0 + excess - 4.0 / p)) / 2.0)
-    drop = np.flatnonzero((psi < bound) & (w > 0.0))
+    drop = ((psi < bound) & (w > 0.0)).nonzero()[0]
     if drop.size and _gain(Z[:, drop], -w[drop]) >= 0.0:
         kept = np.where(psi < bound, 0.0, w)
-        return kept / kept.sum()
-    work = np.flatnonzero((w > 0.0) | (psi == top))
+        return kept / np.add.reduce(kept)
+    work = ((w > 0.0) | (psi == top)).nonzero()[0]
     n = work.size
     if n <= _NEWTON_MAX_POINTS:
         w_work, Z_work = w[work], Z[:, work]
         H = Z_work.T @ Z_work
         H *= H
-        H.reshape(-1)[:: n + 1] += _RIDGE
-        # The KKT system by elimination: d = a - lambda b, with H a = psi, H b = 1 and 1'd = 0.
-        rhs = np.ones((n, 2))
-        rhs[:, 0] = psi[work]
-        a, b = _lapack.solve(H, rhs, signature="dd->d").T  # H is positive definite: the solve cannot fail
-        d = a - (a.sum() / b.sum()) * b
+        d = _kkt_step(H, psi[work])
         # Step length at which each weight reaches zero, and the first of them among positive weights.
-        zero_at = np.divide(w_work, -d, out=np.full(n, np.inf), where=d < 0.0)
-        t_ratio = zero_at.min(where=w_work > 0.0, initial=np.inf)
+        zero_at = np.empty(n)
+        zero_at.fill(np.inf)
+        np.divide(w_work, -d, out=zero_at, where=d < 0.0)
+        t_ratio = np.minimum.reduce(zero_at, where=w_work > 0.0, initial=np.inf)
         stepped = np.empty(n)
         t = 1.0
         for _ in range(30):  # cuts before the line search counts as stalled
@@ -198,10 +231,10 @@ def _next_weights(Z: np.ndarray, w: np.ndarray, psi: np.ndarray, p: int, top: fl
             if _gain(Z_work, stepped - w_work) >= 0.0:
                 w = w.copy()
                 w[work] = stepped
-                return w / w.sum()
+                return w / np.add.reduce(w)
             t = max(t / 2.0, t_ratio) if t > t_ratio else t / 2.0
     scaled = w * psi / p
-    return scaled / scaled.sum()
+    return scaled / np.add.reduce(scaled)
 
 
 def _gain(Z: np.ndarray, change: np.ndarray) -> float:
@@ -211,5 +244,5 @@ def _gain(Z: np.ndarray, change: np.ndarray) -> float:
         lam = _lapack.eigvalsh_lo((Z * change) @ Z.T, signature="d->d")
     if lam[0] <= -1.0:
         return -math.inf
-    return math.fsum(map(math.log1p, lam.tolist())) - len(lam) * math.log1p(change.sum())
+    return math.fsum(map(math.log1p, lam.tolist())) - len(lam) * math.log1p(np.add.reduce(change))
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +344,37 @@ def test_information_linear_in_mixture():
         m2, beta, d2
     )
     np.testing.assert_allclose(information_matrix(m2, beta, mixed), expected, rtol=1e-12)
+
+
+CUBE3_DESIGN = Design(list(itertools.product((1.0, 2.0), repeat=3)), [0.125] * 8)
+
+
+@given(
+    st.integers(-1000, 1000),
+    st.one_of(
+        st.sampled_from([(1.0, 0.1, 0.2), (1.0, 2.0, 2.0), (-1.0, 2.9, 2.9), (0.0, 1.0, 1.0)]),
+        st.tuples(*[st.floats(0.01, 100.0)] * 3),
+    ),
+)
+@example(-664, (1.0, 2.0, 2.0))
+@example(664, (1.0, 2.0, 2.0))
+def test_intensity_and_information_at_every_power_of_two_of_beta(k, beta):
+    """u and M at 2^k beta are u and M at beta times 4^-k, with no warning: exactly
+    within the float range, saturating to inf or 0 beyond it. Read at the raw beta,
+    u at (1, 2, 2) 2^-664 warned "overflow encountered in power"."""
+    m3 = GammaModel.first_order(3)
+    scaled = [math.ldexp(b, k) for b in beta]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, scaled_u = (intensity(m3, b, (2.0, 1.0, 1.0)) for b in (beta, scaled))
+        M, scaled_M = (information_matrix(m3, b, CUBE3_DESIGN) for b in (beta, scaled))
+        with np.errstate(over="ignore"):
+            expected_u, expected_M = np.ldexp(u, -2 * k), np.ldexp(M, -2 * k)
+    assert scaled_u == expected_u
+    np.testing.assert_array_equal(scaled_M, expected_M)
+    if abs(k) <= 200:
+        assert scaled_u == math.ldexp(u, -2 * k) > 0.0
+        assert scaled_M.tolist() == [[math.ldexp(m, -2 * k) for m in row] for row in M.tolist()]
 
 
 # ---------------------------------------------------------------- positivity

@@ -248,8 +248,8 @@ def test_path_points_match_their_cold_solves(betas, params):
 
 
 def test_path_iteration_counts(monkeypatch):
-    """Table 2 takes 22 iterations along its path (37 cold). The band at tol
-    1e-10 takes at most 450 iterations (1,386 cold), at most 9 per ratio, and
+    """Table 2 takes 18 iterations along its path (37 cold). The band at tol
+    1e-10 takes at most 250 iterations (1,386 cold), at most 9 per ratio, and
     one factorization per iterate plus one per ratio for its start."""
     factorizations = []
     factor = gammadesign.solver._factor
@@ -261,12 +261,43 @@ def test_path_iteration_counts(monkeypatch):
     monkeypatch.setattr(gammadesign.solver, "_factor", counting)
     m3 = GammaModel.first_order(3)
     table2 = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams())
-    assert sum(trace.iterations for _, trace in table2) == 22
+    assert sum(trace.iterations for _, trace in table2) == 18
     factorizations.clear()
     band = gammadesign.solver._solve_path(m3, BAND_BETAS, V, SolverParams(convergence_tol=1e-10))
     iterations = [trace.iterations for _, trace in band]
-    assert sum(iterations) <= 450 and max(iterations) <= 9
+    assert sum(iterations) <= 250 and max(iterations) <= 9
     assert len(factorizations) == sum(iterations) + len(BAND_BETAS)
+
+
+def test_path_start_is_a_first_order_prediction():
+    """Near gamma = -2 the tangent start at gamma + h misses the weights certified there
+    by O(h^2), the previous certified weights by O(h): a tenfold smaller h shrinks the
+    first error about a hundredfold (1.8e-6 -> 1.8e-8) and the second tenfold."""
+    m3 = GammaModel.first_order(3)
+    X = gammadesign.model_core._judged(V)
+    params = SolverParams(convergence_tol=1e-13)
+
+    def certified(gamma):
+        design, trace = multiplicative(m3, (-1.0, -gamma, -gamma), V, params)
+        assert trace.converged and design.size == 5
+        weights = dict(zip(design.points, design.weights))
+        return np.array([weights.get(v, 0.0) for v in V])
+
+    def columns(gamma):
+        return gammadesign.model_core._columns(m3, (-1.0, -gamma, -gamma), X)[0]
+
+    w, G = certified(-2.0), columns(-2.0)
+    L, _ = gammadesign.model_core._factor(gammadesign.model_core._information(gammadesign.model_core._outer(G.T), w))
+    Z = gammadesign.model_core._whitened(L, G)
+    predicted_errors, previous_errors = [], []
+    for h in (1e-2, 1e-3):
+        target = certified(-2.0 + h)
+        start = gammadesign.solver._predicted(columns(-2.0 + h), G, Z, w, m3.p)
+        predicted_errors.append(np.abs(start - target).max())
+        previous_errors.append(np.abs(w - target).max())
+    assert predicted_errors[0] / predicted_errors[1] >= 50.0, predicted_errors
+    assert 5.0 <= previous_errors[0] / previous_errors[1] <= 20.0, previous_errors
+    assert predicted_errors[0] < previous_errors[1], (predicted_errors, previous_errors)
 
 
 def test_path_judges_its_candidates_once(counted_calls):
