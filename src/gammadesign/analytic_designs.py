@@ -405,8 +405,10 @@ def intensity_ranking(
     exact power of four, to inf or 0 beyond the float range.
     """
     V = region_vertices(region)  # raises unless the region is a hypercube
-    _, keys, s = _scaled_intensities(model, beta, V)
-    u = _rescaled(keys, s)
+    _, eta, mantissas, t = _scaled_intensities(model, beta, V)
+    u = _rescaled(mantissas, t)
+    with np.errstate(over="ignore"):  # a key is inf where eta is below about 1e-154
+        keys = eta**-2
     groups: list[list[tuple[tuple[float, ...], float]]] = []
     for pt, key, val in sorted(zip(_canonical_points(V), keys.tolist(), u.tolist()), key=lambda item: -item[1]):
         if groups and head - key <= _RANKING_TIE_RTOL * head:

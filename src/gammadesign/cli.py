@@ -65,6 +65,7 @@ from .efficiency import (
     gamma_grid,
     interaction_benchmark_designs,
     three_factor_benchmark_designs,
+    _csv_rows,
 )
 
 __all__ = ["main", "run"]
@@ -295,13 +296,12 @@ def _cmd_reproduce(args) -> int:
     path = outdir / f"{args.target}.csv"
     if args.target == "table2":
         family, gammas = ThreeFactorFamily(-1), (-2.9, -2.5, -2.0, -1.5, -1.23)
-        lines = [",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES)]
         solved = _solve_path(family.model, [family.beta(gamma) for gamma in gammas], family.vertices, SolverParams())
+        rows = []
         for gamma, (design, _) in zip(gammas, solved):
             by_point = dict(zip(design.points, design.weights))
-            row = [gamma] + [by_point.get(v, 0.0) for v in family.vertices]
-            lines.append(",".join(_CSV_FLOAT_FORMAT % value for value in row))
-        _write("\n".join(lines) + "\n", path)
+            rows.append([gamma] + [by_point.get(v, 0.0) for v in family.vertices])
+        _write(",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES) + "\n" + _csv_rows(rows, _CSV_FLOAT_FORMAT), path)
     else:
         family = "three-factor" if args.target == "example1" else "interaction"
         _write(_sweep_for_family(family).to_csv(_CSV_FLOAT_FORMAT), path)

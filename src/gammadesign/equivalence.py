@@ -38,6 +38,7 @@ from .model_core import (
     Design,
     GammaModel,
     ValidationError,
+    _ArrayBacked,
     _a_sensitivities,
     _canonical_points,
     _check_count,
@@ -69,7 +70,7 @@ class Criterion(str, enum.Enum):
 
 
 @dataclass(frozen=True, init=False)
-class VerificationReport:
+class VerificationReport(_ArrayBacked):
     """Outcome of checking the optimality bound over a candidate set.
 
     ``criterion``, ``bound``, ``worst_excess`` and ``passed`` are set when the
@@ -86,6 +87,13 @@ class VerificationReport:
     worst_excess: float
     passed: bool
 
+    _ARRAYS = ("_candidates", "_sensitivities")
+    _LAZY = {
+        "points": lambda report: _canonical_points(report._candidates),
+        "sensitivities": lambda report: tuple(report._sensitivities.tolist()),
+        "worst_point": lambda report: report.points[report._worst],
+    }
+
     def __init__(
         self, criterion: Criterion, bound: float, candidates: np.ndarray, sensitivities: np.ndarray,
         worst: int, worst_excess: float, passed: bool,
@@ -96,26 +104,6 @@ class VerificationReport:
             criterion=criterion, bound=bound, worst_excess=worst_excess, passed=passed,
             _candidates=candidates, _sensitivities=sensitivities, _worst=worst,
         ))
-
-    def __setstate__(self, state: dict) -> None:
-        """Sets the state of a report made, copied or unpickled, with its two arrays made read-only."""
-        vars(self).update(state)
-        self._candidates.setflags(write=False)
-        self._sensitivities.setflags(write=False)
-
-    def __getattr__(self, name: str):
-        """Builds ``points``, ``sensitivities`` or ``worst_point`` from the arrays on first read and keeps it.
-        Runs only when a lookup misses, so every other name is an AttributeError."""
-        if name == "points":
-            value = _canonical_points(self._candidates)
-        elif name == "sensitivities":
-            value = tuple(self._sensitivities.tolist())
-        elif name == "worst_point":
-            value = self.points[self._worst]
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vars(self)[name] = value
-        return value
 
     def to_json(self) -> dict:
         return {

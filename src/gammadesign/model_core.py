@@ -275,6 +275,24 @@ def _has_coincident(points: Sequence[Sequence[float]], axis: int = 0) -> bool:
     return len(ordered) - start > 1 and _has_coincident(ordered[start:], axis + 1)
 
 
+class _ArrayBacked:
+    """Base of the frozen dataclasses that keep read-only arrays, named in ``_ARRAYS``, and build each tuple
+    field named in ``_LAZY`` from them on its first read, as ``_LAZY[name](self)``, and then keep it. The
+    state of an object made, copied or unpickled is set by ``__setstate__``, which makes the arrays read-only;
+    ``__getattr__`` runs only when a lookup misses, so every other name is an AttributeError."""
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        for name in self._ARRAYS:
+            vars(self)[name].setflags(write=False)
+
+    def __getattr__(self, name: str):
+        if name not in self._LAZY:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = self._LAZY[name](self)
+        return value
+
+
 @dataclass(frozen=True)
 class Design:
     """An approximate design: finitely many support points with weights.
@@ -288,19 +306,29 @@ class Design:
     weights: tuple[float, ...]
 
     def __init__(self, points: Iterable[Sequence[float]], weights: Iterable[float]) -> None:
-        X, weights = _judged(points), _floats(weights, "weights")
-        w = np.array(weights)
-        X.setflags(write=False)
-        w.setflags(write=False)
-        # The judged arrays the kernel reads are not fields: equality, hash and repr keep to the tuples.
-        vars(self).update(points=_canonical_points(X), weights=weights, _pts=X, _wts=w)
-        self._validate()
+        self._set(_judged(points), _floats(weights, "weights"))
+        if _has_coincident(self.points):
+            raise ValidationError("support points must be pairwise distinct")
+
+    @classmethod
+    def _distinct(cls, X: np.ndarray, w: np.ndarray) -> "Design":
+        """The design on weights w over a new judged array X (n, d) whose rows are known pairwise distinct:
+        the weight rules hold, and only the parse of the points and the coincidence search are skipped."""
+        design = cls.__new__(cls)
+        design._set(X, tuple(w.tolist()))
+        return design
 
     def __reduce__(self):
         """Copies and pickles are rebuilt through ``__init__``, so their judged arrays are read-only too."""
         return type(self), (self.points, self.weights)
 
-    def _validate(self) -> None:
+    def _set(self, X: np.ndarray, weights: tuple[float, ...]) -> None:
+        """Keeps X and the weights as read-only arrays and as tuples, and applies every rule but coincidence."""
+        w = np.array(weights)
+        X.setflags(write=False)
+        w.setflags(write=False)
+        # The judged arrays the kernel reads are not fields: equality, hash and repr keep to the tuples.
+        vars(self).update(points=_canonical_points(X), weights=weights, _pts=X, _wts=w)
         if not self.points:
             raise ValidationError("design needs at least one support point")
         if len(self.points) != len(self.weights):
@@ -309,8 +337,6 @@ class Design:
             raise ValidationError("weights must be strictly positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to one")
-        if _has_coincident(self.points):
-            raise ValidationError("support points must be pairwise distinct")
 
     @property
     def size(self) -> int:
@@ -392,17 +418,18 @@ def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray
     return F, eta
 
 
-def _scaled_intensities(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """F and intensities eta**-2 of the judged points X at caller ``beta`` scaled by ``_tamed``, under the
-    positivity rule of ``_positive_predictor``; and the exponent s with 2**s = r**-2 for the power of two r
-    the scaling divided beta by, so that ``_rescaled(u, s)`` is u at beta."""
+def _scaled_intensities(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F and eta of the judged points X at caller ``beta`` scaled by ``_tamed``, under the positivity rule of
+    ``_positive_predictor``, and their intensities u = eta**-2 at beta as mantissas m**-2 in (1, 4] and exponents
+    t = s - 2e, for eta = m * 2**e and 2**s = r**-2 with r the power of two the scaling divided beta by. No
+    eta**-2 is formed, so ``_rescaled(m**-2, t)`` is u at beta, saturating only where u leaves the float range."""
     vec = _check_beta(model, beta).tolist()
     F, eta = _positive_predictor(model, _tamed(*vec), X)
-    with np.errstate(over="ignore"):  # u is inf where eta at the scaled beta is below about 1e-154
-        return F, eta**-2, 2 - 2 * math.frexp(max(map(abs, vec)))[1]
+    m, e = np.frexp(eta)
+    return F, eta, m**-2, (2 - 2 * math.frexp(max(map(abs, vec)))[1]) - 2 * e
 
 
-def _rescaled(values: np.ndarray, s: int) -> np.ndarray:
+def _rescaled(values: np.ndarray, s: int | np.ndarray) -> np.ndarray:
     """``values`` times 2**s, exactly within the float range and saturating to inf or 0 beyond it, with no warning."""
     with np.errstate(over="ignore"):
         return np.ldexp(values, s)
@@ -411,8 +438,8 @@ def _rescaled(values: np.ndarray, s: int) -> np.ndarray:
 def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F and intensities u = eta**-2 of the judged points X at caller ``beta``, read at beta scaled by ``_tamed``
     as in ``_scaled_intensities``: u at 2^k beta is u at beta times 4^-k, exactly within the float range."""
-    F, u, s = _scaled_intensities(model, beta, X)
-    return F, _rescaled(u, s)
+    F, _, u, t = _scaled_intensities(model, beta, X)
+    return F, _rescaled(u, t)
 
 
 def _columns(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -507,9 +534,10 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
-    F, u, s = _scaled_intensities(model, beta, design._pts)
-    M = _information(_outer(F), design._wts * u)
-    return _rescaled((M + M.T) / 2.0, s)
+    F, _, u, t = _scaled_intensities(model, beta, design._pts)
+    top = np.maximum.reduce(t)  # M is formed at u / 2**top, which neither overflows nor loses its largest term
+    M = _information(_outer(F), design._wts * _rescaled(u, t - top))
+    return _rescaled((M + M.T) / 2.0, top)
 
 
 def region_vertices(region: ExperimentalRegion) -> np.ndarray:

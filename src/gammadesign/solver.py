@@ -166,7 +166,7 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
         support = w.nonzero()[0]
         shift = 2 * p * math.log(r)  # log det M at beta is log det M at beta / r less 2p ln r
         trace = SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)
-        results.append((Design(X[support], w[support]), trace))
+        results.append((Design._distinct(X[support], w[support]), trace))  # rows of X, searched once above
     return results
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -130,6 +133,19 @@ def test_gamma_grid_validation():
         gamma_grid(0.0, 1.0, -0.1)
     with pytest.raises(ValidationError):
         gamma_grid(0.0, 0.055, 0.01)
+
+
+@given(st.floats(-10.0, 10.0), st.integers(0, 600), st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.2, 0.25, 1.0]))
+@example(-2.99, 199, 0.01)
+def test_gamma_grid_is_bitwise_integer_stepping(start, count, step):
+    """The grid is start + k * step in floats, bit for bit, drift included."""
+    expected = tuple(start + k * step for k in range(count + 1))
+    assert [x.hex() for x in gamma_grid(start, expected[-1], step)] == [x.hex() for x in expected]
+
+
+def test_gamma_grid_keeps_its_float_drift():
+    grid = gamma_grid(-2.99, -1.0, 0.01)
+    assert grid[179] == -1.2000000000000002 and grid[-1] == -1.0000000000000002
 
 
 # ---------------------------------------------------------------- sweeps
@@ -286,6 +302,87 @@ def test_numerical_reference_is_verified_optimal():
         tol=1e-8,
     )
     assert report.passed
+
+
+CSV_ENTRIES = st.one_of(
+    st.floats(1e-8, 1e12).flatmap(lambda x: st.sampled_from((x, -x))),
+    # zeros, tiny negatives, exact ties at some k (0.03125 at k = 4), non-finite entries and |x 10^k| >= 2^50
+    st.sampled_from((0.0, -0.0, -1e-9, -4e-5, 0.03125, -0.03125, 2.5, -0.5, math.nan, math.inf, -math.inf, 2.0**50, 1e300)),
+)
+CSV_TABLES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(CSV_ENTRIES, min_size=cols, max_size=cols), max_size=4).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, cols)
+    )
+)
+
+
+def percent_rows(table: np.ndarray, float_format: str) -> str:
+    return "".join(",".join(float_format % x for x in row) + "\n" for row in table.tolist())
+
+
+def tiled(table: np.ndarray) -> np.ndarray:
+    """The rows of ``table`` repeated up to the size the integer path takes, unless there are none."""
+    return np.tile(table, (-(-efficiency._INTEGER_ROWS_MIN_ENTRIES // max(table.size, 1)), 1))
+
+
+@given(st.integers(1, 9), CSV_TABLES)
+@example(4, np.array([[0.03125, 1.0]]))
+@example(4, np.array([[-0.0, -1e-9], [123456.78915, 5.0]]))
+@example(3, np.empty((0, 5)))
+def test_csv_writer_is_the_percent_operator_byte_for_byte(k, table):
+    for rows in (table, tiled(table)):
+        assert efficiency._csv_rows(rows, f"%.{k}f") == percent_rows(rows, f"%.{k}f")
+
+
+@pytest.mark.parametrize(
+    "table, float_format, fixed",
+    [
+        (tiled(np.array([[-0.0, -1e-9, -4e-5], [0.25, 1234.5678, 5.0]])), "%.4f", True),
+        (np.array([[-0.0, -1e-9, -4e-5], [0.25, 1234.5678, 5.0]]), "%.4f", False),  # too small to pay
+        (tiled(np.array([[0.03125]])), "%.4f", False),  # an exact tie: rounds half to even, so the % path decides
+        (tiled(np.array([[1.0, math.nan]])), "%.4f", False),
+        (tiled(np.array([[1.0, -math.inf]])), "%.4f", False),
+        (tiled(np.array([[1.0, 2.0**50 / 1e4]])), "%.4f", False),
+        (np.empty((0, 3)), "%.4f", False),
+        *[(tiled(np.array([[0.25, -1.5]])), fmt, False) for fmt in ("%.10g", "%g", "%.3e", "%8.2f", "%.0f", "%.10f")],
+    ],
+)
+def test_csv_writer_prints_integers_only_where_they_are_exact(table, float_format, fixed):
+    with mock.patch.object(efficiency, "_fixed_rows", wraps=efficiency._fixed_rows) as fixed_rows:
+        assert efficiency._csv_rows(table, float_format) == percent_rows(table, float_format)
+    assert fixed_rows.called == fixed
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["fresh", "tuples_read"])
+def test_sweep_value_semantics_are_those_of_its_tuples(read):
+    """Equality, hash, repr, columns and JSON are those of a dataclass of the five tuples, and every
+    copy keeps the array read-only, whether or not the tuples were built before copying."""
+    make = lambda: efficiency_sweep(SQUARE, interaction_benchmark_designs(), (-1.0, *gamma_grid(-0.49, 0.5)))
+    sweep = make()
+    fields = {f.name: getattr(sweep, f.name) for f in dataclasses.fields(efficiency.EfficiencySweep)}
+    reference = dataclasses.make_dataclass("EfficiencySweep", list(fields), frozen=True)(**fields)
+    assert sweep.skipped and np.array_equal(sweep._table, np.column_stack([fields["gammas"], fields["values"]]))
+    for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        original = make()
+        if read:
+            original.values
+        twin = clone(original)
+        assert not twin._table.flags.writeable and not original._table.flags.writeable
+        with pytest.raises(ValueError):
+            twin._table[0, 0] = 0.0
+        for other in (twin, original):
+            assert other == sweep and hash(other) == hash(reference) and repr(other) == repr(reference)
+    assert sweep.to_json() == {
+        "scenario": reference.scenario,
+        "gammas": list(reference.gammas),
+        "designs": list(reference.design_names),
+        "values": [list(row) for row in reference.values],
+        "skipped": list(reference.skipped),
+    }
+    for i, name in enumerate(sweep.design_names):
+        assert sweep.column(name) == tuple(row[i] for row in reference.values)
+    with pytest.raises(AttributeError):
+        sweep.nope
 
 
 def test_sweep_serialization():

@@ -7,10 +7,11 @@ import itertools
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import gammadesign.model_core
 from gammadesign import (
@@ -116,6 +117,17 @@ def test_design_weight_validation():
         Design(points=[(1.0,), (2.0,)], weights=[1.2, -0.2])
     with pytest.raises(ValidationError):
         Design(points=[(1.0,), (2.0,)], weights=[1.0, 0.0])
+
+
+def test_distinct_designs_keep_the_weight_rules():
+    """The constructor for judged, pairwise distinct rows skips only the parse and the coincidence search."""
+    distinct = lambda points, weights: Design._distinct(np.array(points), np.array(weights))
+    for weights in ([0.6, 0.6], [1.2, -0.2], [1.0, 0.0], [1.0, math.nan]):
+        with pytest.raises(ValidationError):
+            distinct([(1.0,), (2.0,)], weights)
+    design = distinct([(1.0, 2.0), (2.0, 1.0)], [0.25, 0.75])
+    assert design == Design([(1.0, 2.0), (2.0, 1.0)], [0.25, 0.75])
+    assert not design._pts.flags.writeable and not design._wts.flags.writeable
 
 
 def test_design_points_pairwise_distinct():
@@ -375,6 +387,37 @@ def test_intensity_and_information_at_every_power_of_two_of_beta(k, beta):
     if abs(k) <= 200:
         assert scaled_u == math.ldexp(u, -2 * k) > 0.0
         assert scaled_M.tolist() == [[math.ldexp(m, -2 * k) for m in row] for row in M.tolist()]
+
+
+def exact_intensity(beta, x) -> Fraction:
+    return 1 / sum(Fraction(b) * Fraction(v) for b, v in zip(beta, x)) ** 2
+
+
+MANTISSAS = st.floats(1.0, 2.0)
+
+
+@given(st.tuples(*[st.tuples(MANTISSAS, st.integers(-500, 500))] * 2, *[st.tuples(MANTISSAS, st.integers(-1000, 1000))] * 2))
+@example(((1.0, 300), (1.0, -300), (1.0, -600), (1.0, -100)))
+def test_intensity_at_mixed_magnitudes_is_the_exact_value(draws):
+    """u from beta and x of mixed magnitudes is the exact u wherever that is a normal float. At beta scaled by
+    ``_tamed``, eta**-2 overflowed where eta fell below about 1e-154: at beta (2^300, 2^-300) and x (2^-600,
+    2^-100) the intensity read inf, not about 2^600."""
+    beta, x = [tuple(math.ldexp(m, e) for m, e in pair) for pair in (draws[:2], draws[2:])]
+    exact = exact_intensity(beta, x)
+    assume(2.0**-1000 < exact < 2.0**1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = intensity(GammaModel.first_order(2), beta, x)
+    assert abs(Fraction(u) - exact) <= 1e-15 * exact, (beta, x, u, float(exact))
+
+
+def test_intensity_and_information_at_the_mixed_magnitudes_that_overflowed():
+    """Both read inf or nan at the parent: eta at the scaled beta is about 1e-160 and 1e-155."""
+    m2 = GammaModel.first_order(2)
+    assert intensity(m2, (1e100, 0.0), (1e-160, 1.0)) == float(exact_intensity((1e100, 0.0), (1e-160, 1.0))) == 1e120
+    beta, points = (1e100, 1e-100), [(1e-155, 5.0), (3.0, 5.0)]
+    exact = [[float(sum(exact_intensity(beta, x) * Fraction(x[i]) * Fraction(x[j]) / 2 for x in points)) for j in (0, 1)] for i in (0, 1)]
+    np.testing.assert_allclose(information_matrix(m2, beta, Design(points, [0.5, 0.5])), exact, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- positivity

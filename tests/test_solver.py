@@ -13,6 +13,7 @@ import gammadesign.model_core
 import gammadesign.solver
 from gammadesign import (
     Criterion,
+    Design,
     ExperimentalRegion,
     GammaModel,
     IterationCapExceeded,
@@ -301,15 +302,24 @@ def test_path_start_is_a_first_order_prediction():
 
 
 def test_path_judges_its_candidates_once(counted_calls):
-    """One coincidence search over the candidates for the whole path (each
-    returned Design still judges its own support)."""
+    """One coincidence search over the candidates for the whole path: the returned
+    Designs, on rows of the judged candidates, do not search their supports again."""
     coincident = counted_calls(gammadesign.model_core, "_has_coincident")
     gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V, SolverParams())
-    assert [args for args in coincident if args == ([list(v) for v in V],)] == [([list(v) for v in V],)]
+    assert [args for args in coincident if len(args) == 1] == [([list(v) for v in V],)]  # a search, not its recursion
     factored = counted_calls(gammadesign.model_core, "_factor")
     with pytest.raises(ValidationError, match="^candidate points must be pairwise distinct$"):
         gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V + V[:1], SolverParams())
     assert factored == []
+
+
+def test_path_designs_equal_publicly_built_designs():
+    for design, _ in gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V, SolverParams()):
+        public = Design(design.points, design.weights)
+        assert design == public and hash(design) == hash(public) and repr(design) == repr(public)
+        for array, expected in ((design._pts, public._pts), (design._wts, public._wts)):
+            assert not array.flags.writeable
+            assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("uniform_fails", [False, True])
