@@ -30,6 +30,7 @@ from .model_core import (
     _floats,
     _positive_predictor,
     _rescaled,
+    _scaled_beta,
     _scaled_intensities,
     _tamed,
     design_to_json,
@@ -243,8 +244,8 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     """
     model = GammaModel.first_order(_check_count(nu, 3))
     region = ExperimentalRegion.hypercube(a, b, nu)
-    # beta scaled by ``_tamed``: both sides of the condition are homogeneous of degree 2 in it
-    a, b, vec = region.a, region.b, np.array(_tamed(*_check_beta(model, beta).tolist()))
+    # beta read by ``_scaled_beta``: both sides of the condition are homogeneous of degree 2 in it
+    a, b, vec = region.a, region.b, np.array(_scaled_beta(model, beta)[0])
     X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
@@ -339,7 +340,7 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     a, b = _check_bounds(a, b)
     v = _square(a, b)
     model = GammaModel.interaction()
-    vec = _check_beta(model, beta).tolist()
+    vec = _check_beta(model, beta)
     scaled = _tamed(*vec)
     _, eta = _positive_predictor(model, scaled, np.array(v))  # raises unless positive at every vertex
     gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
@@ -400,15 +401,15 @@ def intensity_ranking(
 
     Each group collects vertices whose intensities agree to relative
     ``1e-12``; within a group the vertex enumeration order is kept. The
-    intensities are compared at beta scaled by ``_tamed``, so the groups are
-    the same at every 2^k beta; the reported u(x, beta) is scaled back by the
-    exact power of four, to inf or 0 beyond the float range.
+    intensities are compared relative to the largest, from the mantissas and
+    exponents of ``_scaled_intensities``, so the groups are the same at every
+    2^k beta and on every cube [2^k a, 2^k b]^nu; the reported u(x, beta) is
+    scaled back by the exact power of four, to inf or 0 beyond the float range.
     """
     V = region_vertices(region)  # raises unless the region is a hypercube
-    _, eta, mantissas, t = _scaled_intensities(model, beta, V)
+    _, mantissas, t = _scaled_intensities(model, beta, V)
     u = _rescaled(mantissas, t)
-    with np.errstate(over="ignore"):  # a key is inf where eta is below about 1e-154
-        keys = eta**-2
+    keys = _rescaled(mantissas, t - np.maximum.reduce(t))  # u relative to 2**max(t): the largest key is in (1, 4]
     groups: list[list[tuple[tuple[float, ...], float]]] = []
     for pt, key, val in sorted(zip(_canonical_points(V), keys.tolist(), u.tolist()), key=lambda item: -item[1]):
         if groups and head - key <= _RANKING_TIE_RTOL * head:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -77,35 +78,17 @@ _CSV_FLOAT_FORMAT = "%.4f"
 # ---------------------------------------------------------------------------
 # Deterministic JSON output. The stdlib encoder prints floats with repr,
 # which leaks platform-independent but noisy digits; this emitter pins
-# every float to 10 significant digits.
-
-def _dump_json(value, pieces: list[str]) -> None:
-    if isinstance(value, dict):
-        pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(str(key)))
-            pieces.append(": ")
-            _dump_json(item, pieces)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(value):
-            if i:
-                pieces.append(", ")
-            _dump_json(item, pieces)
-        pieces.append("]")
-    elif isinstance(value, float):
-        pieces.append(_JSON_FLOAT_FORMAT % value)
-    else:  # str, int, bool and None as the stdlib prints them
-        pieces.append(json.dumps(value))
-
+# every finite float to 10 significant digits.
 
 def render_json(value) -> str:
-    pieces: list[str] = []
-    _dump_json(value, pieces)
-    return "".join(pieces)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(str(key))}: {render_json(item)}" for key, item in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(render_json, value)) + "]"
+    if isinstance(value, float) and math.isfinite(value):
+        return _JSON_FLOAT_FORMAT % value
+    return json.dumps(value)  # str, int, bool, None and non-finite floats (Infinity, -Infinity, NaN) as the stdlib prints them
 
 
 def _write(text: str, path: str | Path | None) -> None:

@@ -9,7 +9,10 @@ The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
 those weights, so their signs decide each ratio's case; no Design is built
 per ratio, and a ratio without a closed form is solved numerically. Each
 design and reference support takes one stacked Cholesky factorization
-over the whole grid, judged singular or not by array reductions.
+over the whole grid, judged singular or not by array reductions. An
+efficiency is of degree 0 in beta, so M is built at betas scaled by the
+kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
+scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .model_core import (
     SingularInformation,
     ValidationError,
     _ArrayBacked,
-    _check_beta,
     _check_bounds,
     _factor,
     _floats,
@@ -38,6 +40,7 @@ from .model_core import (
     _outer,
     _positive_predictor,
     _predictor,
+    _scaled_beta,
     _tamed,
 )
 from .analytic_designs import (
@@ -72,15 +75,15 @@ _INTEGER_ROWS_MIN_ENTRIES = 256
 
 
 def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
-    """log det M of one support (a design's judged array, or a library-built table) at each row of the
-    library-built (G, p) stack ``betas``, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
+    """log det M of one support (a design's judged array, or a library-built table) at each row of the (G, p)
+    stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
     F, eta = _positive_predictor(model, betas, np.asarray(points))
     return _factor(_information(_outer(F), np.asarray(weights) * eta**-2))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
-    """Efficiency of ``design`` relative to ``optimal`` at ``beta``, taken scaled by ``_tamed``: it is of degree 0."""
-    betas = np.array([_tamed(*_check_beta(model, beta).tolist())])
+    """Efficiency of ``design`` relative to ``optimal`` at ``beta``, read by ``_scaled_beta``: it is of degree 0."""
+    betas = np.array([_scaled_beta(model, beta)[0]])
     ld_design = _logdets(model, betas, design._pts, design._wts)
     ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
@@ -193,15 +196,14 @@ def _as_columns(values) -> np.ndarray:
 
 def _admissible(family: _Family, gammas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Which of the float ratios ``gammas`` are admissible, and the (K, p)
-    stack of betas of the K that are: a ratio is admissible when it is
-    finite and the kernel's positivity rule holds at every vertex of the
-    family's region, decided for the whole grid in one call on the betas
-    scaled by ``_tamed``, which keeps the sign and cannot overflow."""
+    stack of betas of the K that are, each scaled by ``_tamed``, which keeps
+    the sign and cannot overflow: a ratio is admissible when it is finite
+    and the kernel's positivity rule holds at every vertex of the family's
+    region, decided for the whole grid in one call on these betas."""
     grid = np.array(gammas)
     ok = np.isfinite(grid)
-    path = family._beta(grid[ok])
-    positive = _predictor(family.model, _as_columns(_tamed(*path)), np.array(family.vertices))[2].all(axis=1)
-    betas = _as_columns(path)
+    betas = _as_columns(_tamed(*family._beta(grid[ok])))
+    positive = _predictor(family.model, betas, np.array(family.vertices))[2].all(axis=1)
     ok[ok] = positive
     return ok, betas[positive]
 

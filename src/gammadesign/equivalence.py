@@ -152,7 +152,7 @@ def _verification_report(
 ) -> VerificationReport:
     """Report for ``design`` over ``candidates``, judged once: one ``_columns`` call gives G = F' / eta of the
     design's points and the candidates together (each point mapped by ``lift`` first, if given), at beta / r
-    for the power of two r of ``_tamed``, so no square overflows or underflows. The verdict is taken there:
+    for the power of two r = 2**s of ``_scaled_beta``, so no square overflows or underflows. The verdict is taken there:
     D-sensitivities are homogeneous of degree 0 in beta and keep every bit; the A excess is judged relative to
     its bound, and the A values, of degree 2, are scaled back by r twice, to inf or 0 beyond the float range."""
     try:

@@ -6,10 +6,11 @@ approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
 The solver, verification, efficiencies and transforms share one numeric
-kernel here: one judge checks each point batch once; ``_columns`` gives
-G = [sqrt(u_i) f_i] at caller beta scaled by ``_tamed``; M is one product
-(w u) K over the table K of outer products, for one weight vector or a stack
-over parameter points; one Cholesky factor L gives log det M, one solve L^-1 G.
+kernel here: one judge checks each point batch once; ``_scaled_beta`` reads a
+caller's beta at one scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and
+``_scaled_intensities`` (u); M is one product (w u) K over the table K of
+outer products, for one weight vector or a stack over parameter points; one
+Cholesky factor L gives log det M, one solve L^-1 G.
 
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
@@ -374,35 +375,48 @@ def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
     return feature_matrix(model, [x])[0]
 
 
-def _check_beta(model: GammaModel, beta: Sequence[float]) -> np.ndarray:
-    """Caller beta as a (p,) array of finite floats, judged in Python floats, which cost less than a numpy reduction."""
+def _check_beta(model: GammaModel, beta: Sequence[float]) -> list[float]:
+    """Caller beta as a list of p finite floats, judged in Python floats, which cost less than a numpy reduction."""
     try:
         vec = np.asarray(beta, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"beta must be numbers: {exc}") from exc
     if vec.shape != (model.p,):
         raise ValidationError(f"beta has dimension {vec.shape}, expected {(model.p,)}")
-    if not all(map(math.isfinite, vec.tolist())):
+    floats = vec.tolist()
+    if not all(map(math.isfinite, floats)):
         raise ValidationError("beta entries must be finite")
-    return vec
+    return floats
 
 
 def _tamed(*values):
     """``values`` scaled by one power of two so that the largest magnitude lies in [1, 2): floats, or elementwise
     on arrays and floats that broadcast together. A quantity homogeneous in the values keeps its sign, and one of
     degree 0 every bit, wherever its unscaled form neither overflows nor underflows; no square overflows at huge
-    values nor underflows at tiny ones. This is the package's one overflow-safe scaling of beta."""
+    values nor underflows at tiny ones. The package's one overflow-safe scaling; ``_scaled_beta`` applies it to beta."""
     if np.ndarray in map(type, values):
         e = 1 - np.frexp(np.abs(np.broadcast_arrays(*values)).max(axis=0))[1]
         return tuple(np.ldexp(v, e) for v in values)
-    e = 1 - math.frexp(max(map(abs, values)))[1]
-    return tuple(map(math.ldexp, values, (e,) * len(values)))
+    return _scale(values)[0]
+
+
+def _scale(values: Sequence[float]) -> tuple[tuple[float, ...], int]:
+    """The floats ``values`` scaled as ``_tamed`` scales them, and the exponent s with values = scaled * 2**s."""
+    s = math.frexp(max(map(abs, values)))[1] - 1
+    return tuple(math.ldexp(v, -s) for v in values), s
+
+
+def _scaled_beta(model: GammaModel, beta: Sequence[float]) -> tuple[tuple[float, ...], int]:
+    """Caller ``beta`` judged by ``_check_beta`` and scaled by ``_tamed``, and s with beta = scaled * 2**s: the
+    kernel's one reading of a caller's scale, for ``_columns``, ``_scaled_intensities``, ``d_efficiency`` and
+    ``is_simplex_design_d_optimal``."""
+    return _scale(_check_beta(model, beta))
 
 
 def _predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature matrix F of the judged points X, the predictor eta = B F' and
-    the mask eta > 0, which is the package's one admissibility rule. B is a
-    beta judged by ``_check_beta`` (or its floats, scaled or not), or a (G, p)
+    the mask eta > 0, which is the package's one admissibility rule. B is the
+    floats of a beta judged by ``_check_beta``, scaled or not, or a (G, p)
     stack of parameter points, giving (G, n) eta."""
     F = _widened(model, X)
     eta = B @ F.T
@@ -419,14 +433,14 @@ def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray
 
 
 def _scaled_intensities(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """F and eta of the judged points X at caller ``beta`` scaled by ``_tamed``, under the positivity rule of
-    ``_positive_predictor``, and their intensities u = eta**-2 at beta as mantissas m**-2 in (1, 4] and exponents
-    t = s - 2e, for eta = m * 2**e and 2**s = r**-2 with r the power of two the scaling divided beta by. No
-    eta**-2 is formed, so ``_rescaled(m**-2, t)`` is u at beta, saturating only where u leaves the float range."""
-    vec = _check_beta(model, beta).tolist()
-    F, eta = _positive_predictor(model, _tamed(*vec), X)
+    """F of the judged points X and their intensities u = eta**-2 at caller ``beta``, under the positivity rule of
+    ``_positive_predictor``, as mantissas m**-2 in (1, 4] and exponents t = -2(s + e), for eta = m * 2**e at the
+    scaled beta of ``_scaled_beta`` and beta = scaled * 2**s. No eta**-2 is formed, so ``_rescaled(m**-2, t)`` is u
+    at beta, saturating only where u leaves the float range."""
+    scaled, s = _scaled_beta(model, beta)
+    F, eta = _positive_predictor(model, scaled, X)
     m, e = np.frexp(eta)
-    return F, eta, m**-2, (2 - 2 * math.frexp(max(map(abs, vec)))[1]) - 2 * e
+    return F, m**-2, -2 * (s + e)
 
 
 def _rescaled(values: np.ndarray, s: int | np.ndarray) -> np.ndarray:
@@ -435,20 +449,12 @@ def _rescaled(values: np.ndarray, s: int | np.ndarray) -> np.ndarray:
         return np.ldexp(values, s)
 
 
-def _intensity_arrays(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and intensities u = eta**-2 of the judged points X at caller ``beta``, read at beta scaled by ``_tamed``
-    as in ``_scaled_intensities``: u at 2^k beta is u at beta times 4^-k, exactly within the float range."""
-    F, _, u, t = _scaled_intensities(model, beta, X)
-    return F, _rescaled(u, t)
-
-
 def _columns(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[np.ndarray, float]:
-    """G = F' / eta = [sqrt(u_i) f_i] of the judged points X at caller ``beta``, judged once, scaled by ``_tamed``
-    and under the positivity rule of ``_positive_predictor``; and the power of two r the scaling divided beta by."""
-    vec = _check_beta(model, beta).tolist()
-    scaled = _tamed(*vec)
+    """G = F' / eta = [sqrt(u_i) f_i] of the judged points X at the scaled beta of ``_scaled_beta``, under the
+    positivity rule of ``_positive_predictor``; and r = 2**s, the power of two that caller ``beta`` was divided by."""
+    scaled, s = _scaled_beta(model, beta)
     F, eta = _positive_predictor(model, scaled, X)
-    return F.T / eta, max(map(abs, vec)) / max(map(abs, scaled))
+    return F.T / eta, math.ldexp(1.0, s)
 
 
 def _outer(F: np.ndarray) -> np.ndarray:
@@ -525,7 +531,8 @@ def intensity(model: GammaModel, beta: Sequence[float], x: Sequence[float]) -> f
     NonpositivePredictor
         If f(x)' beta <= 0, where the gamma mean is undefined.
     """
-    return float(_intensity_arrays(model, beta, _judged([x]))[1][0])
+    _, u, t = _scaled_intensities(model, beta, _judged([x]))
+    return float(_rescaled(u, t)[0])
 
 
 def information_matrix(model: GammaModel, beta: Sequence[float], design: Design) -> np.ndarray:
@@ -534,7 +541,7 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
-    F, _, u, t = _scaled_intensities(model, beta, design._pts)
+    F, u, t = _scaled_intensities(model, beta, design._pts)
     top = np.maximum.reduce(t)  # M is formed at u / 2**top, which neither overflows nor loses its largest term
     M = _information(_outer(F), design._wts * _rescaled(u, t - top))
     return _rescaled((M + M.T) / 2.0, top)
@@ -571,9 +578,9 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
         raise ValidationError("region and model dimensions differ")
     if region.kind is RegionKind.ORTHANT:
         if model.kind is ModelKind.FIRST_ORDER:
-            return bool((vec > 0.0).all())
-        return bool(vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0)
-    return bool(_predictor(model, _tamed(*vec.tolist()), region_vertices(region))[2].all())
+            return all(v > 0.0 for v in vec)
+        return vec[0] > 0.0 and vec[1] > 0.0 and vec[2] >= 0.0
+    return bool(_predictor(model, _tamed(*vec), region_vertices(region))[2].all())
 
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:

@@ -12,6 +12,10 @@ optimal design.
 Note the vertex pairing of the square map: it sends (b,a) to (0,1) and
 (a,b) to (1,0), since a larger x_j gives a smaller z_j in the same
 coordinate slot.
+
+The transform's intensities come from the kernel: ``_scaled_intensities``
+reads its fields through the one scale step ``_scaled_beta``, and
+``_rescaled`` scales u back, saturating only beyond the float range.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _positive_predictor, _predictor
+from .model_core import (Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _predictor,
+                         _rescaled, _scaled_intensities)
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
@@ -100,25 +105,26 @@ class InterceptTransform:
     beta2: float
 
     def predictor(self, z: Sequence[float]) -> float:
-        return float(self._predictors(_plane(_judged([z])), _predictor)[1][0])  # any sign: no positivity rule
-
-    def _predictors(self, Z: np.ndarray, rule=_positive_predictor) -> tuple[np.ndarray, np.ndarray]:
-        """F and the predictor eta of the judged points Z, lifted to (1, z1, z2), by the kernel ``rule``."""
         beta = _check_beta(_LIFTED, (self.beta0, self.beta1, self.beta2))  # the fields of a directly built transform are caller input
-        return rule(_LIFTED, beta, _lifted(Z))[:2]
+        return float(_predictor(_LIFTED, beta, _lifted(_plane(_judged([z]))))[1][0])  # any sign: no positivity rule
+
+    def _intensities(self, Z: np.ndarray) -> np.ndarray:
+        """u of the judged points Z, lifted to (1, z1, z2), from the kernel's mantissas and exponents, saturating."""
+        _, m, t = _scaled_intensities(_LIFTED, (self.beta0, self.beta1, self.beta2), _lifted(Z))
+        return _rescaled(m, t)
 
     def intensity(self, z: Sequence[float]) -> float:
-        return float((self._predictors(_judged([z]))[1] ** -2)[0])
+        return float(self._intensities(_judged([z]))[0])
 
     def vertex_intensities(self) -> tuple[float, float, float, float]:
         """Intensities c_1..c_4 at (0,0), (1,0), (0,1), (1,1)."""
-        return tuple((self._predictors(np.array(UNIT_SQUARE_VERTICES))[1] ** -2).tolist())
+        return tuple(self._intensities(np.array(UNIT_SQUARE_VERTICES)).tolist())
 
 
 def interaction_to_intercept(a: float, b: float, beta: Sequence[float]) -> InterceptTransform:
     """Transformed parameters of the equivalent intercept model on [0,1]^2."""
     a, b = _check_bounds(a, b)
-    b1, b2, b3 = _check_beta(GammaModel.interaction(), beta).tolist()
+    b1, b2, b3 = _check_beta(GammaModel.interaction(), beta)
     span = 1.0 / a - 1.0 / b
     return InterceptTransform(a=a, b=b, beta0=b3 + (b1 + b2) / b, beta1=b2 * span, beta2=b1 * span)
 

@@ -18,7 +18,6 @@ from gammadesign import (
     InteractionFamily,
     InteractionLabel,
     NonpositivePredictor,
-    SingularInformation,
     ThreeFactorFamily,
     ThreeFactorLabel,
     ThreeFactorScenario,
@@ -26,6 +25,7 @@ from gammadesign import (
     a_optimal_orthant,
     a_optimal_two_factor,
     classify_three_factor,
+    d_efficiency,
     d_optimal_interaction,
     d_optimal_orthant,
     d_optimal_two_factor,
@@ -772,6 +772,27 @@ def test_ranking_is_the_same_at_every_power_of_two_of_beta(k, beta):
         assert [[u for _, u in g] for g in scaled] == [[math.ldexp(u, -2 * k) for _, u in g] for g in base]
 
 
+@given(
+    st.integers(-600, 600),
+    st.integers(2, 4).flatmap(lambda nu: st.lists(st.integers(-2, 4).map(float), min_size=nu, max_size=nu)),
+)
+def test_ranking_is_the_same_on_every_power_of_two_of_the_cube(k, beta):
+    """The groups on [c, 2c]^nu, c = 2^k, are those on [1, 2]^nu, ties included, with no warning: the keys
+    are intensities relative to the largest. On [2^-160, 2^-159]^2 every key of eta**-2 overflowed."""
+    model, c = GammaModel.first_order(len(beta)), math.ldexp(1.0, k)
+    assume(validate_positivity(model, beta, ExperimentalRegion.hypercube(1.0, 2.0, model.nu)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = intensity_ranking(model, beta, ExperimentalRegion.hypercube(1.0, 2.0, model.nu))
+        scaled = intensity_ranking(model, beta, ExperimentalRegion.hypercube(c, 2.0 * c, model.nu))
+    assert [[tuple(x / c for x in pt) for pt, _ in g] for g in scaled] == [[pt for pt, _ in g] for g in base]
+
+
+def test_ranking_ties_on_a_tiny_cube():
+    groups = intensity_ranking(GammaModel.first_order(2), (1, 1), ExperimentalRegion.hypercube(1e-160, 2e-160, 2))
+    assert [[pt for pt, _ in g] for g in groups] == [[(1e-160, 1e-160)], [(1e-160, 2e-160), (2e-160, 1e-160)], [(2e-160, 2e-160)]]
+
+
 def test_ranking_rejects_bad_inputs():
     with pytest.raises(NonpositivePredictor):
         intensity_ranking(cube_model(), (-1.0, 1.0, 1.0), CUBE3)
@@ -890,8 +911,13 @@ def test_interaction_design_at_tiny_equal_betas(scale):
 
 
 def test_three_factor_sweep_at_a_huge_ratio_warns_of_no_overflow():
-    """Its weights no longer overflow; the intensities underflow, so M is singular."""
+    """Neither its weights nor its intensities overflow or underflow: M is built at betas scaled by the
+    kernel, so the row at 1e200 is the efficiency at that ratio, with no warning."""
+    designs = three_factor_benchmark_designs()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SingularInformation):
-            efficiency_sweep(ThreeFactorFamily(), three_factor_benchmark_designs(), (0.5, 1e200))
+        sweep = efficiency_sweep(ThreeFactorFamily(), designs, (0.5, 1e200))
+        reference = ThreeFactorFamily().reference(1e200)
+        want = [d_efficiency(cube_model(), ThreeFactorFamily().beta(1e200), d, reference) for d in designs.values()]
+    assert sweep.gammas == (0.5, 1e200)
+    np.testing.assert_allclose(sweep.values[1], want, rtol=1e-12, atol=0.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from gammadesign import cli
-from gammadesign.cli import run
+from gammadesign.cli import render_json, run
 
 
 def run_cli(capsys, *argv):
@@ -545,6 +546,25 @@ def test_design_and_verify_match_expected_bytes(capsys, monkeypatch, name, argv)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == "", err
     assert out.encode() == (EXPECTED_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("family", ["three-factor", "interaction"])
+def test_efficiency_defaults_match_expected_bytes(capsys, family):
+    """``efficiency`` stdout over the family's default grid, byte for byte as committed."""
+    code, out, err = run_cli(capsys, "efficiency", "--family", family)
+    assert code == 0 and err == "", err
+    assert out.encode() == (EXPECTED_DIR / f"efficiency_{family.replace('-', '_')}.csv").read_bytes()
+
+
+def test_saturated_floats_print_as_json_parses_them(capsys, monkeypatch):
+    """At beta near 1e200 the A bound and values saturate to inf, printed as Infinity, not as a bare inf."""
+    monkeypatch.chdir(REPO_ROOT)
+    argv = "verify --nu 2 --region hypercube --a 1 --b 3 --beta 1e200,3e200 --criterion A --design tests/cli_expected/design_A.json"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == "", err
+    report = json.loads(out)
+    assert report["bound"] == math.inf and '"bound": Infinity' in out
+    assert render_json([math.inf, -math.inf, math.nan, 0.5]) == "[Infinity, -Infinity, NaN, 0.5]"
 
 
 # ----------------------------------------------------------- console script

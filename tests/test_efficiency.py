@@ -406,10 +406,14 @@ def test_sweep_serialization():
         (POS, three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)),
         (SQUARE, interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)),
         (NEG, three_factor_benchmark_designs(), (-2.5, -2.0, -1.5)),
+        (POS, three_factor_benchmark_designs(), (1e150, 1e200, 1e300)),
+        (SQUARE, interaction_benchmark_designs(), (1e150, 1e200, 1e300)),
     ],
-    ids=["example1", "example2", "negative_band"],
+    ids=["example1", "example2", "negative_band", "three_factor_huge", "interaction_huge"],
 )
 def test_sweep_matches_per_row_d_efficiency(family, designs, gammas):
+    """Under the RuntimeWarning-as-error filter. At the huge ratios the sweep once built M at the raw betas,
+    where u = eta**-2 underflowed: 1e200 raised SingularInformation and 1e150 was off in the 14th digit."""
     sweep = efficiency_sweep(family, designs, gammas)
     assert sweep.gammas == tuple(gammas) and not sweep.skipped
     expected = []

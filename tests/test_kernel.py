@@ -23,13 +23,13 @@ from gammadesign import (
     feature_matrix,
     features,
     information_matrix,
+    intensity,
     region_vertices,
 )
 from gammadesign.model_core import (
     _a_sensitivities,
     _factor,
     _information,
-    _intensity_arrays,
     _outer,
     _positive_predictor,
     _whitened,
@@ -232,7 +232,7 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
     betas = rng.uniform(0.1, 2.0, (size, model.p))
     betas[rng.integers(size)] = rng.uniform(-1.5, 2.0, model.p)
     try:
-        per_beta = [_intensity_arrays(model, beta, points)[1] for beta in betas]
+        per_beta = [[intensity(model, beta, x) for x in points] for beta in betas]
     except NonpositivePredictor:
         with pytest.raises(NonpositivePredictor):
             _positive_predictor(model, betas, points)

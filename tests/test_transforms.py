@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 from scipy.spatial import ConvexHull
 
 from gammadesign import (
@@ -107,6 +112,31 @@ def test_transform_predictor_identity():
         assert t.intensity(z) == pytest.approx(
             (x[0] * x[1]) ** 2 * intensity(model, beta, x), rel=1e-10
         )
+
+
+@given(
+    st.integers(-1000, 1000),
+    st.tuples(st.floats(0.1, 4.0), st.floats(1.1, 4.0)),
+    st.tuples(*[st.floats(0.01, 10.0)] * 3),
+)
+@example(-665, (1.0, 2.0), (1.0, 1.0, 1.0))  # fields near 1e-200
+def test_intercept_intensities_at_every_power_of_two_of_the_fields(k, bounds, beta):
+    """At the fields times 2^k the intensities are those at k = 0 times 4^-k where that is representable,
+    inf beyond it, and no warning is raised: eta**-2 at fields near 1e-200 overflowed with a warning."""
+    a, b = bounds[0], bounds[0] * bounds[1]
+    base = interaction_to_intercept(a, b, beta)
+    fields = [math.ldexp(f, k) for f in (base.beta0, base.beta1, base.beta2)]
+    assume(all(math.ldexp(f, -k) == f0 for f, f0 in zip(fields, (base.beta0, base.beta1, base.beta2))))
+    scaled = dataclasses.replace(base, beta0=fields[0], beta1=fields[1], beta2=fields[2])
+    z = (0.25, 0.75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [*scaled.vertex_intensities(), scaled.intensity(z)]
+    for u, u0 in zip(got, [*base.vertex_intensities(), base.intensity(z)]):
+        try:
+            assert u == math.ldexp(u0, -2 * k)
+        except OverflowError:
+            assert u == math.inf
 
 
 def test_sensitivity_carried_across_transform():
