@@ -107,6 +107,8 @@ def _square(a: float, b: float) -> tuple[tuple[float, float], ...]:
 
 
 _CUBE = three_factor_vertices(1.0, 2.0)
+# The models whose beta the square's constructors read, built once.
+_SQUARE_MODEL, _INTERACTION_MODEL = GammaModel.first_order(2), GammaModel.interaction()
 
 
 @dataclass(frozen=True)
@@ -190,16 +192,16 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
     """Axis-point design with weights beta_i / sum(beta), locally A-optimal.
 
     The scale of each axis point cancels from the information matrix, so
-    the weights do not depend on it.
+    the weights do not depend on it. They are of degree 0 in beta, which is
+    read by ``_check_beta`` and scaled by ``_tamed``, so no sum overflows.
     """
-    vec = _floats(beta, "beta")
-    if len(vec) < 2:
-        raise ValidationError("beta must have at least two entries")
+    vec = _check_beta(None, beta)
     # Positivity in pure Python: a kernel call would cost more than the whole constructor.
     if any(c <= 0.0 for c in vec):
         raise NonpositivePredictor("orthant positivity requires every beta_i > 0")
-    total = sum(vec)
-    return Design(orthant_axis_points(len(vec), scale), [c / total for c in vec])
+    scaled = _tamed(*vec)
+    total = sum(scaled)
+    return Design(orthant_axis_points(len(vec), scale), [c / total for c in scaled])
 
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
@@ -213,13 +215,11 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
 
     Each support point carries weight proportional to its own predictor
     value; this pairing (and only this one) attains the equivalence
-    bound at both points.
+    bound at both points. The weights are of degree 0 in beta, which is
+    read by ``_scaled_beta``, so they are formed at its scaled form.
     """
     a, b = _check_bounds(a, b)
-    vec = _floats(beta, "beta")
-    if len(vec) != 2:
-        raise ValidationError("beta must have two entries")
-    b1, b2 = vec
+    b1, b2 = _scaled_beta(_SQUARE_MODEL, beta)[0]
     # Positivity in pure Python, as in a_optimal_orthant.
     if b1 * a + b2 * b <= 0.0 or b1 * b + b2 * a <= 0.0:
         raise NonpositivePredictor("predictor must be positive at both support points")
@@ -339,10 +339,9 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     """
     a, b = _check_bounds(a, b)
     v = _square(a, b)
-    model = GammaModel.interaction()
-    vec = _check_beta(model, beta)
+    vec = _check_beta(_INTERACTION_MODEL, beta)
     scaled = _tamed(*vec)
-    _, eta = _positive_predictor(model, scaled, np.array(v))  # raises unless positive at every vertex
+    _, eta = _positive_predictor(_INTERACTION_MODEL, scaled, np.array(v))  # raises unless positive at every vertex
     gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
     if vec[0] == vec[1] and vec[2] >= 0.0:
         table, index = _interaction_cases(a, b, scaled[0], scaled[2])
@@ -383,7 +382,7 @@ def interaction_equal_beta(a: float, b: float, gamma: float) -> Classification:
     (gamma,) = _floats((gamma,), "gamma")
     try:
         return d_optimal_interaction(a, b, (gamma, gamma, 1.0))
-    except ValidationError as exc:
+    except NonpositivePredictor as exc:
         raise ValidationError("gamma must exceed -a/2") from exc
 
 

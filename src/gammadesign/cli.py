@@ -33,6 +33,7 @@ from .model_core import (
     ModelKind,
     RegionKind,
     ValidationError,
+    _check_beta,
     _floats,
     design_from_json,
     design_to_json,
@@ -118,9 +119,7 @@ def _load_json(path: str):
 def _make_model(args) -> GammaModel:
     kind = ModelKind(args.model)
     if kind is ModelKind.INTERACTION:
-        if args.nu not in (None, 2):
-            raise ValidationError("interaction model requires nu = 2")
-        return GammaModel.interaction()
+        return GammaModel(kind, 2 if args.nu is None else args.nu)  # the model's own rule refuses any other nu
     if args.nu is None:
         raise ValidationError("--nu is required for the first-order model")
     return GammaModel.first_order(args.nu)
@@ -153,10 +152,7 @@ def _candidates(args, model: GammaModel, design: Design | None = None):
 def _require_beta(args, model: GammaModel) -> tuple[float, ...]:
     if args.beta is None:
         raise ValidationError("--beta is required for this configuration")
-    beta = _floats(args.beta.split(","), "--beta")
-    if len(beta) != model.p:
-        raise ValidationError(f"--beta must have {model.p} entries for this model")
-    return beta
+    return _check_beta(model, args.beta.split(","))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ over the whole grid, judged singular or not by array reductions. An
 efficiency is of degree 0 in beta, so M is built at betas scaled by the
 kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
 scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
+A failing stack names its row by the ``_member`` index the kernel sets.
 """
 
 from __future__ import annotations
@@ -311,8 +312,10 @@ def efficiency_sweep(
     """Efficiency of each design against the local optimum at every ratio.
 
     Inadmissible grid points, non-finite ones included, are skipped and
-    recorded in ``skipped``. A singular or nonpositive row raises, naming
-    its gamma and design.
+    recorded in ``skipped``. Each support is evaluated once, as one stack
+    over its rows. The first singular or nonpositive stack (the reference
+    supports in case order, then the designs in order) raises, naming its
+    design and the gamma of its first failing row.
     """
     if not designs:
         raise ValidationError("need at least one design to sweep")
@@ -322,27 +325,16 @@ def efficiency_sweep(
     ok, betas = _admissible(family, grid)
     kept = grid[ok]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
-    # One factorization per closed-form case, and one per numerically solved ratio.
-    references = family._optima(kept)
-    ld_ref = np.empty(len(kept))
-    try:
-        for points, weights, rows in references:
-            ld_ref[rows] = _logdets(model, betas[rows], points, weights)
-        ld = np.column_stack([_logdets(model, betas, d._pts, d._wts) for d in designs.values()])
-    except (SingularInformation, NonpositivePredictor):
-        # Name the first failing row by evaluating the rows one at a time.
-        optima = {}
-        for points, weights, rows in references:
-            optima.update((row, (points, w)) for row, w in zip(rows, np.broadcast_to(weights, (len(rows), len(points)))))
-        supports = [(name, (d._pts, d._wts)) for name, d in designs.items()]
-        for row, (gamma, beta) in enumerate(zip(kept.tolist(), betas)):
-            for name, (points, weights) in (("reference", optima[row]), *supports):
-                try:
-                    _logdets(model, beta[None], points, weights)
-                except (SingularInformation, NonpositivePredictor) as exc:
-                    raise type(exc)(f"gamma={gamma!r}, design {name}: {exc}") from exc
-        raise
-    table = np.column_stack((kept, np.exp((ld - ld_ref[:, None]) / model.p)))
+    # One factorization per closed-form case, one per numerically solved ratio, and one per design.
+    stacks = [("reference", 0, points, weights, rows) for points, weights, rows in family._optima(kept)]
+    stacks += [(name, column, d._pts, d._wts, slice(None)) for column, (name, d) in enumerate(designs.items(), 1)]
+    ld = np.empty((len(kept), 1 + len(names)))  # column 0 the reference's log-dets, then one per design
+    for name, column, points, weights, rows in stacks:
+        try:
+            ld[rows, column] = _logdets(model, betas[rows], points, weights)
+        except (SingularInformation, NonpositivePredictor) as exc:
+            raise type(exc)(f"gamma={float(kept[rows][exc._member])!r}, design {name}: {exc}") from exc
+    table = np.column_stack((kept, np.exp((ld[:, 1:] - ld[:, :1]) / model.p)))
     return EfficiencySweep(family.name, table, names, tuple(skipped))
 
 

@@ -6,11 +6,13 @@ approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
 The solver, verification, efficiencies and transforms share one numeric
-kernel here: one judge checks each point batch once; ``_scaled_beta`` reads a
-caller's beta at one scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and
-``_scaled_intensities`` (u); M is one product (w u) K over the table K of
-outer products, for one weight vector or a stack over parameter points; one
-Cholesky factor L gives log det M, one solve L^-1 G.
+kernel here: one judge checks each point batch once; ``_check_beta`` is the
+one beta rule, and ``_scaled_beta`` reads a caller's beta by it at one
+scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and ``_scaled_intensities``
+(u); M is one product (w u) K over the table K of outer products, for one
+weight vector or a stack over parameter points; one Cholesky factor L
+gives log det M, one solve L^-1 G. A stacked rule sets the index of the
+first failing member of its stack on its error, as ``_member``.
 
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
@@ -375,18 +377,17 @@ def features(model: GammaModel, x: Sequence[float]) -> np.ndarray:
     return feature_matrix(model, [x])[0]
 
 
-def _check_beta(model: GammaModel, beta: Sequence[float]) -> list[float]:
-    """Caller beta as a list of p finite floats, judged in Python floats, which cost less than a numpy reduction."""
-    try:
-        vec = np.asarray(beta, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"beta must be numbers: {exc}") from exc
-    if vec.shape != (model.p,):
-        raise ValidationError(f"beta has dimension {vec.shape}, expected {(model.p,)}")
-    floats = vec.tolist()
-    if not all(map(math.isfinite, floats)):
+def _check_beta(model: GammaModel | None, beta: Sequence[float]) -> tuple[float, ...]:
+    """The package's one beta rule: caller ``beta`` as ``model.p`` finite floats, converted by ``_floats`` in
+    Python, which costs less than numpy on a handful of entries. A ``model`` of None reads the beta of a
+    first-order model with one factor per entry, so at least two."""
+    vec = _floats(beta, "beta")
+    p = max(len(vec), 2) if model is None else model.p
+    if len(vec) != p:
+        raise ValidationError(f"beta must have {p} entries, not {len(vec)}")
+    if not all(map(math.isfinite, vec)):
         raise ValidationError("beta entries must be finite")
-    return floats
+    return vec
 
 
 def _tamed(*values):
@@ -408,8 +409,8 @@ def _scale(values: Sequence[float]) -> tuple[tuple[float, ...], int]:
 
 def _scaled_beta(model: GammaModel, beta: Sequence[float]) -> tuple[tuple[float, ...], int]:
     """Caller ``beta`` judged by ``_check_beta`` and scaled by ``_tamed``, and s with beta = scaled * 2**s: the
-    kernel's one reading of a caller's scale, for ``_columns``, ``_scaled_intensities``, ``d_efficiency`` and
-    ``is_simplex_design_d_optimal``."""
+    kernel's one reading of a caller's scale, for ``_columns``, ``_scaled_intensities``, ``d_efficiency``,
+    ``is_simplex_design_d_optimal``, ``a_optimal_two_factor`` and ``interaction_to_intercept``."""
     return _scale(_check_beta(model, beta))
 
 
@@ -424,11 +425,15 @@ def _predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _positive_predictor(model: GammaModel, B, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and eta of ``_predictor``; raises NonpositivePredictor where eta is not positive."""
+    """F and eta of ``_predictor``; raises NonpositivePredictor where eta is not positive, naming the
+    point, and for a (G, p) stack B setting the index of its first failing parameter point as ``_member``."""
     F, eta, positive = _predictor(model, B, X)
     if not positive.all():
         at = tuple(int(axis[0]) for axis in np.nonzero(~positive))  # (k,), or (g, k) for a stack
-        raise NonpositivePredictor(f"predictor is not positive at {tuple(X[at[-1]].tolist())}")
+        error = NonpositivePredictor(f"predictor is not positive at {tuple(X[at[-1]].tolist())}")
+        if len(at) == 2:
+            error._member = at[0]
+        raise error
     return F, eta
 
 
@@ -476,7 +481,8 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     This is the package's one singularity rule: SingularInformation is
     raised when a pivot is nan or min diag(L)**2 <= 1e-12 * max diag(M),
     for any matrix of a stack, naming the smallest pivot of the first that
-    fails. A failed factorization returns nan pivots.
+    fails, and setting its index as ``_member``. A failed factorization
+    returns nan pivots.
     """
     with np.errstate(invalid="ignore"):
         L = _lapack.cholesky_lo(M, signature="d->d")
@@ -486,7 +492,9 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     smallest = pivots.min(axis=0)  # nan for a nan pivot
     failing = np.flatnonzero(~_above_floor(smallest, M.diagonal(0, -2, -1).T.copy().max(axis=0)))
     if failing.size:
-        raise _singular(smallest[failing[0]])
+        error = _singular(smallest[failing[0]])
+        error._member = int(failing[0])
+        raise error
     return L, 2.0 * np.log(pivots).sum(axis=0)
 
 

@@ -13,9 +13,9 @@ Note the vertex pairing of the square map: it sends (b,a) to (0,1) and
 (a,b) to (1,0), since a larger x_j gives a smaller z_j in the same
 coordinate slot.
 
-The transform's intensities come from the kernel: ``_scaled_intensities``
-reads its fields through the one scale step ``_scaled_beta``, and
-``_rescaled`` scales u back, saturating only beyond the float range.
+The transform's fields and intensities come from the kernel: both are
+formed at the scaled beta of ``_scaled_beta``, and ``_rescaled`` scales
+them back, saturating only beyond the float range.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_core import (Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _predictor,
-                         _rescaled, _scaled_intensities)
+                         _rescaled, _scaled_beta, _scaled_intensities)
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
@@ -47,6 +47,7 @@ UNIT_SQUARE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 # (1, z1, z2), so the intercept model is a first-order model in three
 # factors and shares its kernel, positivity rule included.
 _LIFTED = GammaModel.first_order(3)
+_SOURCE = GammaModel.interaction()
 
 
 def _lifted(Z: np.ndarray) -> np.ndarray:
@@ -122,11 +123,13 @@ class InterceptTransform:
 
 
 def interaction_to_intercept(a: float, b: float, beta: Sequence[float]) -> InterceptTransform:
-    """Transformed parameters of the equivalent intercept model on [0,1]^2."""
+    """Transformed parameters of the equivalent intercept model on [0,1]^2, linear in beta: formed at the scaled
+    beta of ``_scaled_beta`` and scaled back by ``_rescaled``, a field overflows only beyond the float range."""
     a, b = _check_bounds(a, b)
-    b1, b2, b3 = _check_beta(GammaModel.interaction(), beta)
+    (b1, b2, b3), s = _scaled_beta(_SOURCE, beta)
     span = 1.0 / a - 1.0 / b
-    return InterceptTransform(a=a, b=b, beta0=b3 + (b1 + b2) / b, beta1=b2 * span, beta2=b1 * span)
+    beta0, beta1, beta2 = _rescaled(np.array((b3 + (b1 + b2) / b, b2 * span, b1 * span)), s).tolist()
+    return InterceptTransform(a=a, b=b, beta0=beta0, beta1=beta1, beta2=beta2)
 
 
 def verify_intercept_design(

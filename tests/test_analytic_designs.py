@@ -221,6 +221,44 @@ def test_a_optimal_two_factor_rejects_bad_predictor():
         a_optimal_two_factor(1.0, 4.0, (1.0, -1.0))
 
 
+@pytest.mark.parametrize(
+    "construct, huge, unit",
+    [
+        (a_optimal_orthant, (1e308,) * 3, (1.0,) * 3),
+        (lambda beta: a_optimal_two_factor(1.0, 3.0, beta), (1e308, 1e308), (1.0, 1.0)),
+    ],
+    ids=["orthant", "two_factor"],
+)
+def test_a_optimal_weights_are_formed_at_the_scaled_beta(construct, huge, unit):
+    """The weights are of degree 0 in beta; at 1e308 their sums overflowed and the design
+    was refused with "weights must be strictly positive"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert construct(huge).weights == construct(unit).weights
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [lambda: a_optimal_orthant((math.inf, 1.0)), lambda: a_optimal_two_factor(1.0, 2.0, (math.nan, 1.0))],
+    ids=["orthant_inf", "two_factor_nan"],
+)
+def test_a_optimal_constructors_name_a_non_finite_beta(construct):
+    """A non-finite beta was reported as "weights must be strictly positive"."""
+    with pytest.raises(ValidationError, match="beta entries must be finite"):
+        construct()
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [lambda: a_optimal_orthant((1.0,)), lambda: a_optimal_two_factor(1.0, 2.0, (1.0, 2.0, 3.0))],
+    ids=["orthant_short", "two_factor_long"],
+)
+def test_a_optimal_constructors_state_the_beta_length_rule(construct):
+    """Both read beta by the one beta rule of ``model_core``."""
+    with pytest.raises(ValidationError, match=r"beta must have 2 entries, not [13]"):
+        construct()
+
+
 # ---------------------------------------------------------------- simplex
 
 
@@ -672,6 +710,13 @@ def test_equal_beta_domain():
     # Above -a/2, but the kernel's predictor at (a, a) rounds to nonpositive.
     with pytest.raises(ValidationError, match=r"gamma must exceed -a/2"):
         interaction_equal_beta(0.21, 4.0, -0.10499999999999998)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_equal_beta_names_a_non_finite_ratio(gamma):
+    """Every ValidationError was relabelled, so inf and nan read "gamma must exceed -a/2"."""
+    with pytest.raises(ValidationError, match="beta entries must be finite"):
+        interaction_equal_beta(1.0, 4.0, gamma)
 
 
 @given(st.floats(0.2, 3.0), st.floats(1.05, 8.0))

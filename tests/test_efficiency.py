@@ -444,6 +444,39 @@ def test_nonpositive_sweep_row_is_named():
         efficiency_sweep(SQUARE, designs, (1.0, -0.4))
 
 
+def test_singular_design_row_is_named_without_reevaluation(counted_calls):
+    """A design column, not the reference, fails at a later row: the point (0.5, 0.5) of "low" has
+    predictor gamma + 0.25, about 3e-17 there. The sweep names that design and that gamma from the stack
+    it evaluated, with no more factorizations than a grid that passes; each row was evaluated again."""
+    calls = counted_calls(model_core, "_factor")
+    designs = {
+        "xi1": interaction_benchmark_designs()["xi1"],
+        "low": Design([(0.5, 0.5), (1.0, 4.0), (4.0, 1.0)], [1 / 3] * 3),
+    }
+    efficiency_sweep(SQUARE, designs, (0.0, 0.5))
+    passing = len(calls)
+    calls.clear()
+    with pytest.raises(SingularInformation, match=r"gamma=-0\.24999999999999997, design low"):
+        efficiency_sweep(SQUARE, designs, (0.0, -0.24999999999999997))
+    assert len(calls) <= passing
+
+
+def test_stacked_rules_name_their_first_failing_member():
+    """Two members of each stack fail; the rule sets the index of the first, and a sweep whose
+    design fails at two rows names the first of them."""
+    tiny = np.diag([1.0, 1e-14])
+    with pytest.raises(SingularInformation) as singular:
+        model_core._factor(np.array([np.eye(2), tiny, np.eye(2), tiny]))
+    assert singular.value._member == 1
+    betas = np.array([(1.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    with pytest.raises(NonpositivePredictor) as nonpositive:
+        model_core._positive_predictor(GammaModel.first_order(2), betas, np.array([(2.0, 1.0)]))
+    assert nonpositive.value._member == 2
+    far = {"far": Design([(1.0, 1.0), (4.0, 1.0), (10.0, 0.1)], [1 / 3] * 3)}
+    with pytest.raises(NonpositivePredictor, match=r"gamma=-0\.4, design far"):
+        efficiency_sweep(SQUARE, far, (1.0, -0.4, -0.45))
+
+
 def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
     """A count, not a timing: a fallback to one factorization per row
     would make it grow with the grid. ``_factor`` holds the package's only

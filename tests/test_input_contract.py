@@ -17,6 +17,7 @@ from gammadesign import (
     GammaModel,
     InteractionFamily,
     InterceptTransform,
+    ModelKind,
     NonpositivePredictor,
     RegionKind,
     SolverParams,
@@ -29,6 +30,7 @@ from gammadesign import (
     d_optimal_interaction,
     d_optimal_orthant,
     d_optimal_two_factor,
+    design_from_json,
     efficiency_sweep,
     equal_beta_threshold,
     feature_matrix,
@@ -51,6 +53,7 @@ from gammadesign import (
     three_factor_benchmark_designs,
     three_factor_vertices,
     unmap_point_interaction,
+    validate_design_region,
     validate_positivity,
     verify_intercept_design,
     verify_optimality,
@@ -176,6 +179,24 @@ FURTHER = {
     "interaction_to_intercept_infinite_bound": lambda: interaction_to_intercept(1, float("inf"), (1, 1, 1)),
     # An infinite tolerance certified the uniform start after 0 iterations, whatever its excess.
     "solver_tolerance_infinite": lambda: SolverParams(convergence_tol=float("inf")),
+    # Object and shape rules that no other test reaches.
+    "interaction_model_nu_3": lambda: GammaModel(ModelKind.INTERACTION, 3),
+    "orthant_with_bounds": lambda: ExperimentalRegion(RegionKind.ORTHANT, 2, 1.0, 2.0),
+    "hypercube_without_bounds": lambda: ExperimentalRegion(RegionKind.HYPERCUBE, 2),
+    "design_empty": lambda: Design([], []),
+    "design_length_mismatch": lambda: Design([(1.0, 2.0)], [0.5, 0.5]),
+    "positivity_region_dimension": lambda: validate_positivity(M2, (1, 1), ExperimentalRegion.orthant(3)),
+    "design_region_dimension": lambda: validate_design_region(D2, ExperimentalRegion.orthant(3)),
+    "mix_coefficient_count": lambda: mix_designs([D2, D2], [1.0]),
+    "mix_dimensions": lambda: mix_designs([D2, Design([(1.0, 2.0, 3.0)], [1.0])], [0.5, 0.5]),
+    "model_json_without_kind": lambda: model_from_json({"nu": 2}),
+    "design_json_without_weights": lambda: design_from_json({"points": [[1.0, 2.0]]}),
+    "scenario_infinite": lambda: ThreeFactorScenario(float("inf"), 1.0),
+    "three_factor_family_zero_sign": lambda: ThreeFactorFamily(0),
+    "reference_inadmissible": lambda: InteractionFamily().reference(-1.0),
+    "axis_scale_length": lambda: orthant_axis_points(3, (1.0, 2.0)),
+    "square_map_3d_point": lambda: map_point_interaction((1.0, 2.0, 3.0), 1, 4),
+    "ratio_map_1d_point": lambda: first_order_ratio_map((1.0,)),
 }
 
 
@@ -266,6 +287,34 @@ def test_cli_refuses_infinite_bounds_and_tolerances(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValidationError" and message in error["message"]
+
+
+# CLI rules that no other test reaches, each with a fragment of its message; "{bad}" is a file of invalid JSON.
+CLI_RULES = {
+    "invalid_json": (["verify", "--nu", "2", "--beta", "1,1", "--region", "hypercube", "--a", "1", "--b", "2",
+                      "--design", "{bad}"], "invalid JSON"),
+    "interaction_nu_3": (["design", "--model", "interaction", "--nu", "3", "--a", "1", "--b", "2", "--beta", "1,1,1"],
+                         "nu = 2"),
+    "missing_nu": (["solve", "--region", "hypercube", "--a", "1", "--b", "2", "--beta", "1,1"], "--nu is required"),
+    "hypercube_without_a": (["design", "--nu", "2", "--b", "2"], "require --a and --b"),
+    "interaction_on_orthant": (["design", "--model", "interaction", "--region", "orthant", "--beta", "1,1,1"],
+                               "constructed on hypercube regions"),
+    "interaction_criterion_A": (["design", "--model", "interaction", "--a", "1", "--b", "2", "--beta", "1,1,1",
+                                 "--criterion", "A"], "only D-optimal interaction designs"),
+}
+
+
+@pytest.mark.parametrize("argv, message", CLI_RULES.values(), ids=CLI_RULES.keys())
+def test_cli_input_rules_exit_two(capsys, tmp_path, argv, message):
+    from gammadesign.cli import run
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code = run([str(bad) if arg == "{bad}" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err)["error"]

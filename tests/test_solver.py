@@ -224,6 +224,34 @@ def test_band_certifies_within_factorization_budget(monkeypatch):
         assert verify_optimality(m3, beta, design, Criterion.D, region_vertices(CUBE3), tol=1e-9).passed, gamma
 
 
+@pytest.mark.parametrize("gamma", [-2.0, -1.5])
+def test_multiplicative_steps_certify_table2(monkeypatch, gamma):
+    """With the Newton working set capped at 4 points, table 2's iterates take no Newton step, so every
+    iterate but the deletions (at most one per candidate) is multiplicative: 157 and 89 of them. The solve
+    still certifies, verifies at its own tolerance, and its log det never falls by more than round-off."""
+    newton_steps = []
+    kkt_step = gammadesign.solver._kkt_step
+
+    def counting(H, rhs):
+        newton_steps.append(len(rhs))
+        return kkt_step(H, rhs)
+
+    monkeypatch.setattr(gammadesign.solver, "_NEWTON_MAX_POINTS", 4)
+    monkeypatch.setattr(gammadesign.solver, "_kkt_step", counting)
+    m3, beta, params = GammaModel.first_order(3), (-1.0, -gamma, -gamma), SolverParams()
+    design, trace = multiplicative(m3, beta, V, params)
+    assert newton_steps == [] and trace.iterations > 8 + 80
+    assert trace.converged and trace.final_excess <= params.convergence_tol
+    assert verify_optimality(m3, beta, design, Criterion.D, V, tol=params.convergence_tol).passed
+    assert np.diff(trace.log_dets).min() >= -1e-13
+
+
+def test_gain_of_a_change_that_removes_all_weight_is_minus_infinity():
+    """Four support points of weight 1/4 whitened to 2 e_i (so M = I): removing every weight leaves
+    M = 0, whose eigenvalue change is exactly -1."""
+    assert gammadesign.solver._gain(2.0 * np.eye(4), np.full(4, -0.25)) == -math.inf
+
+
 # ---------------------------------------------------------------- parameter paths
 
 TABLE2_BETAS = [(-1.0, -gamma, -gamma) for gamma in (-2.9, -2.5, -2.0, -1.5, -1.23)]

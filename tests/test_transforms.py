@@ -88,6 +88,19 @@ def test_transform_coefficients():
         interaction_to_intercept(0.0, 1.0, (1.0, 1.0, 1.0))
 
 
+def test_transform_fields_are_formed_at_the_scaled_beta():
+    """The fields are linear in beta, so at beta 2^1023 times a unit-scale beta they are 2^1023 times its
+    fields, exactly. beta0 overflowed to inf, and vertex_intensities() then refused it as non-finite."""
+    huge = (1e308, 1e308, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t = interaction_to_intercept(1.0, 2.0, huge)
+        unit = interaction_to_intercept(1.0, 2.0, [math.ldexp(c, -1023) for c in huge])
+        assert (t.beta0, t.beta1, t.beta2) == tuple(math.ldexp(f, 1023) for f in (unit.beta0, unit.beta1, unit.beta2))
+        assert t.vertex_intensities() == (0.0, 0.0, 0.0, 0.0)  # u ~ 1e-616: the saturated true values
+    assert d_optimal_interaction(1.0, 2.0, huge).label is InteractionLabel.CASE_V_FOUR_POINT
+
+
 def test_transform_corner_intensity_equal_coefficients():
     beta, beta3 = 1.5, 0.25
     t = interaction_to_intercept(1.0, 4.0, (beta, beta, beta3))
