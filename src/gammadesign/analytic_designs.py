@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model_core import (
+    COINCIDENCE_TOL,
     Design,
     ExperimentalRegion,
     GammaModel,
@@ -28,6 +29,7 @@ from .model_core import (
     _check_bounds,
     _check_count,
     _floats,
+    _index_bits,
     _positive_predictor,
     _rescaled,
     _scaled_beta,
@@ -36,7 +38,7 @@ from .model_core import (
     design_to_json,
     region_vertices,
 )
-from .equivalence import orthant_axis_points
+from .equivalence import _axis_scales
 
 __all__ = [
     "ThreeFactorLabel",
@@ -91,10 +93,7 @@ class InteractionLabel(str, enum.Enum):
 def three_factor_vertices(a: float = 1.0, b: float = 2.0) -> tuple[tuple[float, float, float], ...]:
     """Vertices of [a,b]^3 in the fixed reporting order v1..v8."""
     a, b = _check_bounds(a, b)
-    return (
-        (a, a, a), (b, a, a), (a, b, a), (a, a, b),
-        (a, b, b), (b, a, b), (b, b, a), (b, b, b),
-    )
+    return ((a, a, a), (b, a, a), (a, b, a), (a, a, b), (a, b, b), (b, a, b), (b, b, a), (b, b, b))
 
 
 def interaction_vertices(a: float, b: float) -> tuple[tuple[float, float], ...]:
@@ -107,8 +106,9 @@ def _square(a: float, b: float) -> tuple[tuple[float, float], ...]:
 
 
 _CUBE = three_factor_vertices(1.0, 2.0)
-# The models whose beta the square's constructors read, built once.
-_SQUARE_MODEL, _INTERACTION_MODEL = GammaModel.first_order(2), GammaModel.interaction()
+_THIRDS = (1.0 / 3.0,) * 3  # the equal weights of every three-point support of the classifiers
+# The models whose beta the constructors read, built once: the first-order ones once per nu.
+_INTERACTION_MODEL, _first_order_model = GammaModel.interaction(), functools.lru_cache(maxsize=16)(GammaModel.first_order)
 
 
 @dataclass(frozen=True)
@@ -124,23 +124,16 @@ class ThreeFactorScenario:
 
     def __post_init__(self) -> None:
         beta1, beta = _floats((self.beta1, self.beta), "scenario parameters")
-        object.__setattr__(self, "beta1", beta1)
-        object.__setattr__(self, "beta", beta)
-        if not (math.isfinite(self.beta1) and math.isfinite(self.beta)):
+        vars(self).update(beta1=beta1, beta=beta)  # frozen: the converted floats are stored past the dataclass guard
+        if not (math.isfinite(beta1) and math.isfinite(beta)):
             raise ValidationError("scenario parameters must be finite")
-        if self.beta1 <= 0.0:
-            admissible = self.beta > -self.beta1
-        else:
-            admissible = self.beta > -self.beta1 / 4.0
-        if not admissible:
+        if not beta > (-beta1 if beta1 <= 0.0 else -beta1 / 4.0):
             raise ValidationError("parameter point leaves the predictor nonpositive on the cube")
 
     @property
     def gamma(self) -> float | None:
         """Ratio beta/beta_1, or None when beta_1 = 0."""
-        if self.beta1 == 0.0:
-            return None
-        return self.beta / self.beta1
+        return None if self.beta1 == 0.0 else self.beta / self.beta1
 
     def beta_vector(self) -> tuple[float, float, float]:
         return (self.beta1, self.beta, self.beta)
@@ -162,21 +155,29 @@ class Classification:
 
     @functools.cached_property
     def design(self) -> Design | None:
-        """The closed-form design, built on first access, or None."""
-        return None if self.numerical else Design(self.points, self.weights)
+        """The closed-form design, built on first access, or None. A span kept by ``_classified``, not a field, so
+        that ``dataclasses.replace`` drops it, decides coincidence; any other support is judged as a caller's."""
+        if self.numerical or "_span" not in vars(self):
+            return None if self.numerical else Design(self.points, self.weights)
+        return _closed_form(np.array(self.points), self._span >= COINCIDENCE_TOL, self.weights)
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label.value,
-            "design": None if self.design is None else design_to_json(self.design),
-            "numerical": self.numerical,
-            "gamma": self.gamma,
-        }
+        design = None if self.design is None else design_to_json(self.design)
+        return {"label": self.label.value, "design": design, "numerical": self.numerical, "gamma": self.gamma}
 
 
-def _equal_weight(points: Sequence[Sequence[float]]) -> tuple[tuple, tuple[float, ...]]:
-    n = len(points)
-    return tuple(points), (1.0 / n,) * n
+def _classified(label, points, weights, gamma, span: float) -> Classification:
+    """A classifier's result on distinct vertices of [a,b]^nu, whose span b - a lets ``design`` skip the search."""
+    result = Classification(label, points, weights, gamma)
+    vars(result)["_span"] = span
+    return result
+
+
+def _closed_form(X: np.ndarray, distinct: bool, weights: Sequence[float] | None = None) -> Design:
+    """The design on weights (equal when None) over its constructor's support array X, whose exact scalar test
+    ``distinct`` is the verdict of ``_has_coincident``: ``_coincident`` finds two vertices of [a,b]^nu apart by
+    abs(u - v) = b - a, and axis points a_i e_i, a_j e_j by a_i and a_j, so ``sorted(a)[1]`` decides those."""
+    return Design._distinct(X, np.full(len(X), 1.0 / len(X)) if weights is None else np.array(weights), distinct)
 
 
 def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
@@ -185,7 +186,8 @@ def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
     Locally D-optimal on the positive orthant for every admissible
     parameter vector, regardless of the positive scale chosen.
     """
-    return Design(*_equal_weight(orthant_axis_points(_check_count(nu, 2), scale)))
+    scale = _axis_scales(_check_count(nu, 2), scale)
+    return _closed_form(np.diag(scale), sorted(scale)[1] >= COINCIDENCE_TOL)
 
 
 def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = None) -> Design:
@@ -199,15 +201,15 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
     # Positivity in pure Python: a kernel call would cost more than the whole constructor.
     if any(c <= 0.0 for c in vec):
         raise NonpositivePredictor("orthant positivity requires every beta_i > 0")
-    scaled = _tamed(*vec)
+    scale, scaled = _axis_scales(len(vec), scale), _tamed(*vec)
     total = sum(scaled)
-    return Design(orthant_axis_points(len(vec), scale), [c / total for c in scaled])
+    return _closed_form(np.diag(scale), sorted(scale)[1] >= COINCIDENCE_TOL, [c / total for c in scaled])
 
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
     """Equal-weight design on (a,b) and (b,a), D-optimal on [a,b]^2."""
     a, b = _check_bounds(a, b)
-    return Design(*_equal_weight([(a, b), (b, a)]))
+    return _closed_form(np.array(((a, b), (b, a))), b - a >= COINCIDENCE_TOL)
 
 
 def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
@@ -219,19 +221,19 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
     read by ``_scaled_beta``, so they are formed at its scaled form.
     """
     a, b = _check_bounds(a, b)
-    b1, b2 = _scaled_beta(_SQUARE_MODEL, beta)[0]
+    b1, b2 = _scaled_beta(_first_order_model(2), beta)[0]
     # Positivity in pure Python, as in a_optimal_orthant.
     if b1 * a + b2 * b <= 0.0 or b1 * b + b2 * a <= 0.0:
         raise NonpositivePredictor("predictor must be positive at both support points")
     w1 = (b1 * a + b2 * b) / ((b1 + b2) * (a + b))
-    return Design([(a, b), (b, a)], [w1, 1.0 - w1])
+    return _closed_form(np.array(((a, b), (b, a))), b - a >= COINCIDENCE_TOL, (w1, 1.0 - w1))
 
 
 def simplex_design(nu: int, a: float, b: float) -> Design:
     """Equal-weight design on the nu cube vertices with a single high coordinate."""
     _check_count(nu, 3)
     a, b = _check_bounds(a, b)
-    return Design(*_equal_weight([(a,) * j + (b,) + (a,) * (nu - 1 - j) for j in range(nu)]))
+    return _closed_form(np.where(np.eye(nu, dtype=bool), b, a), b - a >= COINCIDENCE_TOL)
 
 
 def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[float]) -> bool:
@@ -242,11 +244,10 @@ def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[floa
     every cube vertex but the design's own support vertices (in ``region_vertices`` order, the
     indices with one bit set), which meet it with equality whatever beta is and are not judged.
     """
-    model = GammaModel.first_order(_check_count(nu, 3))
-    region = ExperimentalRegion.hypercube(a, b, nu)
-    # beta read by ``_scaled_beta``: both sides of the condition are homogeneous of degree 2 in it
-    a, b, vec = region.a, region.b, np.array(_scaled_beta(model, beta)[0])
-    X, eta = _positive_predictor(model, vec, region_vertices(region))  # raises unless positive at every vertex
+    model = _first_order_model(_check_count(nu, 3))
+    a, b = _check_bounds(a, b)
+    vec = np.array(_scaled_beta(model, beta)[0])  # both sides of the condition are of degree 2 in beta
+    X, eta = _positive_predictor(model, vec, np.where(_index_bits(nu), b, a))  # raises unless positive at every vertex
     q = a / ((nu - 1) * a + b)
     c = (b - a) * vec + a * float(vec.sum())
     violated = (X - q * X.sum(axis=1, keepdims=True)) ** 2 @ c**2 > (b - a) ** 2 * eta**2
@@ -295,9 +296,9 @@ def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     """
     gamma = scenario.gamma
     if gamma is None:
-        return Classification(ThreeFactorLabel.XI1, *_equal_weight(_CUBE[1:4]), gamma)
+        return _classified(ThreeFactorLabel.XI1, _CUBE[1:4], _THIRDS, gamma, 1.0)
     table, index = _three_factor_cases(scenario.beta1, gamma)
-    return Classification(*table[index], gamma)
+    return _classified(*table[index], gamma, 1.0)
 
 
 def _three_factor_cases(beta1: float, gamma):
@@ -306,8 +307,8 @@ def _three_factor_cases(beta1: float, gamma):
     if beta1 > 0.0:
         return _four_point_cases((ThreeFactorLabel.XI2, ThreeFactorLabel.XI1, ThreeFactorLabel.XI3), _CUBE[1:5], _xi3_weights(gamma))
     # No closed-form weight vanishes on the edges of beta_1 < 0, so they stay constants.
-    xi1, xi4 = _equal_weight(_CUBE[1:4]), _equal_weight((_CUBE[1], _CUBE[5], _CUBE[6]))
-    table = ((ThreeFactorLabel.XI1, *xi1), (ThreeFactorLabel.XI4, *xi4), (ThreeFactorLabel.XI5_NUMERICAL, None, None))
+    xi1, xi4 = _CUBE[1:4], (_CUBE[1], _CUBE[5], _CUBE[6])
+    table = ((ThreeFactorLabel.XI1, xi1, _THIRDS), (ThreeFactorLabel.XI4, xi4, _THIRDS), (ThreeFactorLabel.XI5_NUMERICAL, None, None))
     return table, _case_index(gamma > -3.0, gamma < -1.2)
 
 
@@ -315,7 +316,7 @@ def _four_point_cases(labels, points, weights):
     """Case table and case index of a four-point closed form, decided by its end
     weights: the equal-weight triple without the first point where that weight
     is not positive, else without the last where that one is not, else all four."""
-    table = ((labels[0], *_equal_weight(points[1:])), (labels[1], *_equal_weight(points[:3])), (labels[2], points, weights))
+    table = ((labels[0], points[1:], _THIRDS), (labels[1], points[:3], _THIRDS), (labels[2], points, weights))
     return table, _case_index(weights[0] > 0.0, weights[3] > 0.0)
 
 
@@ -345,13 +346,13 @@ def d_optimal_interaction(a: float, b: float, beta: Sequence[float]) -> Classifi
     gamma = vec[0] / vec[2] if vec[0] == vec[1] and vec[2] != 0.0 else None
     if vec[0] == vec[1] and vec[2] >= 0.0:
         table, index = _interaction_cases(a, b, scaled[0], scaled[2])
-        return Classification(*table[index], gamma)
+        return _classified(*table[index], gamma, b - a)
     e2 = [(h / (x1 * x2)) ** 2 for h, (x1, x2) in zip(eta.tolist(), v)]
     half = 0.5 * sum(e2)
     drops = ((InteractionLabel.CASE_I, 3), (InteractionLabel.CASE_II, 1), (InteractionLabel.CASE_III, 2), (InteractionLabel.CASE_IV, 0))
     for label, k in drops:
         if half <= e2[k]:
-            return Classification(label, *_equal_weight(v[:k] + v[k + 1:]), gamma)
+            return _classified(label, v[:k] + v[k + 1:], _THIRDS, gamma, b - a)
     return Classification(InteractionLabel.CASE_V_FOUR_POINT, None, None, gamma)
 
 

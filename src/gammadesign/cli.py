@@ -209,9 +209,9 @@ def _construct_design(args) -> tuple[Design, str]:
 def _cmd_classify(args) -> int:
     if args.beta1_sign == "zero":
         scenario = ThreeFactorScenario(0.0, 1.0)
+    elif args.gamma is None:
+        raise ValidationError("--gamma is required unless --beta1-sign is zero")
     else:
-        if args.gamma is None:
-            raise ValidationError("--gamma is required unless --beta1-sign is zero")
         sign = 1.0 if args.beta1_sign == "pos" else -1.0
         scenario = ThreeFactorScenario(sign, sign * args.gamma)
     _emit(classify_three_factor(scenario).to_json(), args.output)

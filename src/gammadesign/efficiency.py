@@ -137,8 +137,7 @@ class ThreeFactorFamily(_Family):
 
     @property
     def name(self) -> str:
-        sign = "+" if self.beta1_sign > 0 else "-"
-        return f"three_factor_cube_beta1{sign}"
+        return f"three_factor_cube_beta1{'+' if self.beta1_sign > 0 else '-'}"
 
     @property
     def model(self) -> GammaModel:
@@ -168,8 +167,7 @@ class InteractionFamily(_Family):
 
     def __post_init__(self) -> None:
         a, b = _check_bounds(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        vars(self).update(a=a, b=b)  # frozen: the converted floats are stored past the dataclass guard
 
     @property
     def name(self) -> str:

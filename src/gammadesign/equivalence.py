@@ -121,13 +121,18 @@ class VerificationReport(_ArrayBacked):
 
 def orthant_axis_points(nu: int, scale: Sequence[float] | None = None) -> list[tuple[float, ...]]:
     """The canonical orthant candidates a_i * e_i (unit axis points by default)."""
-    _check_count(nu, 1, message="nu must be positive")
+    scale = _axis_scales(_check_count(nu, 1, message="nu must be positive"), scale)
+    return [(0.0,) * j + (s,) + (0.0,) * (nu - 1 - j) for j, s in enumerate(scale)]
+
+
+def _axis_scales(nu: int, scale: Sequence[float] | None) -> tuple[float, ...]:
+    """The scale rule of the axis points a_i * e_i: ``nu`` floats with 0 < a_i < inf, all 1.0 by default."""
     scale = (1.0,) * nu if scale is None else _floats(scale, "scale")
     if len(scale) != nu:
         raise ValidationError("scale must have one entry per factor")
-    if not all(s > 0.0 for s in scale):  # refuses nan
-        raise ValidationError("scale entries must be positive")
-    return [(0.0,) * j + (s,) + (0.0,) * (nu - 1 - j) for j, s in enumerate(scale)]
+    if not all(0.0 < s < math.inf for s in scale):  # refuses nan
+        raise ValidationError("scale entries must satisfy 0 < s < inf")
+    return scale
 
 
 def sensitivity(

@@ -14,6 +14,12 @@ weight vector or a stack over parameter points; one Cholesky factor L
 gives log det M, one solve L^-1 G. A stacked rule sets the index of the
 first failing member of its stack on its error, as ``_member``.
 
+A ``Design`` keeps read-only arrays. Caller points are judged and searched
+for coincident pairs; an array the library built enters by ``_distinct``,
+skipping the search where an exact test decides it: rows of searched solver
+candidates, or one scalar test of a closed form (b - a for cube vertices, the
+second-smallest scale for axis points). Float-mapped points are searched.
+
 The linear predictor is eta(x) = f(x)' beta with f(x) = x for the
 first-order model and f(x) = (x1, x2, x1*x2) for the interaction model.
 All mean-related constants drop out after normalization, so the
@@ -297,57 +303,54 @@ class _ArrayBacked:
 
 
 @dataclass(frozen=True)
-class Design:
+class Design(_ArrayBacked):
     """An approximate design: finitely many support points with weights.
 
-    Weights are strictly positive and sum to one; support points are
-    pairwise distinct (no coordinate-wise coincidence within
-    ``COINCIDENCE_TOL``).
+    Weights are strictly positive and sum to one; support points are pairwise distinct (no coordinate-wise
+    coincidence within ``COINCIDENCE_TOL``). A design keeps both as read-only arrays; the ``points`` and
+    ``weights`` tuples are built from them on first read, and then kept.
     """
 
     points: tuple[tuple[float, ...], ...]
     weights: tuple[float, ...]
 
+    _ARRAYS = ("_pts", "_wts")
+    _LAZY = {"points": lambda design: _canonical_points(design._pts), "weights": lambda design: tuple(design._wts.tolist())}
+
     def __init__(self, points: Iterable[Sequence[float]], weights: Iterable[float]) -> None:
-        self._set(_judged(points), _floats(weights, "weights"))
-        if _has_coincident(self.points):
-            raise ValidationError("support points must be pairwise distinct")
+        self._set(_judged(points), np.array(_floats(weights, "weights")))
 
     @classmethod
-    def _distinct(cls, X: np.ndarray, w: np.ndarray) -> "Design":
-        """The design on weights w over a new judged array X (n, d) whose rows are known pairwise distinct:
-        the weight rules hold, and only the parse of the points and the coincidence search are skipped."""
+    def _distinct(cls, X: np.ndarray, w: np.ndarray, distinct: bool | None = True) -> "Design":
+        """The design on weights w over a new judged array X (n, d) its caller built, with every rule but no parse:
+        ``distinct`` is the caller's exact verdict of the coincidence rule on X, or None to run the search."""
         design = cls.__new__(cls)
-        design._set(X, tuple(w.tolist()))
+        design._set(X, w, distinct)
         return design
 
-    def __reduce__(self):
-        """Copies and pickles are rebuilt through ``__init__``, so their judged arrays are read-only too."""
-        return type(self), (self.points, self.weights)
-
-    def _set(self, X: np.ndarray, weights: tuple[float, ...]) -> None:
-        """Keeps X and the weights as read-only arrays and as tuples, and applies every rule but coincidence."""
-        w = np.array(weights)
-        X.setflags(write=False)
-        w.setflags(write=False)
-        # The judged arrays the kernel reads are not fields: equality, hash and repr keep to the tuples.
-        vars(self).update(points=_canonical_points(X), weights=weights, _pts=X, _wts=w)
-        if not self.points:
+    def _set(self, X: np.ndarray, w: np.ndarray, distinct: bool | None = None) -> None:
+        """Keeps the judged X and the weights w (n,) as read-only arrays, which are not fields (equality, hash and
+        repr keep to the tuples), then applies the weight rules to the floats of w and the coincidence rule."""
+        self.__setstate__({"_pts": X, "_wts": w})
+        weights = w.tolist()
+        if not len(X):
             raise ValidationError("design needs at least one support point")
-        if len(self.points) != len(self.weights):
+        if len(X) != len(weights):
             raise ValidationError("points and weights must have equal length")
-        if any(w <= 0.0 or not math.isfinite(w) for w in self.weights):
+        if any(v <= 0.0 or not math.isfinite(v) for v in weights):
             raise ValidationError("weights must be strictly positive")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to one")
+        if _has_coincident(X.tolist()) if distinct is None else not distinct:
+            raise ValidationError("support points must be pairwise distinct")
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self._wts)
 
     @property
     def dimension(self) -> int:
-        return len(self.points[0])
+        return self._pts.shape[1]
 
 
 def feature_matrix(model: GammaModel, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -615,12 +618,10 @@ def mix_designs(designs: Sequence[Design], coefficients: Sequence[float]) -> Des
         raise ValidationError("one coefficient per design is required")
     if not (all(c >= 0.0 for c in coeffs) and abs(sum(coeffs) - 1.0) <= WEIGHT_SUM_TOL):  # refuses nan
         raise ValidationError("coefficients must be nonnegative and sum to one")
-    dim = designs[0].dimension
-    if any(d.dimension != dim for d in designs):
+    if len({d.dimension for d in designs}) != 1:
         raise ValidationError("designs must share one dimension")
 
-    merged_points: list[tuple[float, ...]] = []
-    merged_weights: list[float] = []
+    merged_points, merged_weights = [], []
     for design, coeff in zip(designs, coeffs):
         for pt, w in zip(design.points, design.weights):
             k = _coincident(pt, merged_points)
@@ -640,29 +641,24 @@ def model_to_json(model: GammaModel) -> dict:
     return {"kind": model.kind.value, "nu": model.nu}
 
 
-def model_from_json(obj: dict) -> GammaModel:
+def _kind_and_nu(obj: dict, kinds: type[enum.Enum], what: str):
     try:
-        kind = ModelKind(obj["kind"])
-        nu = obj["nu"]  # judged by the count rule: a JSON integer
+        return kinds(obj["kind"]), obj["nu"]  # nu is judged by the count rule: a JSON integer
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad model object: {exc}") from exc
-    return GammaModel(kind, nu)
+        raise ValidationError(f"bad {what} object: {exc}") from exc
+
+
+def model_from_json(obj: dict) -> GammaModel:
+    return GammaModel(*_kind_and_nu(obj, ModelKind, "model"))
 
 
 def region_to_json(region: ExperimentalRegion) -> dict:
-    out: dict = {"kind": region.kind.value, "nu": region.nu}
-    if region.kind is RegionKind.HYPERCUBE:
-        out["a"] = region.a
-        out["b"] = region.b
-    return out
+    out = {"kind": region.kind.value, "nu": region.nu}
+    return out if region.kind is RegionKind.ORTHANT else {**out, "a": region.a, "b": region.b}
 
 
 def region_from_json(obj: dict) -> ExperimentalRegion:
-    try:
-        kind = RegionKind(obj["kind"])
-        nu = obj["nu"]  # judged by the count rule: a JSON integer
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad region object: {exc}") from exc
+    kind, nu = _kind_and_nu(obj, RegionKind, "region")
     if kind is RegionKind.ORTHANT:
         return ExperimentalRegion.orthant(nu)
     return ExperimentalRegion.hypercube(obj.get("a"), obj.get("b"), nu)

@@ -85,8 +85,8 @@ def unmap_point_interaction(z: Sequence[float], a: float, b: float) -> tuple[flo
 
 
 def map_design_interaction(design: Design, a: float, b: float) -> Design:
-    """Image of a design on [a,b]^2 under the square map, weights kept."""
-    return Design(_square_map(design._pts, a, b), design.weights)
+    """Image of a design on [a,b]^2 under the square map, weights kept; a float map may join points, so it is searched."""
+    return Design._distinct(_square_map(design._pts, a, b), design._wts, None)
 
 
 @dataclass(frozen=True)

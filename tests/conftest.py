@@ -50,15 +50,16 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def built_designs(monkeypatch):
-    """The arguments of every Design constructed while the test runs."""
+    """The points and weights, as tuples, of every Design built while the test runs. Every construction, from
+    caller input or from the library's own arrays, goes through ``Design._set``; copies and pickles do not."""
     built = []
-    init = Design.__init__
+    set_arrays = Design._set
 
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting(self, X, w, *args):
+        built.append((tuple(map(tuple, X.tolist())), tuple(w.tolist())))
+        set_arrays(self, X, w, *args)
 
-    monkeypatch.setattr(Design, "__init__", counting)
+    monkeypatch.setattr(Design, "_set", counting)
     return built
 
 

@@ -119,6 +119,15 @@ def test_design_inadmissible_beta_exits_two_with_one_message(capsys, flags, regi
     }
 
 
+@pytest.mark.parametrize("criterion", ["D", "A"])
+def test_design_infinite_scale_exits_two_with_the_scale_rule(capsys, criterion):
+    """An infinite scale was refused only later, as a non-finite support point."""
+    argv = ("design", "--region", "orthant", "--nu", "2", "--beta", "1,1", "--criterion", criterion, "--scale", "inf,1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValidationError", "message": "scale entries must satisfy 0 < s < inf"}
+
+
 # The first-order hypercube branches of ``design``, each pinned to its exact stdout.
 CUBE_DESIGNS = {
     "square_D": (

@@ -4,6 +4,8 @@ inadmissible parameter point, is reported as a ValidationError."""
 from __future__ import annotations
 
 import json
+import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -210,6 +212,19 @@ def test_malformed_numbers_raise_validation_error(call):
 def test_further_malformed_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("scale", [math.inf, 0.0, -1.0, math.nan], ids=["inf", "zero", "negative", "nan"])
+@pytest.mark.parametrize(
+    "build",
+    [orthant_axis_points, d_optimal_orthant, lambda nu, scale: a_optimal_orthant((1.0,) * nu, scale)],
+    ids=["orthant_axis_points", "d_optimal_orthant", "a_optimal_orthant"],
+)
+def test_axis_scales_satisfy_one_rule(build, scale):
+    """``orthant_axis_points(2, (inf, 1))`` returned [(inf, 0.0), (0.0, 1.0)], which every consumer later
+    refused as a non-finite point. One scale rule now serves the axis points and both orthant designs."""
+    with pytest.raises(ValidationError, match=re.escape("scale entries must satisfy 0 < s < inf")):
+        build(2, (scale, 1.0))
 
 
 def test_nonpositive_predictor_is_a_validation_error():

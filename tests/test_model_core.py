@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -15,11 +16,13 @@ from hypothesis import assume, example, given, strategies as st
 
 import gammadesign.model_core
 from gammadesign import (
+    Criterion,
     Design,
     ExperimentalRegion,
     GammaModel,
     NonpositivePredictor,
     ValidationError,
+    d_optimal_two_factor,
     design_from_json,
     design_to_json,
     features,
@@ -30,8 +33,11 @@ from gammadesign import (
     model_to_json,
     region_from_json,
     region_to_json,
+    region_vertices,
+    simplex_design,
     validate_design_region,
     validate_positivity,
+    verify_optimality,
 )
 
 from gammadesign.model_core import COINCIDENCE_TOL, _has_coincident
@@ -205,6 +211,54 @@ def test_design_copies_keep_their_judged_arrays_read_only(clone):
             array[0] = 0.5
     assert twin == design
     np.testing.assert_array_equal(information_matrix(model, beta, twin), information_matrix(model, beta, design))
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda d: pickle.loads(pickle.dumps(d)),
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "read"])
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_lazy_designs_copy_compare_and_print_as_built(clone, read_first):
+    """A design keeps arrays and builds its tuples on first read. Copies made before or after that read
+    equal their original, hash and print alike, and keep read-only arrays bitwise the original's."""
+    design = d_optimal_two_factor(1.0, 3.0)
+    built = Design([(1.0, 3.0), (3.0, 1.0)], [0.5, 0.5])
+    if read_first:
+        assert (design.points, design.weights) == (((1.0, 3.0), (3.0, 1.0)), (0.5, 0.5))
+    twin = clone(design)
+    for array, original in ((twin._pts, design._pts), (twin._wts, design._wts)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+        assert array.tobytes() == original.tobytes()
+    for other in (design, built):
+        assert twin == other and hash(twin) == hash(other) and repr(twin) == repr(other)
+    assert repr(twin) == "Design(points=((1.0, 3.0), (3.0, 1.0)), weights=(0.5, 0.5))"
+
+
+def test_replaced_designs_are_judged_again():
+    design = d_optimal_two_factor(1.0, 3.0)
+    assert dataclasses.replace(design, weights=(0.25, 0.75)).weights == (0.25, 0.75)
+    with pytest.raises(ValidationError, match="pairwise distinct"):
+        dataclasses.replace(design, points=((1.0, 3.0), (1.0, 3.0)))
+    with pytest.raises(ValidationError, match="sum to one"):
+        dataclasses.replace(design, weights=(0.5, 0.6))
+
+
+def test_size_dimension_and_verification_build_no_tuples():
+    model, beta = GammaModel.first_order(4), (1.0, 1.0, 1.0, 1.0)
+    for design in (simplex_design(4, 1.0, 2.0), Design(list(map(tuple, np.eye(4) + 1.0)), [0.25] * 4)):
+        assert design.size == 4 and design.dimension == 4
+        verify_optimality(model, beta, design, Criterion.D, region_vertices(ExperimentalRegion.hypercube(1.0, 2.0, 4)))
+        information_matrix(model, beta, design)
+        assert "points" not in vars(design) and "weights" not in vars(design)
+        assert design.points[0] == (2.0, 1.0, 1.0, 1.0)  # built on this first read, then kept
+        assert vars(design)["points"] is design.points
 
 
 def test_design_from_json_repairs_rounded_weights():
