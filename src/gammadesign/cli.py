@@ -63,11 +63,11 @@ from .solver import SolverParams, _solve_path, multiplicative
 from .efficiency import (
     InteractionFamily,
     ThreeFactorFamily,
-    efficiency_sweep,
-    gamma_grid,
     interaction_benchmark_designs,
     three_factor_benchmark_designs,
     _csv_rows,
+    _grid,
+    _sweep,
 )
 
 __all__ = ["main", "run"]
@@ -258,7 +258,7 @@ def _sweep_for_family(family: str, a=None, b=None, start=None, stop=None, step: 
         sweep_family = InteractionFamily(**bounds)
         designs, ends = interaction_benchmark_designs(sweep_family.a, sweep_family.b), (-0.49, 5.0)
     start, stop = ends[0] if start is None else start, ends[1] if stop is None else stop
-    return efficiency_sweep(sweep_family, designs, gamma_grid(start, stop, step))
+    return _sweep(sweep_family, designs, _grid(start, stop, step))
 
 
 def _cmd_efficiency(args) -> int:
@@ -275,11 +275,8 @@ def _cmd_reproduce(args) -> int:
     path = outdir / f"{args.target}.csv"
     if args.target == "table2":
         family, gammas = ThreeFactorFamily(-1), (-2.9, -2.5, -2.0, -1.5, -1.23)
-        solved = _solve_path(family.model, [family.beta(gamma) for gamma in gammas], family.vertices, SolverParams())
-        rows = []
-        for gamma, (design, _) in zip(gammas, solved):
-            by_point = dict(zip(design.points, design.weights))
-            rows.append([gamma] + [by_point.get(v, 0.0) for v in family.vertices])
+        _, solved = _solve_path(family.model, [family.beta(gamma) for gamma in gammas], family.vertices, SolverParams())
+        rows = [[gamma, *w.tolist()] for gamma, (w, _) in zip(gammas, solved)]  # one weight per vertex, in vertex order
         _write(",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES) + "\n" + _csv_rows(rows, _CSV_FLOAT_FORMAT), path)
     else:
         family = "three-factor" if args.target == "example1" else "interaction"

@@ -7,9 +7,9 @@ arrays: the grid's betas are one array per family, and the classifiers'
 private case function evaluates the closed-form weights on the whole grid.
 The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
 those weights, so their signs decide each ratio's case; no Design is built
-per ratio, and a ratio without a closed form is solved numerically. Each
-design and reference support takes one stacked Cholesky factorization
-over the whole grid, judged singular or not by array reductions. An
+per ratio; the ratios without a closed form are solved along one path. Each
+design and each case present (the solved one on the family's vertices) takes
+one stacked Cholesky factorization, judged singular or not by array reductions. An
 efficiency is of degree 0 in beta, so M is built at betas scaled by the
 kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
 scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
@@ -106,20 +106,19 @@ class _Family:
         (gamma,) = _floats((gamma,), "gamma")
         if not self.admissible(gamma):
             raise ValidationError(f"gamma={gamma!r} is outside the admissible range")
-        ((points, weights, _),) = self._optima(np.array([gamma]))
-        return Design(points, np.atleast_2d(weights)[0])
+        ((points, (weights,), _),) = self._optima(np.array([gamma]))
+        return Design(np.asarray(points)[weights != 0.0], weights[weights != 0.0])  # a solved optimum's zeros dropped
 
-    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray, Sequence[int]]]:
-        """Optima at the admissible ratios ``gammas`` as (support, weights, rows)
-        groups: each closed-form case once, with a weight row per ratio of it, and
-        a numerical solve per ratio of the case without a closed form."""
+    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple | np.ndarray, np.ndarray, np.ndarray]]:
+        """Optima at the admissible ratios ``gammas``, one (support, weights, rows) group per case present with a weight
+        row per ratio: a closed form on its own support, the solved case on the judged vertices by one path in grid order."""
         table, index = self._cases(gammas)
         groups = []
         for case, (_, points, weights) in enumerate(table):
             rows = np.flatnonzero(index == case)
-            if points is None and len(rows):  # one solver path through the case's ratios, in grid order
-                path = _solve_path(self.model, [self._beta(gammas[row]) for row in rows], self.vertices, _REFERENCE_PARAMS)
-                groups.extend((design.points, design.weights, [row]) for row, (design, _) in zip(rows.tolist(), path))
+            if points is None and len(rows):
+                X, path = _solve_path(self.model, [self._beta(gammas[row]) for row in rows], self.vertices, _REFERENCE_PARAMS)
+                groups.append((X, np.array([w for w, _ in path]), rows))
             elif len(rows):
                 groups.append((points, np.broadcast_to(_as_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
@@ -292,6 +291,11 @@ def _fixed_rows(negative: np.ndarray, n: np.ndarray, k: int, cols: int) -> str:
 
 def gamma_grid(start: float, stop: float, step: float = 0.01) -> tuple[float, ...]:
     """Inclusive grid from start to stop built by integer stepping."""
+    return tuple(_grid(start, stop, step).tolist())
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """The ratios of ``gamma_grid`` as an array, which ``_sweep`` takes as it is."""
     start, stop, step = _floats((start, stop, step), "grid ends and step")
     if not step > 0.0:
         raise ValidationError("step must be positive")
@@ -299,7 +303,7 @@ def gamma_grid(start: float, stop: float, step: float = 0.01) -> tuple[float, ..
     count = round(span) if math.isfinite(span) else -1
     if count < 0 or not abs(start + count * step - stop) <= 1e-9:
         raise ValidationError("stop must be reachable from start in whole steps")
-    return tuple((start + np.arange(count + 1) * step).tolist())
+    return start + np.arange(count + 1) * step
 
 
 def efficiency_sweep(
@@ -315,15 +319,19 @@ def efficiency_sweep(
     supports in case order, then the designs in order) raises, naming its
     design and the gamma of its first failing row.
     """
+    return _sweep(family, designs, np.array(_floats(gammas, "gammas")))
+
+
+def _sweep(family: _Family, designs: Mapping[str, Design], grid: np.ndarray) -> EfficiencySweep:
+    """``efficiency_sweep`` over the float array ``grid``."""
     if not designs:
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
-    grid = np.array(_floats(gammas, "gammas"))
     ok, betas = _admissible(family, grid)
     kept = grid[ok]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
-    # One factorization per closed-form case, one per numerically solved ratio, and one per design.
+    # One factorization per case present and one per design.
     stacks = [("reference", 0, points, weights, rows) for points, weights, rows in family._optima(kept)]
     stacks += [(name, column, d._pts, d._wts, slice(None)) for column, (name, d) in enumerate(designs.items(), 1)]
     ld = np.empty((len(kept), 1 + len(names)))  # column 0 the reference's log-dets, then one per design

@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model_core import (
+    DEFAULT_TOL,
     Design,
     GammaModel,
     ValidationError,
@@ -59,9 +60,6 @@ __all__ = [
     "verify_optimality",
     "DEFAULT_TOL",
 ]
-
-# Default ceiling on the sensitivity excess accepted as "optimal".
-DEFAULT_TOL = 1e-9
 
 
 class Criterion(str, enum.Enum):

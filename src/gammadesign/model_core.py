@@ -78,6 +78,8 @@ COINCIDENCE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 # Relative pivot floor of the singularity rule in ``_factor``.
 _SINGULARITY_RTOL = 1e-12
+# Default ceiling on the D-sensitivity excess: the solver stops within it, and verification accepts it.
+DEFAULT_TOL = 1e-9
 
 
 class GammaDesignError(Exception):

@@ -22,28 +22,30 @@ From its start, each iterate is one of three steps:
 Trials are judged by log det(I + L^-1 dM L^-T) from the changed columns
 of Z: no factorization, and round-off that scales with the change. The
 loop stops once the global excess max psi - p is at most the tolerance,
-and returns that certified iterate, its candidates of positive weight.
-The trace holds one ``log_dets`` entry per accepted iterate, at beta; the
-iterates take G from ``_columns``, so they are the same at every 2^k beta.
+by default ``DEFAULT_TOL``, which verification accepts. The trace holds one
+``log_dets`` entry per accepted iterate, at beta; the iterates take G from
+``_columns``, so they are the same at every 2^k beta.
 
 A path of parameter points (``_solve_path``) judges the candidates once and
-starts each later point from a tangent prediction (``_predicted``): the
-previous certified weights plus the first-order change that keeps psi = p on
-their support, so its ``log_dets[0]`` is taken there; a start whose M fails
-the pivot floor is replaced by uniform weights. The predictor and the Newton
-step solve their KKT systems with one helper, ``_kkt_step``.
+returns each point's certified weights over all of them; ``multiplicative``
+builds the one Design of a solve. Each later point starts from a tangent
+prediction (``_predicted``): the previous certified weights plus the first-
+order change that keeps psi = p on their support, so its ``log_dets[0]`` is
+taken there; a start whose M fails the pivot floor is replaced by uniform
+weights. The predictor and the Newton step share one KKT solve, ``_kkt_step``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model_core import (
+    DEFAULT_TOL,
     Design,
     GammaModel,
     IterationCapExceeded,
@@ -76,7 +78,7 @@ class SolverParams:
     """Iteration cap and stopping tolerance on the global sensitivity excess."""
 
     max_iterations: int = 100_000
-    convergence_tol: float = 1e-8
+    convergence_tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         _check_count(self.max_iterations, 1, "max_iterations")
@@ -96,12 +98,7 @@ class SolverTrace:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "log_dets": list(self.log_dets),
-            "final_excess": self.final_excess,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "log_dets": list(self.log_dets)}
 
 
 def multiplicative(
@@ -118,20 +115,20 @@ def multiplicative(
     ``trace.final_excess`` is its global sensitivity excess. Hitting the
     iteration cap first emits ``IterationCapExceeded``; ``trace.converged``
     records which case occurred."""
-    return _solve_path(model, (beta,), candidates, params)[0]
+    X, ((w, trace),) = _solve_path(model, (beta,), candidates, params)
+    return Design._distinct(X[w > 0.0], w[w > 0.0]), trace  # rows of X, searched once by the solve
 
 
-def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params: SolverParams) -> list[tuple[Design, SolverTrace]]:
-    """``multiplicative`` at each parameter point of the path ``betas``, each point
-    started as the module docstring says."""
+def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params: SolverParams) -> tuple[np.ndarray, list]:
+    """The judged candidates X, and at each parameter point of the path ``betas`` the certified weights over all
+    of X with the point's trace, each point started as the module docstring says."""
     X = _judged(candidates)
     if len(X) == 0:
         raise ValidationError("candidate set must be nonempty")
     if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
     p = model.p
-    uniform = np.empty(len(X))
-    uniform.fill(1.0 / len(X))
+    uniform = np.full(len(X), 1.0 / len(X))
     certified = None  # G, Z and weights of the previous point's last iterate
     results = []
     for beta in betas:
@@ -163,11 +160,9 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
                 stacklevel=3,
             )
         certified = G, Z, w
-        support = w.nonzero()[0]
         shift = 2 * p * math.log(r)  # log det M at beta is log det M at beta / r less 2p ln r
-        trace = SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)
-        results.append((Design._distinct(X[support], w[support]), trace))  # rows of X, searched once above
-    return results
+        results.append((w, SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)))
+    return X, results
 
 
 def _predicted(G: np.ndarray, G_prev: np.ndarray, Z: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:

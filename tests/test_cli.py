@@ -152,7 +152,7 @@ CUBE_DESIGNS = {
     "cube_unequal_beta": (
         ("--nu", "3", "--beta=-1,2,3"),
         '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 2, 1]], '
-        '"weights": [0.3255162073, 0.2713196679, 0.3201964554, 0.08296766939], "provenance": "numerical"}\n',
+        '"weights": [0.3255162069, 0.2713196676, 0.3201964553, 0.08296767016], "provenance": "numerical"}\n',
     ),
     "cube_A": (("--nu", "3", "--criterion", "A"), None),
 }

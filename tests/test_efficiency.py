@@ -7,7 +7,6 @@ import dataclasses
 import math
 import pickle
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -406,10 +405,11 @@ def test_sweep_serialization():
         (POS, three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)),
         (SQUARE, interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)),
         (NEG, three_factor_benchmark_designs(), (-2.5, -2.0, -1.5)),
+        (NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01)),
         (POS, three_factor_benchmark_designs(), (1e150, 1e200, 1e300)),
         (SQUARE, interaction_benchmark_designs(), (1e150, 1e200, 1e300)),
     ],
-    ids=["example1", "example2", "negative_band", "three_factor_huge", "interaction_huge"],
+    ids=["example1", "example2", "negative_band", "default_band", "three_factor_huge", "interaction_huge"],
 )
 def test_sweep_matches_per_row_d_efficiency(family, designs, gammas):
     """Under the RuntimeWarning-as-error filter. At the huge ratios the sweep once built M at the raw betas,
@@ -480,7 +480,9 @@ def test_stacked_rules_name_their_first_failing_member():
 def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
     """A count, not a timing: a fallback to one factorization per row
     would make it grow with the grid. ``_factor`` holds the package's only
-    Cholesky call, so its calls count the factorizations."""
+    Cholesky call, so its calls count the factorizations. The numerical band
+    of the three-factor cube is one more stack, not one per ratio (186 stacks
+    on the default band grid when each solved ratio had its own)."""
     calls = counted_calls(model_core, "_factor")
     designs = interaction_benchmark_designs()
     for step in (0.01, 0.005):  # 550 and 1099 ratios
@@ -489,6 +491,9 @@ def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
         calls.clear()
         efficiency_sweep(SQUARE, designs, grid)
         assert len(calls) <= len(designs) + len(supports) == 7
+    calls.clear()
+    efficiency_sweep(NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01))  # 179 solved ratios
+    assert len([M for (M,) in calls if M.ndim == 3]) == 7 + 1  # the solver's own factorizations are of one M
 
 
 @pytest.mark.parametrize(
@@ -515,8 +520,8 @@ def _grid_optima(family, gammas):
     """(support, weights) of each ratio, from the family's grid optima. A ratio
     the family would solve numerically gets the support ("solved",)."""
     rows = {}
-    solved = (SimpleNamespace(points=("solved",), weights=(1.0,)), None)
-    with mock.patch.object(efficiency, "_solve_path", lambda model, betas, *args: [solved] * len(betas)):
+    solved = lambda model, betas, *args: (("solved",), [(np.ones(1), None)] * len(betas))
+    with mock.patch.object(efficiency, "_solve_path", solved):
         for points, weights, group in family._optima(np.array(gammas, dtype=float)):
             for row, w in zip(group, np.broadcast_to(weights, (len(group), len(points)))):
                 rows[row] = (points, tuple(w.tolist()))

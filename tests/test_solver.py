@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import gammadesign.model_core
 import gammadesign.solver
@@ -196,6 +196,24 @@ def test_converged_design_is_the_certified_iterate():
     assert logdet == pytest.approx(trace.log_dets[-1], abs=1e-12)
 
 
+@given(a=st.floats(0.5, 2.0), ratio=st.floats(1.2, 4.0), beta=st.lists(st.floats(-1.0, 3.0), min_size=3, max_size=6))
+@example(a=1.0, ratio=2.0, beta=[-1.0, 2.9, 2.9])
+@example(a=1.0, ratio=2.0, beta=[-1.0, 2.5, 2.5])
+@example(a=1.0, ratio=2.0, beta=[-1.0, 2.0, 2.0])
+@example(a=1.0, ratio=2.0, beta=[-1.0, 1.5, 1.5])
+@example(a=1.0, ratio=2.0, beta=[-1.0, 1.23, 1.23])
+def test_converged_solves_verify_at_the_default_tolerance(a, ratio, beta):
+    """A solve that reports converged returns a design that verifies at the default tolerance, on an
+    admissible cube of 3 to 6 factors and at the five betas of table 2. With a solver default of 1e-8,
+    table 2's gamma = -2.9 converged at excess 1.22e-9 and failed verification at 1e-9."""
+    model, cube = GammaModel.first_order(len(beta)), ExperimentalRegion.hypercube(a, a * ratio, len(beta))
+    assume(validate_positivity(model, beta, cube))
+    vertices = region_vertices(cube)
+    design, trace = multiplicative(model, beta, vertices)
+    assert trace.converged
+    assert verify_optimality(model, beta, design, Criterion.D, vertices).passed, trace.final_excess
+
+
 def test_band_certifies_within_factorization_budget(monkeypatch):
     """At most 200 factorizations per band ratio, and exactly one whitening
     of the candidates per factorization."""
@@ -260,12 +278,15 @@ BAND_BETAS = [(-1.0, -gamma, -gamma) for gamma in gamma_grid(-2.99, -1.21, 0.01)
 
 @pytest.mark.parametrize("betas, params", [(TABLE2_BETAS, SolverParams()), (BAND_BETAS, SolverParams(convergence_tol=1e-10))], ids=["table2", "band"])
 def test_path_points_match_their_cold_solves(betas, params):
-    """Each warm-started point verifies, has the support and log det of its cold
-    solve, and takes no more iterations; its trace keeps the trace contract."""
+    """Each warm-started point's weights over the judged candidates make a design that
+    verifies, has the support and log det of its cold solve, and takes no more
+    iterations; its trace keeps the trace contract."""
     m3 = GammaModel.first_order(3)
-    path = gammadesign.solver._solve_path(m3, betas, V, params)
-    assert len(path) == len(betas)
-    for beta, (design, trace) in zip(betas, path):
+    X, path = gammadesign.solver._solve_path(m3, betas, V, params)
+    assert X.tolist() == [list(v) for v in V] and len(path) == len(betas)
+    for beta, (w, trace) in zip(betas, path):
+        assert w.shape == (len(V),) and w.min() >= 0.0, beta
+        design = Design(X[w > 0.0], w[w > 0.0])
         cold, cold_trace = multiplicative(m3, beta, V, params)
         assert trace.converged and trace.iterations <= cold_trace.iterations, beta
         assert verify_optimality(m3, beta, design, Criterion.D, V, tol=params.convergence_tol).passed, beta
@@ -277,8 +298,8 @@ def test_path_points_match_their_cold_solves(betas, params):
 
 
 def test_path_iteration_counts(monkeypatch):
-    """Table 2 takes 18 iterations along its path (37 cold). The band at tol
-    1e-10 takes at most 250 iterations (1,386 cold), at most 9 per ratio, and
+    """Table 2 takes 20 iterations along its path at the default tolerance (18 at 1e-8). The band at
+    tol 1e-10 takes at most 250 iterations (1,386 cold), at most 9 per ratio, and
     one factorization per iterate plus one per ratio for its start."""
     factorizations = []
     factor = gammadesign.solver._factor
@@ -289,10 +310,10 @@ def test_path_iteration_counts(monkeypatch):
 
     monkeypatch.setattr(gammadesign.solver, "_factor", counting)
     m3 = GammaModel.first_order(3)
-    table2 = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams())
-    assert sum(trace.iterations for _, trace in table2) == 18
+    _, table2 = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams())
+    assert [trace.iterations for _, trace in table2] == [9, 2, 3, 3, 3]
     factorizations.clear()
-    band = gammadesign.solver._solve_path(m3, BAND_BETAS, V, SolverParams(convergence_tol=1e-10))
+    _, band = gammadesign.solver._solve_path(m3, BAND_BETAS, V, SolverParams(convergence_tol=1e-10))
     iterations = [trace.iterations for _, trace in band]
     assert sum(iterations) <= 250 and max(iterations) <= 9
     assert len(factorizations) == sum(iterations) + len(BAND_BETAS)
@@ -329,12 +350,16 @@ def test_path_start_is_a_first_order_prediction():
     assert predicted_errors[0] < previous_errors[1], (predicted_errors, previous_errors)
 
 
-def test_path_judges_its_candidates_once(counted_calls):
-    """One coincidence search over the candidates for the whole path: the returned
-    Designs, on rows of the judged candidates, do not search their supports again."""
+def test_path_judges_its_candidates_once(counted_calls, built_designs):
+    """One coincidence search over the candidates for the whole path, which builds no Design; the
+    one Design of a public solve, on rows of the judged candidates, does not search its support again."""
     coincident = counted_calls(gammadesign.model_core, "_has_coincident")
     gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V, SolverParams())
     assert [args for args in coincident if len(args) == 1] == [([list(v) for v in V],)]  # a search, not its recursion
+    assert built_designs == []
+    coincident.clear()
+    multiplicative(GammaModel.first_order(3), TABLE2_BETAS[0], V)
+    assert [args for args in coincident if len(args) == 1] == [([list(v) for v in V],)] and len(built_designs) == 1
     factored = counted_calls(gammadesign.model_core, "_factor")
     with pytest.raises(ValidationError, match="^candidate points must be pairwise distinct$"):
         gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V + V[:1], SolverParams())
@@ -342,7 +367,9 @@ def test_path_judges_its_candidates_once(counted_calls):
 
 
 def test_path_designs_equal_publicly_built_designs():
-    for design, _ in gammadesign.solver._solve_path(GammaModel.first_order(3), TABLE2_BETAS, V, SolverParams()):
+    """The Design a solve builds from the certified weights of its path equals the publicly built one."""
+    for beta in TABLE2_BETAS:
+        design, _ = multiplicative(GammaModel.first_order(3), beta, V)
         public = Design(design.points, design.weights)
         assert design == public and hash(design) == hash(public) and repr(design) == repr(public)
         for array, expected in ((design._pts, public._pts), (design._wts, public._wts)):
@@ -372,8 +399,8 @@ def test_singular_warm_start_falls_back_to_uniform_weights(monkeypatch, uniform_
         with pytest.raises(RankDeficientCandidates):
             gammadesign.solver._solve_path(m3, TABLE2_BETAS[:2], V, SolverParams())
         return
-    _, (design, trace) = gammadesign.solver._solve_path(m3, TABLE2_BETAS[:2], V, SolverParams())
-    assert design == cold and trace == cold_trace
+    X, (_, (w, trace)) = gammadesign.solver._solve_path(m3, TABLE2_BETAS[:2], V, SolverParams())
+    assert Design(X[w > 0.0], w[w > 0.0]) == cold and trace == cold_trace
 
 
 def test_returned_weights_sum_to_one():
