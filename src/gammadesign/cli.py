@@ -59,7 +59,7 @@ from .analytic_designs import (
     is_simplex_design_d_optimal,
     simplex_design,
 )
-from .solver import SolverParams, _solve_path, multiplicative
+from .solver import SolverParams, multiplicative
 from .efficiency import (
     InteractionFamily,
     ThreeFactorFamily,
@@ -275,7 +275,7 @@ def _cmd_reproduce(args) -> int:
     path = outdir / f"{args.target}.csv"
     if args.target == "table2":
         family, gammas = ThreeFactorFamily(-1), (-2.9, -2.5, -2.0, -1.5, -1.23)
-        _, solved = _solve_path(family.model, [family.beta(gamma) for gamma in gammas], family.vertices, SolverParams())
+        _, solved = family._path(gammas, SolverParams())
         rows = [[gamma, *w.tolist()] for gamma, (w, _) in zip(gammas, solved)]  # one weight per vertex, in vertex order
         _write(",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES) + "\n" + _csv_rows(rows, _CSV_FLOAT_FORMAT), path)
     else:

@@ -7,7 +7,8 @@ arrays: the grid's betas are one array per family, and the classifiers'
 private case function evaluates the closed-form weights on the whole grid.
 The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
 those weights, so their signs decide each ratio's case; no Design is built
-per ratio; the ratios without a closed form are solved along one path. Each
+per ratio; the ratios without a closed form are solved along one path, whose
+first point starts from the best of the family's closed forms there. Each
 design and each case present (the solved one on the family's vertices) takes
 one stacked Cholesky factorization, judged singular or not by array reductions. An
 efficiency is of degree 0 in beta, so M is built at betas scaled by the
@@ -28,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model_core import (
+    COINCIDENCE_TOL,
     Design,
     GammaModel,
     NonpositivePredictor,
@@ -45,9 +47,9 @@ from .model_core import (
     _tamed,
 )
 from .analytic_designs import (
-    InteractionLabel,
     ThreeFactorLabel,
     ThreeFactorScenario,
+    _closed_form,
     _interaction_cases,
     _three_factor_cases,
     interaction_vertices,
@@ -83,11 +85,20 @@ def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarra
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
-    """Efficiency of ``design`` relative to ``optimal`` at ``beta``, read by ``_scaled_beta``: it is of degree 0."""
+    """Efficiency of ``design`` relative to ``optimal`` at ``beta``, read by ``_scaled_beta``: it is of degree 0.
+    Either design off the model's dimension raises ValidationError, naming it."""
+    _check_dimensions(model, {"design": design, "optimal": optimal})
     betas = np.array([_scaled_beta(model, beta)[0]])
     ld_design = _logdets(model, betas, design._pts, design._wts)
     ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
+
+
+def _check_dimensions(model: GammaModel, designs: Mapping[str, Design]) -> None:
+    """ValidationError, naming the first design of ``designs`` whose points do not have the model's nu coordinates."""
+    for name, design in designs.items():
+        if design.dimension != model.nu:
+            raise ValidationError(f"{name}: points have shape {design._pts.shape}, expected (n, {model.nu})")
 
 
 class _Family:
@@ -111,17 +122,29 @@ class _Family:
 
     def _optima(self, gammas: np.ndarray) -> list[tuple[tuple | np.ndarray, np.ndarray, np.ndarray]]:
         """Optima at the admissible ratios ``gammas``, one (support, weights, rows) group per case present with a weight
-        row per ratio: a closed form on its own support, the solved case on the judged vertices by one path in grid order."""
+        row per ratio: a closed form on its own support, the solved case on the judged vertices by ``_path`` in grid order."""
         table, index = self._cases(gammas)
         groups = []
         for case, (_, points, weights) in enumerate(table):
             rows = np.flatnonzero(index == case)
             if points is None and len(rows):
-                X, path = _solve_path(self.model, [self._beta(gammas[row]) for row in rows], self.vertices, _REFERENCE_PARAMS)
+                X, path = self._path(gammas[rows], _REFERENCE_PARAMS)
                 groups.append((X, np.array([w for w, _ in path]), rows))
             elif len(rows):
                 groups.append((points, np.broadcast_to(_as_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
+
+    def _path(self, gammas: Sequence[float], params: SolverParams) -> tuple[np.ndarray, list]:
+        """``_solve_path`` over the vertices at the ratios ``gammas`` in order, its first point started from the
+        best of the closed forms in the family's case table at the first ratio, each set on its vertices."""
+        table, _ = self._cases(gammas[0])
+        starts = []
+        for _, points, weights in table:
+            if points is not None:
+                start = np.zeros(len(self.vertices))
+                start[[self.vertices.index(point) for point in points]] = weights
+                starts.append(start)
+        return _solve_path(self.model, [self._beta(gamma) for gamma in gammas], self.vertices, params, tuple(starts))
 
 
 @dataclass(frozen=True)
@@ -314,10 +337,12 @@ def efficiency_sweep(
     """Efficiency of each design against the local optimum at every ratio.
 
     Inadmissible grid points, non-finite ones included, are skipped and
-    recorded in ``skipped``. Each support is evaluated once, as one stack
-    over its rows. The first singular or nonpositive stack (the reference
-    supports in case order, then the designs in order) raises, naming its
-    design and the gamma of its first failing row.
+    recorded in ``skipped``. A design whose points do not have the model's
+    dimension raises before anything is solved, naming the design. Each
+    support is evaluated once, as one stack over its rows. The first
+    singular or nonpositive stack (the reference supports in case order,
+    then the designs in order) raises, naming its design and the gamma of
+    its first failing row.
     """
     return _sweep(family, designs, np.array(_floats(gammas, "gammas")))
 
@@ -328,6 +353,7 @@ def _sweep(family: _Family, designs: Mapping[str, Design], grid: np.ndarray) -> 
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
+    _check_dimensions(model, {f"design {name}": d for name, d in designs.items()})
     ok, betas = _admissible(family, grid)
     kept = grid[ok]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
@@ -346,32 +372,33 @@ def _sweep(family: _Family, designs: Mapping[str, Design], grid: np.ndarray) -> 
 
 def three_factor_benchmark_designs() -> dict[str, Design]:
     """The designs compared on [1,2]^3: the three subregion optima, the
-    full factorial, both half fractions, and the 27-point grid."""
-    v = three_factor_vertices(1.0, 2.0)
-    grid = list(itertools.product((1.0, 1.5, 2.0), repeat=3))
-    optima = {label: Design(points, weights) for label, points, weights in _three_factor_cases(1.0, -1.0 / 7.0)[0]}
+    full factorial, both half fractions, and the 27-point grid. Vertices of
+    the cube and points of the grid are distinct by construction."""
+    v = np.array(three_factor_vertices(1.0, 2.0))
+    optima = {label: _closed_form(np.array(points), True, weights) for label, points, weights in _three_factor_cases(1.0, -1.0 / 7.0)[0]}
     return {
         "xi1": optima[ThreeFactorLabel.XI1],
         "xi2": optima[ThreeFactorLabel.XI2],
         "xi3": optima[ThreeFactorLabel.XI3],
-        "xi4": Design(v, [1 / 8] * 8),
-        "xi5": Design([v[0], v[4], v[5], v[6]], [1 / 4] * 4),
-        "xi6": Design([v[1], v[2], v[3], v[7]], [1 / 4] * 4),
-        "xi7": Design(grid, [1 / 27] * 27),
+        "xi4": _closed_form(v, True),
+        "xi5": _closed_form(v[[0, 4, 5, 6]], True),
+        "xi6": _closed_form(v[[1, 2, 3, 7]], True),
+        "xi7": _closed_form(np.array(list(itertools.product((1.0, 1.5, 2.0), repeat=3))), True),
     }
 
 
 def interaction_benchmark_designs(a: float = 1.0, b: float = 4.0) -> dict[str, Design]:
     """The designs compared on [a,b]^2: both three-vertex optima, the
-    uniform vertex design, and the 9-point grid."""
+    uniform vertex design, and the 9-point grid. Vertices are apart by b - a
+    in some coordinate, and grid points by mid - a, b - mid or b - a."""
     a, b = _check_bounds(a, b)
-    v = interaction_vertices(a, b)
+    v = np.array(interaction_vertices(a, b))
     mid = (a + b) / 2.0
-    grid = list(itertools.product((a, mid, b), repeat=2))
-    optima = {label: Design(points, weights) for label, points, weights in _interaction_cases(a, b, 0.0)[0]}
+    grid = np.array(list(itertools.product((a, mid, b), repeat=2)))
+    apart = b - a >= COINCIDENCE_TOL
     return {
-        "xi1": optima[InteractionLabel.CASE_I],
-        "xi2": optima[InteractionLabel.CASE_IV],
-        "xi3": Design(v, [1 / 4] * 4),
-        "xi4": Design(grid, [1 / 9] * 9),
+        "xi1": _closed_form(v[[0, 1, 2]], apart),  # Case_i, without v4 = (a, a)
+        "xi2": _closed_form(v[[1, 2, 3]], apart),  # Case_iv, without v1 = (b, b)
+        "xi3": _closed_form(v, apart),
+        "xi4": _closed_form(grid, min(mid - a, b - mid) >= COINCIDENCE_TOL),
     }

@@ -28,11 +28,14 @@ by default ``DEFAULT_TOL``, which verification accepts. The trace holds one
 
 A path of parameter points (``_solve_path``) judges the candidates once and
 returns each point's certified weights over all of them; ``multiplicative``
-builds the one Design of a solve. Each later point starts from a tangent
+builds the one Design of a solve. The first point starts from the given start
+weights whose M passes the pivot floor with the largest log det there
+(``multiplicative`` gives none). Each later point starts from a tangent
 prediction (``_predicted``): the previous certified weights plus the first-
-order change that keeps psi = p on their support, so its ``log_dets[0]`` is
-taken there; a start whose M fails the pivot floor is replaced by uniform
-weights. The predictor and the Newton step share one KKT solve, ``_kkt_step``.
+order change that keeps psi = p on their support. A point's ``log_dets[0]``
+is taken at its start; a point with no start whose M passes the floor starts
+from uniform weights. The predictor and the Newton step share one KKT solve,
+``_kkt_step``.
 """
 
 from __future__ import annotations
@@ -119,9 +122,12 @@ def multiplicative(
     return Design._distinct(X[w > 0.0], w[w > 0.0]), trace  # rows of X, searched once by the solve
 
 
-def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params: SolverParams) -> tuple[np.ndarray, list]:
+def _solve_path(
+    model: GammaModel, betas: Sequence, candidates: Sequence, params: SolverParams, starts: tuple[np.ndarray, ...] = ()
+) -> tuple[np.ndarray, list]:
     """The judged candidates X, and at each parameter point of the path ``betas`` the certified weights over all
-    of X with the point's trace, each point started as the module docstring says."""
+    of X with the point's trace, each point started as the module docstring says; ``starts`` are weight vectors
+    over X that the first point may start from."""
     X = _judged(candidates)
     if len(X) == 0:
         raise ValidationError("candidate set must be nonempty")
@@ -134,13 +140,20 @@ def _solve_path(model: GammaModel, betas: Sequence, candidates: Sequence, params
     for beta in betas:
         G, r = _columns(model, beta, X)  # the columns sqrt(u_i) f_i at beta / r, and the table K of their outer products
         K = _outer(G.T)
-        for w in (uniform,) if certified is None else (_predicted(G, *certified, p), uniform):  # tangent, else uniform
+        opened = []  # (L, log det, w) of each start whose M passes the pivot floor
+        for w in starts if certified is None else (_predicted(G, *certified, p),):
+            try:
+                opened.append((*_factor(_information(K, w)), w))
+            except SingularInformation:
+                pass
+        if opened:
+            L, logdet, w = max(opened, key=lambda start: start[1])
+        else:
+            w = uniform
             try:
                 L, logdet = _factor(_information(K, w))
-                break
-            except SingularInformation as exc:
-                if w is uniform:  # every candidate carries weight
-                    raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
+            except SingularInformation as exc:  # every candidate carries weight
+                raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
         log_dets = [logdet]
         while True:
             Z = _whitened(L, G)

@@ -6,6 +6,7 @@ the full judge, and each must raise the same ValidationError on the edge."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -21,9 +22,11 @@ from gammadesign import (
     d_optimal_interaction,
     d_optimal_orthant,
     d_optimal_two_factor,
+    interaction_benchmark_designs,
     interaction_equal_beta,
     orthant_axis_points,
     simplex_design,
+    three_factor_benchmark_designs,
 )
 from gammadesign.model_core import COINCIDENCE_TOL
 
@@ -38,6 +41,10 @@ lower_bounds = st.floats(1e-3, 1e3)
 wide_bounds = st.tuples(lower_bounds, st.floats(1.001, 100.0)).map(lambda ar: (ar[0], ar[0] * ar[1]))
 edge_bounds = st.tuples(st.integers(1, 2**20), st.sampled_from(EDGE)).map(lambda md: (md[0] * TOL_ULP, md[0] * TOL_ULP + md[1]))
 bounds = st.one_of(wide_bounds, edge_bounds)
+# Squares whose (a, (a + b) / 2, b) grid is spaced near an EDGE value: within a few ulps of it, at times exactly.
+grid_edge_bounds = st.tuples(st.integers(1, 2**20), st.sampled_from(EDGE), st.integers(-4, 4)).map(
+    lambda mdk: (mdk[0] * TOL_ULP, mdk[0] * TOL_ULP + 2.0 * mdk[1] + mdk[2] * TOL_ULP)
+)
 # Scales drawn at and around the tolerance as well as far above it, so that two of them may lie below it.
 scales = lambda nu: st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from(EDGE + (1e-13,))), min_size=nu, max_size=nu)
 
@@ -63,6 +70,25 @@ def assert_judged_alike(build, points, weights):
         assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
     assert built.points == judged.points and built.weights == judged.weights
     assert built == judged and hash(built) == hash(judged) and repr(built) == repr(judged)
+
+
+def assert_builds_judged_alike(build):
+    """Every Design that ``build()`` makes by ``Design._distinct``, up to one that raises, is judged alike to the
+    one built from its points and weights through the full judge; so ``build()`` raises only where the judge does."""
+    calls = []
+    distinct = Design._distinct.__func__
+
+    def recorded(cls, X, w, verdict=True):
+        calls.append((X, w, verdict))
+        return distinct(cls, X, w, verdict)
+
+    with mock.patch.object(Design, "_distinct", classmethod(recorded)):
+        built = outcome(build)
+    for X, w, verdict in calls:
+        assert_judged_alike(lambda: Design._distinct(X, w, verdict), X.tolist(), w.tolist())
+    if isinstance(built, dict):
+        assert len(calls) == len(built)
+    return built
 
 
 def test_edge_bounds_sit_one_ulp_around_the_tolerance():
@@ -115,6 +141,28 @@ def test_simplex_design_is_the_judged_design(nu, ab):
     a, b = ab
     points = [(a,) * j + (b,) + (a,) * (nu - 1 - j) for j in range(nu)]
     assert_judged_alike(lambda: simplex_design(nu, a, b), points, [1.0 / nu] * nu)
+
+
+def test_three_factor_benchmark_designs_are_the_judged_designs():
+    assert list(assert_builds_judged_alike(three_factor_benchmark_designs)) == [f"xi{k}" for k in range(1, 8)]
+
+
+@given(st.one_of(bounds, grid_edge_bounds))
+@example((TOL_ULP, TOL_ULP + EDGE[0]))
+@example((TOL_ULP, TOL_ULP + COINCIDENCE_TOL))  # the vertices exactly at the tolerance, the grid below it
+@example((2 * TOL_ULP, 2 * TOL_ULP + 2.0 * COINCIDENCE_TOL - TOL_ULP))  # the grid spaced exactly at the tolerance
+@example((2 * TOL_ULP, 2 * TOL_ULP + 2.0 * EDGE[0]))  # the grid spaced one ulp below it
+def test_interaction_benchmark_designs_are_the_judged_designs(ab):
+    a, b = ab
+    assert_builds_judged_alike(lambda: interaction_benchmark_designs(a, b))
+
+
+def test_grid_edge_examples_sit_on_the_tolerance():
+    """The explicit grid examples' premise: the smaller grid spacing is exactly the stated EDGE value."""
+    a = 2 * TOL_ULP
+    for b, spacing in ((a + 2.0 * COINCIDENCE_TOL - TOL_ULP, COINCIDENCE_TOL), (a + 2.0 * EDGE[0], EDGE[0])):
+        mid = (a + b) / 2.0
+        assert min(mid - a, b - mid) == spacing
 
 
 def assert_classification_judged_alike(classification):

@@ -444,6 +444,21 @@ def test_nonpositive_sweep_row_is_named():
         efficiency_sweep(SQUARE, designs, (1.0, -0.4))
 
 
+def test_design_of_wrong_dimension_is_named_before_any_solve(counted_calls):
+    """A design on the square, swept or scored on the cube, raises naming that design, before the band is solved."""
+    solved, factored = counted_calls(efficiency, "_solve_path"), counted_calls(model_core, "_factor")
+    square = interaction_benchmark_designs()["xi3"]
+    cube = three_factor_benchmark_designs()["xi4"]
+    message = r"points have shape \(4, 2\), expected \(n, 3\)$"
+    with pytest.raises(ValidationError, match=r"^design square: " + message):
+        efficiency_sweep(NEG, {"xi4": cube, "square": square}, (-2.0, -1.5))
+    with pytest.raises(ValidationError, match=r"^design: " + message):
+        d_efficiency(NEG.model, NEG.beta(-2.0), square, cube)
+    with pytest.raises(ValidationError, match=r"^optimal: " + message):
+        d_efficiency(NEG.model, NEG.beta(-2.0), cube, square)
+    assert solved == [] and factored == []
+
+
 def test_singular_design_row_is_named_without_reevaluation(counted_calls):
     """A design column, not the reference, fails at a later row: the point (0.5, 0.5) of "low" has
     predictor gamma + 0.25, about 3e-17 there. The sweep names that design and that gamma from the stack

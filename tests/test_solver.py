@@ -20,6 +20,7 @@ from gammadesign import (
     NonpositivePredictor,
     RankDeficientCandidates,
     SolverParams,
+    ThreeFactorFamily,
     ValidationError,
     gamma_grid,
     information_matrix,
@@ -317,6 +318,80 @@ def test_path_iteration_counts(monkeypatch):
     iterations = [trace.iterations for _, trace in band]
     assert sum(iterations) <= 250 and max(iterations) <= 9
     assert len(factorizations) == sum(iterations) + len(BAND_BETAS)
+
+
+NEG = ThreeFactorFamily(-1)
+TABLE2_GAMMAS = (-2.9, -2.5, -2.0, -1.5, -1.23)
+BAND_GAMMAS = gamma_grid(-2.99, -1.21, 0.01)
+
+
+def test_closed_form_start_iteration_counts(monkeypatch):
+    """Started from the best of Xi1 and Xi4, table 2 takes 13 iterations (20 from uniform weights), and the band at
+    tol 1e-10 at most 231 (237), at most 3 per ratio (9). Both closed forms are factored at the first ratio, and
+    each later ratio's tangent start once: one factorization per iterate, one per ratio and one more."""
+    factorizations = []
+    factor = gammadesign.solver._factor
+
+    def counting(M):
+        factorizations.append(M)
+        return factor(M)
+
+    monkeypatch.setattr(gammadesign.solver, "_factor", counting)
+    _, table2 = NEG._path(TABLE2_GAMMAS, SolverParams())
+    assert [trace.iterations for _, trace in table2] == [2, 2, 3, 3, 3]
+    factorizations.clear()
+    _, band = NEG._path(BAND_GAMMAS, SolverParams(convergence_tol=1e-10))
+    iterations = [trace.iterations for _, trace in band]
+    assert sum(iterations) <= 231 and max(iterations) <= 3
+    assert len(factorizations) == sum(iterations) + len(BAND_GAMMAS) + 1
+
+
+@pytest.mark.parametrize("gamma, label", [(-2.9, "xi1"), (-1.23, "xi4")])
+def test_first_point_starts_from_the_closed_form_of_largest_log_det(gamma, label):
+    """Near each end of the band the first point starts from the closed form of that end: its log_dets[0] is the
+    larger of the two closed forms' log dets there."""
+    beta = NEG.beta(gamma)
+    closed_forms = {
+        "xi1": Design([V[1], V[2], V[3]], [1 / 3] * 3),
+        "xi4": Design([V[1], V[5], V[6]], [1 / 3] * 3),
+    }
+    log_dets = {name: np.linalg.slogdet(information_matrix(NEG.model, beta, d))[1] for name, d in closed_forms.items()}
+    _, ((_, trace),) = NEG._path((gamma,), SolverParams())
+    assert max(log_dets, key=log_dets.get) == label
+    assert trace.log_dets[0] == pytest.approx(log_dets[label], rel=1e-12)
+
+
+def test_singular_starts_fall_back_to_uniform_weights():
+    """Starts whose M fails the pivot floor are passed over; with no other start, the path is the cold one, bitwise."""
+    m3 = GammaModel.first_order(3)
+    one_vertex = np.eye(len(V))[0]
+    X, path = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams(), (one_vertex, one_vertex))
+    _, cold = gammadesign.solver._solve_path(m3, TABLE2_BETAS, V, SolverParams())
+    for (w, trace), (w_cold, trace_cold) in zip(path, cold):
+        assert w.tobytes() == w_cold.tobytes() and trace == trace_cold
+
+
+@given(
+    st.lists(st.floats(-3.0, -1.2, exclude_min=True, exclude_max=True), min_size=1, max_size=5, unique=True),
+    st.booleans(),
+    st.sampled_from([1e-9, 1e-10]),
+)
+@example([math.nextafter(-3.0, 0.0)], True, 1e-10)
+@example([math.nextafter(-1.2, -3.0)], False, 1e-10)
+def test_closed_form_started_paths_match_their_cold_solves(gammas, ascending, tol):
+    """Each point of a band path started from the closed forms, in either direction, verifies at its tolerance, has
+    the support and log det of its cold solve, and takes no more iterations."""
+    params = SolverParams(convergence_tol=tol)
+    gammas = sorted(gammas, reverse=not ascending)
+    X, path = NEG._path(gammas, params)
+    for gamma, (w, trace) in zip(gammas, path):
+        beta = NEG.beta(gamma)
+        design = Design(X[w > 0.0], w[w > 0.0])
+        cold, cold_trace = multiplicative(NEG.model, beta, V, params)
+        assert trace.converged and trace.iterations <= cold_trace.iterations, gamma
+        assert verify_optimality(NEG.model, beta, design, Criterion.D, V, tol=tol).passed, gamma
+        assert design.points == cold.points, gamma
+        assert trace.log_dets[-1] == pytest.approx(cold_trace.log_dets[-1], rel=1e-12), gamma
 
 
 def test_path_start_is_a_first_order_prediction():
