@@ -127,7 +127,7 @@ class ThreeFactorScenario:
         vars(self).update(beta1=beta1, beta=beta)  # frozen: the converted floats are stored past the dataclass guard
         if not (math.isfinite(beta1) and math.isfinite(beta)):
             raise ValidationError("scenario parameters must be finite")
-        if not beta > (-beta1 if beta1 <= 0.0 else -beta1 / 4.0):
+        if not (beta > -beta1 if beta1 <= 0.0 else 4.0 * beta > -beta1):  # 4 beta is exact or infinite; beta_1/4 underflows
             raise ValidationError("parameter point leaves the predictor nonpositive on the cube")
 
     @property

@@ -63,11 +63,11 @@ from .solver import SolverParams, multiplicative
 from .efficiency import (
     InteractionFamily,
     ThreeFactorFamily,
+    efficiency_sweep,
     interaction_benchmark_designs,
     three_factor_benchmark_designs,
     _csv_rows,
     _grid,
-    _sweep,
 )
 
 __all__ = ["main", "run"]
@@ -258,7 +258,7 @@ def _sweep_for_family(family: str, a=None, b=None, start=None, stop=None, step: 
         sweep_family = InteractionFamily(**bounds)
         designs, ends = interaction_benchmark_designs(sweep_family.a, sweep_family.b), (-0.49, 5.0)
     start, stop = ends[0] if start is None else start, ends[1] if stop is None else stop
-    return _sweep(sweep_family, designs, _grid(start, stop, step))
+    return efficiency_sweep(sweep_family, designs, _grid(start, stop, step))
 
 
 def _cmd_efficiency(args) -> int:

@@ -40,7 +40,6 @@ from .model_core import (
     _factor,
     _floats,
     _information,
-    _outer,
     _positive_predictor,
     _predictor,
     _scaled_beta,
@@ -79,9 +78,9 @@ _INTEGER_ROWS_MIN_ENTRIES = 256
 
 def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
     """log det M of one support (a design's judged array, or a library-built table) at each row of the (G, p)
-    stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one table K, one factorization."""
+    stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one product, one factorization."""
     F, eta = _positive_predictor(model, betas, np.asarray(points))
-    return _factor(_information(_outer(F), np.asarray(weights) * eta**-2))[1]
+    return _factor(_information(F, np.asarray(weights) * eta**-2))[1]
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
@@ -318,7 +317,7 @@ def gamma_grid(start: float, stop: float, step: float = 0.01) -> tuple[float, ..
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """The ratios of ``gamma_grid`` as an array, which ``_sweep`` takes as it is."""
+    """The ratios of ``gamma_grid`` as an array, which ``efficiency_sweep`` reads as it is."""
     start, stop, step = _floats((start, stop, step), "grid ends and step")
     if not step > 0.0:
         raise ValidationError("step must be positive")
@@ -342,13 +341,10 @@ def efficiency_sweep(
     support is evaluated once, as one stack over its rows. The first
     singular or nonpositive stack (the reference supports in case order,
     then the designs in order) raises, naming its design and the gamma of
-    its first failing row.
+    its first failing row. A 1-D float64 array of ratios is read as it is.
     """
-    return _sweep(family, designs, np.array(_floats(gammas, "gammas")))
-
-
-def _sweep(family: _Family, designs: Mapping[str, Design], grid: np.ndarray) -> EfficiencySweep:
-    """``efficiency_sweep`` over the float array ``grid``."""
+    one_d = isinstance(gammas, np.ndarray) and gammas.ndim == 1 and gammas.dtype == np.float64
+    grid = gammas if one_d else np.array(_floats(gammas, "gammas"))
     if not designs:
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)

@@ -46,6 +46,7 @@ from .model_core import (
     _columns,
     _factor,
     _floats,
+    _gram,
     _judged,
     _whitened,
     region_vertices,
@@ -173,8 +174,7 @@ def _verification_report(
     k = design.size
     X = np.concatenate((design._pts, C))
     G, r = _columns(model, beta, X if lift is None else lift(X))
-    Gs = G[:, :k]  # M = sum_i w_i g_i g_i' from columns G already holds: one product, no K table to build
-    L, _ = _factor((Gs * design._wts) @ Gs.T)
+    L, _ = _factor(_gram(G[:, :k], design._wts))  # the solver's call on equal support columns: one excess, bit for bit
     if criterion is Criterion.D:
         Z = _whitened(L, G[:, k:])
         vals, bound = (Z * Z).sum(axis=0), float(L.shape[0])
@@ -203,4 +203,6 @@ def verify_optimality(
     iff the largest excess over the bound is at most ``tol``: absolute for
     D, and relative to the bound tr(M^-1) for A.
     """
+    if design.dimension != model.nu:
+        raise ValidationError(f"design has dimension {design.dimension}, the model {model.nu}")
     return _verification_report(model, beta, design, candidates, criterion, tol)

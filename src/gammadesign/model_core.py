@@ -9,10 +9,10 @@ The solver, verification, efficiencies and transforms share one numeric
 kernel here: one judge checks each point batch once; ``_check_beta`` is the
 one beta rule, and ``_scaled_beta`` reads a caller's beta by it at one
 scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and ``_scaled_intensities``
-(u); M is one product (w u) K over the table K of outer products, for one
-weight vector or a stack over parameter points; one Cholesky factor L
-gives log det M, one solve L^-1 G. A stacked rule sets the index of the
-first failing member of its stack on its error, as ``_member``.
+(u); one design's M is one product (G w) G', ``_gram``, and a stack over
+parameter points one product over a table of outer products; one Cholesky
+factor L gives log det M, one solve L^-1 G. A stacked rule sets the index
+of the first failing member of its stack on its error, as ``_member``.
 
 A ``Design`` keeps read-only arrays. Caller points are judged and searched
 for coincident pairs; an array the library built enters by ``_distinct``,
@@ -467,16 +467,17 @@ def _columns(model: GammaModel, beta: Sequence[float], X: np.ndarray) -> tuple[n
     return F.T / eta, math.ldexp(1.0, s)
 
 
-def _outer(F: np.ndarray) -> np.ndarray:
-    """The table K of the outer products f_i f_i' of the rows of F, each flattened to one (p*p,) row."""
-    return (F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
+def _gram(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M = sum_i w_i g_i g_i' = (G w) G' over the columns of G (p, n), the one product for one design's M. Callers pass only
+    columns of positive weight: a BLAS kernel may sum zero-weight columns in another order, and equal arrays give one M."""
+    return (G * w) @ G.T
 
 
-def _information(K: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M = sum_i v_i f_i f_i' = v K over the table K of ``_outer``, with v = w u (v = w on a table of
-    u_i f_i f_i'); a (G, n) stack of v gives the (G, p, p) stack. ``_factor`` reads only its lower triangle."""
-    p = math.isqrt(K.shape[1])
-    return (v @ K).reshape(v.shape[:-1] + (p, p))
+def _information(F: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The (G, p, p) stack M_g = sum_i V_gi f_i f_i' for a (G, n) stack V of weights w u at G parameter points, as
+    V K over the table K of the flattened outer products of the rows of F, formed once for the whole stack."""
+    K = (F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
+    return (V @ K).reshape(len(V), F.shape[1], F.shape[1])
 
 
 def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -556,7 +557,7 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     """
     F, u, t = _scaled_intensities(model, beta, design._pts)
     top = np.maximum.reduce(t)  # M is formed at u / 2**top, which neither overflows nor loses its largest term
-    M = _information(_outer(F), design._wts * _rescaled(u, t - top))
+    M = _gram(F.T, design._wts * _rescaled(u, t - top))
     return _rescaled((M + M.T) / 2.0, top)
 
 

@@ -1,12 +1,11 @@
 """Certified D-optimal weights on a finite candidate set.
 
-The solver maximizes log det M(w) over weights w on the candidates, with
-psi_i the D-sensitivity of candidate i and p the parameter count. The
-candidates are judged once, and their columns G = [sqrt(u_i) f_i] and the
-table K of outer products u_i f_i f_i' are formed once per solve from the
-``model_core`` kernel. Each iterate takes M = w K, its Cholesky factor L
-and one solve Z = L^-1 G; psi_i = |z_i|^2, and every step below slices Z.
-From its start, each iterate is one of three steps:
+The solver maximizes log det M(w) over weights w on the candidates, with psi_i
+the D-sensitivity of candidate i and p the parameter count. The candidates are
+judged once and their columns G = [sqrt(u_i) f_i] formed once per parameter
+point. Each iterate takes M by ``_gram`` over its support's columns, as
+verification does, its Cholesky factor L and Z = L^-1 G; psi_i = |z_i|^2, and
+every step below slices Z. Each iterate is one of three steps:
 
 - Deletion: support points below the Harman & Pronzato (2007) bound are in
   no optimal support; they lose their weight unless that lowers log det M.
@@ -19,12 +18,12 @@ From its start, each iterate is one of three steps:
 - Multiplicative, w_i <- w_i psi_i / p: the warm start while the support
   is too large for Newton, and the fallback when its line search stalls.
 
-Trials are judged by log det(I + L^-1 dM L^-T) from the changed columns
-of Z: no factorization, and round-off that scales with the change. The
-loop stops once the global excess max psi - p is at most the tolerance,
-by default ``DEFAULT_TOL``, which verification accepts. The trace holds one
-``log_dets`` entry per accepted iterate, at beta; the iterates take G from
-``_columns``, so they are the same at every 2^k beta.
+Trials are judged by log det(I + L^-1 dM L^-T) from the changed columns of Z:
+no factorization, and round-off that scales with the change. The loop stops
+once the global excess max psi - p is at most the tolerance, by default
+``DEFAULT_TOL``; verification finds that excess bit for bit. The trace's
+``log_dets``, one per accepted iterate, are at beta; the iterates, on G from
+``_columns``, are the same at every 2^k beta.
 
 A path of parameter points (``_solve_path``) judges the candidates once and
 returns each point's certified weights over all of them; ``multiplicative``
@@ -59,11 +58,10 @@ from .model_core import (
     _columns,
     _factor,
     _floats,
+    _gram,
     _has_coincident,
-    _information,
     _judged,
     _lapack,
-    _outer,
     _whitened,
 )
 
@@ -131,27 +129,27 @@ def _solve_path(
     X = _judged(candidates)
     if len(X) == 0:
         raise ValidationError("candidate set must be nonempty")
+    if X.shape[1] != model.nu:
+        raise ValidationError(f"candidates have dimension {X.shape[1]}, the model {model.nu}")
     if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
     p = model.p
-    uniform = np.full(len(X), 1.0 / len(X))
     certified = None  # G, Z and weights of the previous point's last iterate
     results = []
     for beta in betas:
-        G, r = _columns(model, beta, X)  # the columns sqrt(u_i) f_i at beta / r, and the table K of their outer products
-        K = _outer(G.T)
+        G, r = _columns(model, beta, X)  # the columns sqrt(u_i) f_i at beta / r
         opened = []  # (L, log det, w) of each start whose M passes the pivot floor
         for w in starts if certified is None else (_predicted(G, *certified, p),):
             try:
-                opened.append((*_factor(_information(K, w)), w))
+                opened.append((*_factored(G, w), w))
             except SingularInformation:
                 pass
         if opened:
             L, logdet, w = max(opened, key=lambda start: start[1])
         else:
-            w = uniform
+            w = np.full(len(X), 1.0 / len(X))
             try:
-                L, logdet = _factor(_information(K, w))
+                L, logdet = _factored(G, w)
             except SingularInformation as exc:  # every candidate carries weight
                 raise RankDeficientCandidates("candidate set does not span the parameter dimension") from exc
         log_dets = [logdet]
@@ -163,19 +161,22 @@ def _solve_path(
             if excess <= params.convergence_tol or len(log_dets) > params.max_iterations:
                 break
             w = _next_weights(Z, w, psi, p, top)
-            L, logdet = _factor(_information(K, w))
+            L, logdet = _factored(G, w)
             log_dets.append(logdet)
         converged = excess <= params.convergence_tol
         if not converged:
-            warnings.warn(
-                f"solver stopped after {params.max_iterations} iterations with sensitivity excess {excess:.3e}",
-                IterationCapExceeded,
-                stacklevel=3,
-            )
+            message = f"solver stopped after {params.max_iterations} iterations with sensitivity excess {excess:.3e}"
+            warnings.warn(message, IterationCapExceeded, stacklevel=3)
         certified = G, Z, w
         shift = 2 * p * math.log(r)  # log det M at beta is log det M at beta / r less 2p ln r
         results.append((w, SolverTrace(len(log_dets) - 1, tuple(ld - shift for ld in log_dets), excess, converged)))
     return X, results
+
+
+def _factored(G: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_factor`` of M = ``_gram`` over the columns of positive weight, as verification passes them."""
+    support = w.nonzero()[0]
+    return _factor(_gram(G[:, support], w[support]))
 
 
 def _predicted(G: np.ndarray, G_prev: np.ndarray, Z: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:

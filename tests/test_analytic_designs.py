@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gammadesign import (
     Criterion,
@@ -95,6 +95,21 @@ def test_scenario_admissibility():
     for beta1, beta in [(1.0, -0.25), (1.0, -0.3), (-1.0, 0.5), (-1.0, -1.0), (0.0, 0.0), (0.0, -1.0)]:
         with pytest.raises(ValidationError):
             ThreeFactorScenario(beta1, beta)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+@example(1e-323, 0.0)
+def test_scenario_admissibility_is_the_positivity_rule(beta1, beta):
+    """A scenario is admissible exactly where the kernel's positivity rule holds on [1,2]^3. At
+    (1e-323, 0.0) the quotient -beta_1/4 rounded to -0.0, and the scenario was refused."""
+    cube = ExperimentalRegion.hypercube(1.0, 2.0, 3)
+    positive = validate_positivity(GammaModel.first_order(3), (beta1, beta, beta), cube)
+    try:
+        ThreeFactorScenario(beta1, beta)
+    except ValidationError:
+        assert not positive
+    else:
+        assert positive
 
 
 def test_scenario_gamma():

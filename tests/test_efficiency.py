@@ -399,6 +399,18 @@ def test_sweep_serialization():
         efficiency_sweep(POS, {}, (0.5,))
 
 
+@pytest.mark.parametrize("family, designs", [(POS, three_factor_benchmark_designs()), (SQUARE, interaction_benchmark_designs())])
+def test_array_sweep_is_its_tuple_sweep(family, designs):
+    """A 1-D float64 array of ratios, read as it is, sweeps bit for bit as its tuple does; a 2-D array or a
+    string is judged as numbers and refused."""
+    gammas = (-0.3, 0.5, math.nan, 2.0, 4.0)
+    by_array, by_tuple = efficiency_sweep(family, designs, np.array(gammas)), efficiency_sweep(family, designs, gammas)
+    assert by_array._table.tobytes() == by_tuple._table.tobytes() and by_array.skipped == by_tuple.skipped
+    for bad in (np.array([[0.5, 0.6], [0.7, 0.8]]), "0.5"):
+        with pytest.raises(ValidationError):
+            efficiency_sweep(family, designs, bad)
+
+
 @pytest.mark.parametrize(
     "family, designs, gammas",
     [

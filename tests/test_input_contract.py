@@ -202,6 +202,29 @@ FURTHER = {
 }
 
 
+# An input off the model's dimension was refused by an anonymous "points have shape (3, 2), expected (n, 3)".
+DIMENSION_RULES = {
+    "solver_candidates": (
+        lambda: multiplicative(GammaModel.first_order(3), (1, 1, 1), [(1, 2), (2, 1), (1, 1)]),
+        "candidates have dimension 2, the model 3",
+    ),
+    "verify_design": (
+        lambda: verify_optimality(GammaModel.first_order(3), (1, 1, 1), D2, "D", [(1.0, 2.0, 1.0)]),
+        "design has dimension 2, the model 3",
+    ),
+    "sensitivity_design": (
+        lambda: sensitivity(GammaModel.first_order(3), (1, 1, 1), D2, (1.0, 2.0)),
+        "design has dimension 2, the model 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", DIMENSION_RULES.values(), ids=DIMENSION_RULES.keys())
+def test_dimension_mismatch_names_the_input(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("call", REPRODUCERS.values(), ids=REPRODUCERS.keys())
 def test_malformed_numbers_raise_validation_error(call):
     with pytest.raises(ValidationError):

@@ -29,8 +29,8 @@ from gammadesign import (
 from gammadesign.model_core import (
     _a_sensitivities,
     _factor,
+    _gram,
     _information,
-    _outer,
     _positive_predictor,
     _whitened,
 )
@@ -242,24 +242,22 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
     np.testing.assert_allclose(eta**-2, np.array(per_beta), rtol=1e-12, atol=0.0)
 
 
-# ---------------------------------------------------------------- K table and judged arrays
+# ---------------------------------------------------------------- information products and judged arrays
 
 
 @given(admissible_designs(), st.integers(1, 6))
-def test_outer_product_table_gives_single_and_stacked_information(case, size):
-    """M = (w u) K over the table K of the outer products: for one weight vector,
-    and for a (G, n) stack of w u from G parameter points at once."""
+def test_gram_and_stacked_table_give_single_and_stacked_information(case, size):
+    """M = (G w) G' by ``_gram`` over the columns G = F' / eta for one weight vector, and the (G, p, p)
+    stack from G parameter points at once by ``_information`` over the table of outer products."""
     model, beta, design, _ = case
     kind = model.kind.value
     rng = np.random.default_rng(size)
     betas = np.vstack([beta, rng.uniform(0.1, 2.0, (size - 1, model.p))])
     F, eta = _positive_predictor(model, betas, design._pts)
-    u = eta**-2
-    K = _outer(F)
     np.testing.assert_allclose(
-        _information(K, design._wts * u[0]), raw_information(kind, beta, design.points, design.weights), rtol=1e-12
+        _gram(F.T / eta[0], design._wts), raw_information(kind, beta, design.points, design.weights), rtol=1e-12
     )
-    stack = _information(K, design._wts * u)
+    stack = _information(F, design._wts * eta**-2)
     assert stack.shape == (size, model.p, model.p)
     for M, b in zip(stack, betas):
         np.testing.assert_allclose(M, raw_information(kind, b, design.points, design.weights), rtol=1e-12)

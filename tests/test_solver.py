@@ -205,14 +205,17 @@ def test_converged_design_is_the_certified_iterate():
 @example(a=1.0, ratio=2.0, beta=[-1.0, 1.23, 1.23])
 def test_converged_solves_verify_at_the_default_tolerance(a, ratio, beta):
     """A solve that reports converged returns a design that verifies at the default tolerance, on an
-    admissible cube of 3 to 6 factors and at the five betas of table 2. With a solver default of 1e-8,
-    table 2's gamma = -2.9 converged at excess 1.22e-9 and failed verification at 1e-9."""
+    admissible cube of 3 to 6 factors and at the five betas of table 2, with the solver's excess as its
+    worst excess bit for bit. With a solver default of 1e-8, table 2's gamma = -2.9 converged at excess
+    1.22e-9 and failed verification at 1e-9."""
     model, cube = GammaModel.first_order(len(beta)), ExperimentalRegion.hypercube(a, a * ratio, len(beta))
     assume(validate_positivity(model, beta, cube))
     vertices = region_vertices(cube)
     design, trace = multiplicative(model, beta, vertices)
     assert trace.converged
-    assert verify_optimality(model, beta, design, Criterion.D, vertices).passed, trace.final_excess
+    report = verify_optimality(model, beta, design, Criterion.D, vertices)
+    assert report.passed, trace.final_excess
+    assert report.worst_excess == trace.final_excess
 
 
 def test_band_certifies_within_factorization_budget(monkeypatch):
@@ -346,6 +349,19 @@ def test_closed_form_start_iteration_counts(monkeypatch):
     assert len(factorizations) == sum(iterations) + len(BAND_GAMMAS) + 1
 
 
+@pytest.mark.parametrize(
+    "gammas, tol", [(TABLE2_GAMMAS, 1e-9), (BAND_GAMMAS, 1e-9), (BAND_GAMMAS, 1e-10)], ids=["table2", "band_1e-9", "band_1e-10"]
+)
+def test_path_excess_is_the_verified_excess_of_its_weights(gammas, tol):
+    """At every point of a path the solver's excess is the worst excess that verification finds for the
+    design of its certified weights, at the same beta and tolerance over the same candidates, bit for bit."""
+    X, path = NEG._path(gammas, SolverParams(convergence_tol=tol))
+    for gamma, (w, trace) in zip(gammas, path):
+        report = verify_optimality(NEG.model, NEG.beta(gamma), Design(X[w > 0.0], w[w > 0.0]), Criterion.D, X, tol=tol)
+        assert trace.converged and report.passed, gamma
+        assert report.worst_excess == trace.final_excess, gamma
+
+
 @pytest.mark.parametrize("gamma, label", [(-2.9, "xi1"), (-1.23, "xi4")])
 def test_first_point_starts_from_the_closed_form_of_largest_log_det(gamma, label):
     """Near each end of the band the first point starts from the closed form of that end: its log_dets[0] is the
@@ -412,7 +428,7 @@ def test_path_start_is_a_first_order_prediction():
         return gammadesign.model_core._columns(m3, (-1.0, -gamma, -gamma), X)[0]
 
     w, G = certified(-2.0), columns(-2.0)
-    L, _ = gammadesign.model_core._factor(gammadesign.model_core._information(gammadesign.model_core._outer(G.T), w))
+    L, _ = gammadesign.solver._factored(G, w)
     Z = gammadesign.model_core._whitened(L, G)
     predicted_errors, previous_errors = [], []
     for h in (1e-2, 1e-3):
