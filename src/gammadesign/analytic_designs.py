@@ -159,7 +159,7 @@ class Classification:
         that ``dataclasses.replace`` drops it, decides coincidence; any other support is judged as a caller's."""
         if self.numerical or "_span" not in vars(self):
             return None if self.numerical else Design(self.points, self.weights)
-        return _closed_form(np.array(self.points), self._span >= COINCIDENCE_TOL, self.weights)
+        return _closed_form(np.array(self.points), self._span, self.weights)
 
     def to_json(self) -> dict:
         design = None if self.design is None else design_to_json(self.design)
@@ -173,11 +173,11 @@ def _classified(label, points, weights, gamma, span: float) -> Classification:
     return result
 
 
-def _closed_form(X: np.ndarray, distinct: bool, weights: Sequence[float] | None = None) -> Design:
-    """The design on weights (equal when None) over its constructor's support array X, whose exact scalar test
-    ``distinct`` is the verdict of ``_has_coincident``: ``_coincident`` finds two vertices of [a,b]^nu apart by
-    abs(u - v) = b - a, and axis points a_i e_i, a_j e_j by a_i and a_j, so ``sorted(a)[1]`` decides those."""
-    return Design._distinct(X, np.full(len(X), 1.0 / len(X)) if weights is None else np.array(weights), distinct)
+def _closed_form(X: np.ndarray, span: float, weights: Sequence[float] | None = None) -> Design:
+    """The design on weights (equal when None) over its constructor's support array X, any two of whose points differ by
+    ``span`` or more in some coordinate, so that ``span >= COINCIDENCE_TOL`` is the verdict of ``_has_coincident``: two
+    vertices of [a,b]^nu differ by abs(u - v) = b - a, and axis points a_i e_i, a_j e_j by a_i and a_j, so ``sorted(a)[1]``."""
+    return Design._distinct(X, np.full(len(X), 1.0 / len(X)) if weights is None else np.array(weights), span >= COINCIDENCE_TOL)
 
 
 def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
@@ -187,7 +187,7 @@ def d_optimal_orthant(nu: int, scale: Sequence[float] | None = None) -> Design:
     parameter vector, regardless of the positive scale chosen.
     """
     scale = _axis_scales(_check_count(nu, 2), scale)
-    return _closed_form(np.diag(scale), sorted(scale)[1] >= COINCIDENCE_TOL)
+    return _closed_form(np.diag(scale), sorted(scale)[1])
 
 
 def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = None) -> Design:
@@ -203,13 +203,13 @@ def a_optimal_orthant(beta: Sequence[float], scale: Sequence[float] | None = Non
         raise NonpositivePredictor("orthant positivity requires every beta_i > 0")
     scale, scaled = _axis_scales(len(vec), scale), _tamed(*vec)
     total = sum(scaled)
-    return _closed_form(np.diag(scale), sorted(scale)[1] >= COINCIDENCE_TOL, [c / total for c in scaled])
+    return _closed_form(np.diag(scale), sorted(scale)[1], [c / total for c in scaled])
 
 
 def d_optimal_two_factor(a: float, b: float) -> Design:
     """Equal-weight design on (a,b) and (b,a), D-optimal on [a,b]^2."""
     a, b = _check_bounds(a, b)
-    return _closed_form(np.array(((a, b), (b, a))), b - a >= COINCIDENCE_TOL)
+    return _closed_form(np.array(((a, b), (b, a))), b - a)
 
 
 def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
@@ -226,14 +226,14 @@ def a_optimal_two_factor(a: float, b: float, beta: Sequence[float]) -> Design:
     if b1 * a + b2 * b <= 0.0 or b1 * b + b2 * a <= 0.0:
         raise NonpositivePredictor("predictor must be positive at both support points")
     w1 = (b1 * a + b2 * b) / ((b1 + b2) * (a + b))
-    return _closed_form(np.array(((a, b), (b, a))), b - a >= COINCIDENCE_TOL, (w1, 1.0 - w1))
+    return _closed_form(np.array(((a, b), (b, a))), b - a, (w1, 1.0 - w1))
 
 
 def simplex_design(nu: int, a: float, b: float) -> Design:
     """Equal-weight design on the nu cube vertices with a single high coordinate."""
     _check_count(nu, 3)
     a, b = _check_bounds(a, b)
-    return _closed_form(np.where(np.eye(nu, dtype=bool), b, a), b - a >= COINCIDENCE_TOL)
+    return _closed_form(np.where(np.eye(nu, dtype=bool), b, a), b - a)
 
 
 def is_simplex_design_d_optimal(nu: int, a: float, b: float, beta: Sequence[float]) -> bool:

@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model_core import (
-    COINCIDENCE_TOL,
     Design,
     GammaModel,
     NonpositivePredictor,
@@ -37,6 +36,7 @@ from .model_core import (
     ValidationError,
     _ArrayBacked,
     _check_bounds,
+    _check_dimension,
     _factor,
     _floats,
     _information,
@@ -86,18 +86,12 @@ def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarra
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
     """Efficiency of ``design`` relative to ``optimal`` at ``beta``, read by ``_scaled_beta``: it is of degree 0.
     Either design off the model's dimension raises ValidationError, naming it."""
-    _check_dimensions(model, {"design": design, "optimal": optimal})
+    _check_dimension(design.dimension, model.nu, "design", "model")
+    _check_dimension(optimal.dimension, model.nu, "optimal design", "model")
     betas = np.array([_scaled_beta(model, beta)[0]])
     ld_design = _logdets(model, betas, design._pts, design._wts)
     ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
     return float(np.exp((ld_design - ld_optimal) / model.p)[0])
-
-
-def _check_dimensions(model: GammaModel, designs: Mapping[str, Design]) -> None:
-    """ValidationError, naming the first design of ``designs`` whose points do not have the model's nu coordinates."""
-    for name, design in designs.items():
-        if design.dimension != model.nu:
-            raise ValidationError(f"{name}: points have shape {design._pts.shape}, expected (n, {model.nu})")
 
 
 class _Family:
@@ -349,7 +343,8 @@ def efficiency_sweep(
         raise ValidationError("need at least one design to sweep")
     names = tuple(designs)
     model = family.model
-    _check_dimensions(model, {f"design {name}": d for name, d in designs.items()})
+    for name, design in designs.items():
+        _check_dimension(design.dimension, model.nu, f"design {name}", "model")
     ok, betas = _admissible(family, grid)
     kept = grid[ok]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
@@ -371,15 +366,15 @@ def three_factor_benchmark_designs() -> dict[str, Design]:
     full factorial, both half fractions, and the 27-point grid. Vertices of
     the cube and points of the grid are distinct by construction."""
     v = np.array(three_factor_vertices(1.0, 2.0))
-    optima = {label: _closed_form(np.array(points), True, weights) for label, points, weights in _three_factor_cases(1.0, -1.0 / 7.0)[0]}
+    optima = {label: _closed_form(np.array(points), 1.0, weights) for label, points, weights in _three_factor_cases(1.0, -1.0 / 7.0)[0]}
     return {
         "xi1": optima[ThreeFactorLabel.XI1],
         "xi2": optima[ThreeFactorLabel.XI2],
         "xi3": optima[ThreeFactorLabel.XI3],
-        "xi4": _closed_form(v, True),
-        "xi5": _closed_form(v[[0, 4, 5, 6]], True),
-        "xi6": _closed_form(v[[1, 2, 3, 7]], True),
-        "xi7": _closed_form(np.array(list(itertools.product((1.0, 1.5, 2.0), repeat=3))), True),
+        "xi4": _closed_form(v, 1.0),
+        "xi5": _closed_form(v[[0, 4, 5, 6]], 1.0),
+        "xi6": _closed_form(v[[1, 2, 3, 7]], 1.0),
+        "xi7": _closed_form(np.array(list(itertools.product((1.0, 1.5, 2.0), repeat=3))), 0.5),
     }
 
 
@@ -391,10 +386,9 @@ def interaction_benchmark_designs(a: float = 1.0, b: float = 4.0) -> dict[str, D
     v = np.array(interaction_vertices(a, b))
     mid = (a + b) / 2.0
     grid = np.array(list(itertools.product((a, mid, b), repeat=2)))
-    apart = b - a >= COINCIDENCE_TOL
     return {
-        "xi1": _closed_form(v[[0, 1, 2]], apart),  # Case_i, without v4 = (a, a)
-        "xi2": _closed_form(v[[1, 2, 3]], apart),  # Case_iv, without v1 = (b, b)
-        "xi3": _closed_form(v, apart),
-        "xi4": _closed_form(grid, min(mid - a, b - mid) >= COINCIDENCE_TOL),
+        "xi1": _closed_form(v[[0, 1, 2]], b - a),  # Case_i, without v4 = (a, a)
+        "xi2": _closed_form(v[[1, 2, 3]], b - a),  # Case_iv, without v1 = (b, b)
+        "xi3": _closed_form(v, b - a),
+        "xi4": _closed_form(grid, min(mid - a, b - mid)),
     }

@@ -42,12 +42,13 @@ from .model_core import (
     _ArrayBacked,
     _a_sensitivities,
     _canonical_points,
+    _candidate_set,
     _check_count,
+    _check_dimension,
     _columns,
     _factor,
     _floats,
     _gram,
-    _judged,
     _whitened,
     region_vertices,
 )
@@ -163,11 +164,7 @@ def _verification_report(
         criterion = Criterion(criterion)  # a plain "D" or "A" too
     except ValueError as exc:
         raise ValidationError(f"criterion must be D or A: {exc}") from exc
-    C = _judged(candidates)
-    if not len(C):
-        raise ValidationError("candidate set must be nonempty")
-    if C.shape[1] != design.dimension:
-        raise ValidationError(f"candidates have dimension {C.shape[1]}, the design {design.dimension}")
+    C = _candidate_set(candidates, "design", design.dimension)
     (tol,) = _floats((tol,), "tol")
     if not 0.0 <= tol < math.inf:  # a nan tol fails every design, a negative one even an exact optimum
         raise ValidationError("tol must be nonnegative" if tol < 0.0 else "tol must be finite")
@@ -203,6 +200,5 @@ def verify_optimality(
     iff the largest excess over the bound is at most ``tol``: absolute for
     D, and relative to the bound tr(M^-1) for A.
     """
-    if design.dimension != model.nu:
-        raise ValidationError(f"design has dimension {design.dimension}, the model {model.nu}")
+    _check_dimension(design.dimension, model.nu, "design", "model")
     return _verification_report(model, beta, design, candidates, criterion, tol)

@@ -6,7 +6,9 @@ approximate designs, and the basic quantities built from them: the
 intensity function and the normalized information matrix.
 
 The solver, verification, efficiencies and transforms share one numeric
-kernel here: one judge checks each point batch once; ``_check_beta`` is the
+kernel here: one judge checks each point batch once, and ``_check_dimension``
+its dimension against the one it must have, naming both (``_candidate_set``
+judges a solver's or verification's candidates); ``_check_beta`` is the
 one beta rule, and ``_scaled_beta`` reads a caller's beta by it at one
 scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and ``_scaled_intensities``
 (u); one design's M is one product (G w) G', ``_gram``, and a stack over
@@ -220,6 +222,12 @@ def _check_count(n: int, minimum: int, what: str = "nu", message: str | None = N
     return n
 
 
+def _check_dimension(d: int, nu: int, what: str, of: str) -> None:
+    """The dimension rule: ``what`` of dimension d must have the dimension nu of its ``of``, else ValidationError naming both."""
+    if d != nu:
+        raise ValidationError(f"{what} has dimension {d}, the {of} {nu}")
+
+
 def _check_bounds(a: float, b: float) -> tuple[float, float]:
     """The cube bounds rule: a and b as floats, or ValidationError unless 0 < a < b < inf."""
     a, b = _floats((a, b), "bounds")
@@ -246,9 +254,17 @@ def _judged(points: Iterable[Sequence[float]]) -> np.ndarray:
         return X.reshape(0, 0)
     if X.ndim != 2 or not X.shape[1]:
         raise ValidationError("points must share one positive dimension")
-    # A finite sum proves every coordinate finite; an inf or nan sum (overflow too) takes the elementwise test.
-    if not math.isfinite(np.add.reduce(X, axis=None)) and not np.isfinite(X).all():
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):  # elementwise: a sum of finite coordinates may overflow
         raise ValidationError("point coordinates must be finite")
+    return X
+
+
+def _candidate_set(points: Iterable[Sequence[float]], of: str, nu: int) -> np.ndarray:
+    """The judged candidates of a solve or a verification: a nonempty point set of dimension nu, that of its ``of``."""
+    X = _judged(points)
+    if not len(X):
+        raise ValidationError("candidate set must be nonempty")
+    _check_dimension(X.shape[1], nu, "candidate set", of)
     return X
 
 
@@ -366,8 +382,7 @@ def feature_matrix(model: GammaModel, points: Sequence[Sequence[float]]) -> np.n
 
 def _widened(model: GammaModel, X: np.ndarray) -> np.ndarray:
     """Feature matrix F of judged points X, which must have ``model.nu`` columns."""
-    if X.shape[1] != model.nu:
-        raise ValidationError(f"points have shape {X.shape}, expected (n, {model.nu})")
+    _check_dimension(X.shape[1], model.nu, "point set", "model")
     if model.kind is ModelKind.FIRST_ORDER:
         return X
     return np.concatenate((X, X[:, :1] * X[:, 1:]), axis=1)
@@ -555,6 +570,7 @@ def information_matrix(model: GammaModel, beta: Sequence[float], design: Design)
     The result is symmetrized by averaging with its transpose; it is
     positive semidefinite by construction.
     """
+    _check_dimension(design.dimension, model.nu, "design", "model")
     F, u, t = _scaled_intensities(model, beta, design._pts)
     top = np.maximum.reduce(t)  # M is formed at u / 2**top, which neither overflows nor loses its largest term
     M = _gram(F.T, design._wts * _rescaled(u, t - top))
@@ -588,8 +604,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
     additionally tolerates beta_3 = 0 but no negative entry.
     """
     vec = _check_beta(model, beta)
-    if region.nu != model.nu:
-        raise ValidationError("region and model dimensions differ")
+    _check_dimension(region.nu, model.nu, "region", "model")
     if region.kind is RegionKind.ORTHANT:
         if model.kind is ModelKind.FIRST_ORDER:
             return all(v > 0.0 for v in vec)
@@ -599,8 +614,7 @@ def validate_positivity(model: GammaModel, beta: Sequence[float], region: Experi
 
 def validate_design_region(design: Design, region: ExperimentalRegion) -> None:
     """Raise ValidationError unless every support point lies in the region."""
-    if design.dimension != region.nu:
-        raise ValidationError("design and region dimensions differ")
+    _check_dimension(design.dimension, region.nu, "design", "region")
     inside = region._inside(design._pts)
     if not inside.all():
         raise ValidationError(f"support point {design.points[int(np.argmin(inside))]} lies outside the region")

@@ -54,13 +54,13 @@ from .model_core import (
     RankDeficientCandidates,
     SingularInformation,
     ValidationError,
+    _candidate_set,
     _check_count,
     _columns,
     _factor,
     _floats,
     _gram,
     _has_coincident,
-    _judged,
     _lapack,
     _whitened,
 )
@@ -126,11 +126,7 @@ def _solve_path(
     """The judged candidates X, and at each parameter point of the path ``betas`` the certified weights over all
     of X with the point's trace, each point started as the module docstring says; ``starts`` are weight vectors
     over X that the first point may start from."""
-    X = _judged(candidates)
-    if len(X) == 0:
-        raise ValidationError("candidate set must be nonempty")
-    if X.shape[1] != model.nu:
-        raise ValidationError(f"candidates have dimension {X.shape[1]}, the model {model.nu}")
+    X = _candidate_set(candidates, "model", model.nu)
     if _has_coincident(X.tolist()):
         raise ValidationError("candidate points must be pairwise distinct")
     p = model.p

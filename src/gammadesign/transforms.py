@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import (Design, GammaModel, ValidationError, _check_beta, _check_bounds, _in_box, _judged, _predictor,
-                         _rescaled, _scaled_beta, _scaled_intensities)
+from .model_core import (Design, GammaModel, ValidationError, _check_beta, _check_bounds, _check_dimension, _in_box, _judged,
+                         _predictor, _rescaled, _scaled_beta, _scaled_intensities)
 from .equivalence import DEFAULT_TOL, Criterion, VerificationReport, _verification_report
 
 __all__ = [
@@ -57,8 +57,7 @@ def _lifted(Z: np.ndarray) -> np.ndarray:
 
 def _plane(X: np.ndarray) -> np.ndarray:
     """The judged points X, which must have two coordinates."""
-    if X.shape[1] != 2:
-        raise ValidationError("point must have two coordinates")
+    _check_dimension(X.shape[1], 2, "point set", "square")
     return X
 
 
@@ -115,7 +114,7 @@ class InterceptTransform:
         return _rescaled(m, t)
 
     def intensity(self, z: Sequence[float]) -> float:
-        return float(self._intensities(_judged([z]))[0])
+        return float(self._intensities(_plane(_judged([z])))[0])
 
     def vertex_intensities(self) -> tuple[float, float, float, float]:
         """Intensities c_1..c_4 at (0,0), (1,0), (0,1), (1,1)."""
@@ -144,6 +143,7 @@ def verify_intercept_design(
     Candidates default to the four corners, which decide optimality for
     this model class.
     """
+    _check_dimension(design.dimension, 2, "design", "square")
     points = UNIT_SQUARE_VERTICES if candidates is None else candidates
     beta = (transform.beta0, transform.beta1, transform.beta2)
     return _verification_report(_LIFTED, beta, design, points, criterion, tol, lift=_lifted)

@@ -461,12 +461,12 @@ def test_design_of_wrong_dimension_is_named_before_any_solve(counted_calls):
     solved, factored = counted_calls(efficiency, "_solve_path"), counted_calls(model_core, "_factor")
     square = interaction_benchmark_designs()["xi3"]
     cube = three_factor_benchmark_designs()["xi4"]
-    message = r"points have shape \(4, 2\), expected \(n, 3\)$"
-    with pytest.raises(ValidationError, match=r"^design square: " + message):
+    message = r" has dimension 2, the model 3$"
+    with pytest.raises(ValidationError, match=r"^design square" + message):
         efficiency_sweep(NEG, {"xi4": cube, "square": square}, (-2.0, -1.5))
-    with pytest.raises(ValidationError, match=r"^design: " + message):
+    with pytest.raises(ValidationError, match=r"^design" + message):
         d_efficiency(NEG.model, NEG.beta(-2.0), square, cube)
-    with pytest.raises(ValidationError, match=r"^optimal: " + message):
+    with pytest.raises(ValidationError, match=r"^optimal design" + message):
         d_efficiency(NEG.model, NEG.beta(-2.0), cube, square)
     assert solved == [] and factored == []
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gammadesign import (
     Design,
@@ -36,9 +36,11 @@ from gammadesign import (
     efficiency_sweep,
     equal_beta_threshold,
     feature_matrix,
+    features,
     first_order_ratio_map,
     gamma_grid,
     induced_polytope_vertices,
+    information_matrix,
     intensity,
     interaction_benchmark_designs,
     interaction_equal_beta,
@@ -202,20 +204,54 @@ FURTHER = {
 }
 
 
-# An input off the model's dimension was refused by an anonymous "points have shape (3, 2), expected (n, 3)".
+M3 = GammaModel.first_order(3)
+D3 = Design([(1.0, 2.0, 1.0), (2.0, 1.0, 1.0)], [0.5, 0.5])
+UNIT_TRANSFORM = InterceptTransform(1.0, 4.0, 1.0, 1.0, 1.0)
+
+# An input off its dimension was refused in four wordings, some anonymous ("points have shape (3, 2), expected
+# (n, 3)"). One rule names the input and what it is judged against: "{what} has dimension {d}, the {of} {nu}".
 DIMENSION_RULES = {
+    "intensity": (lambda: intensity(M3, (1, 1, 1), (1.0, 2.0)), "point set has dimension 2, the model 3"),
+    "features": (lambda: features(M3, (1.0, 2.0)), "point set has dimension 2, the model 3"),
+    "feature_matrix": (lambda: feature_matrix(M3, [(1.0, 2.0)]), "point set has dimension 2, the model 3"),
+    "information_matrix": (lambda: information_matrix(M3, (1, 1, 1), D2), "design has dimension 2, the model 3"),
+    "d_efficiency_design": (lambda: d_efficiency(M3, (1, 1, 1), D2, D3), "design has dimension 2, the model 3"),
+    "d_efficiency_optimal": (lambda: d_efficiency(M3, (1, 1, 1), D3, D2), "optimal design has dimension 2, the model 3"),
+    "efficiency_sweep": (
+        lambda: efficiency_sweep(ThreeFactorFamily(), {"square": D2}, (0.1,)),
+        "design square has dimension 2, the model 3",
+    ),
     "solver_candidates": (
-        lambda: multiplicative(GammaModel.first_order(3), (1, 1, 1), [(1, 2), (2, 1), (1, 1)]),
-        "candidates have dimension 2, the model 3",
+        lambda: multiplicative(M3, (1, 1, 1), [(1, 2), (2, 1), (1, 1)]),
+        "candidate set has dimension 2, the model 3",
     ),
     "verify_design": (
-        lambda: verify_optimality(GammaModel.first_order(3), (1, 1, 1), D2, "D", [(1.0, 2.0, 1.0)]),
+        lambda: verify_optimality(M3, (1, 1, 1), D2, "D", [(1.0, 2.0, 1.0)]),
         "design has dimension 2, the model 3",
+    ),
+    "verify_candidates": (
+        lambda: verify_optimality(M2, (1, 1), D2, "D", [(1.0, 2.0, 3.0)]),
+        "candidate set has dimension 3, the design 2",
     ),
     "sensitivity_design": (
-        lambda: sensitivity(GammaModel.first_order(3), (1, 1, 1), D2, (1.0, 2.0)),
+        lambda: sensitivity(M3, (1, 1, 1), D2, (1.0, 2.0)),
         "design has dimension 2, the model 3",
     ),
+    "positivity_region": (
+        lambda: validate_positivity(M2, (1, 1), ExperimentalRegion.orthant(3)),
+        "region has dimension 3, the model 2",
+    ),
+    "design_region": (
+        lambda: validate_design_region(D2, ExperimentalRegion.orthant(3)),
+        "design has dimension 2, the region 3",
+    ),
+    "square_map": (lambda: map_point_interaction((1.0, 2.0, 3.0), 1, 4), "point set has dimension 3, the square 2"),
+    "intercept_intensity": (lambda: UNIT_TRANSFORM.intensity((0.5, 0.5, 0.5)), "point set has dimension 3, the square 2"),
+    "intercept_candidates": (
+        lambda: verify_intercept_design(UNIT_TRANSFORM, D2, candidates=[(0.0, 0.0, 1.0)]),
+        "candidate set has dimension 3, the design 2",
+    ),
+    "intercept_design": (lambda: verify_intercept_design(UNIT_TRANSFORM, D3), "design has dimension 3, the square 2"),
 }
 
 
@@ -369,8 +405,10 @@ COORDINATES = st.one_of(
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(COORDINATES, min_size=d, max_size=d), min_size=1, max_size=5)))
+@example([[0.0, 8.988465674311579e307], [0.0, 8.98846567431158e307]])
 def test_judged_points_are_the_floats_of_their_coordinates(points):
-    """The judged tuples hold float() of each coordinate, however it was written."""
+    """The judged tuples hold float() of each coordinate, however it was written: finite coordinates whose sum
+    overflows too, which a judge that summed them first refused with an overflow warning."""
     from gammadesign.model_core import _canonical_points, _judged
 
     assert _canonical_points(_judged(points)) == tuple(tuple(map(float, pt)) for pt in points)
