@@ -71,13 +71,13 @@ INTERACTION_VERTEX_NAMES = ("v1", "v2", "v3", "v4")
 
 
 class ThreeFactorLabel(str, enum.Enum):
-    """Optimality subregions on the three-factor cube (beta_2 = beta_3)."""
+    """Optimality subregions on the three-factor cube (beta_2 = beta_3), each with a closed form, Xi5Numerical too."""
 
     XI1 = "Xi1"
     XI2 = "Xi2"
     XI3 = "Xi3"
     XI4 = "Xi4"
-    XI5_NUMERICAL = "Xi5Numerical"
+    XI5_NUMERICAL = "Xi5Numerical"  # beta_1 < 0, -3 < gamma < -1.2; the public label value it had when it was solved
 
 
 class InteractionLabel(str, enum.Enum):
@@ -107,6 +107,8 @@ def _square(a: float, b: float) -> tuple[tuple[float, float], ...]:
 
 _CUBE = three_factor_vertices(1.0, 2.0)
 _THIRDS = (1.0 / 3.0,) * 3  # the equal weights of every three-point support of the classifiers
+_BAND = (_CUBE[1], _CUBE[2], _CUBE[3], _CUBE[5], _CUBE[6])  # v2, v3, v4, v6, v7: the band's support, beta_1 < 0
+_BAND_ENDS = ((ThreeFactorLabel.XI1, _CUBE[1:4], _THIRDS), (ThreeFactorLabel.XI4, (_CUBE[1], _CUBE[5], _CUBE[6]), _THIRDS))
 # The models whose beta the constructors read, built once: the first-order ones once per nu.
 _INTERACTION_MODEL, _first_order_model = GammaModel.interaction(), functools.lru_cache(maxsize=16)(GammaModel.first_order)
 
@@ -291,8 +293,8 @@ def classify_three_factor(scenario: ThreeFactorScenario) -> Classification:
     Xi3 weights decide it: their first weight vanishes at gamma = -5/23 and
     their last at 1/5, and a vertex whose weight is not positive is dropped
     (Xi2, Xi1). For beta_1 < 0 the edges -3 and -6/5 are constants; on the
-    band between them the weights must be computed numerically and the
-    returned support and weights are None.
+    band between them the optimum is the closed form on {v2,v3,v4,v6,v7}
+    (``_band_weights``), under the public label value ``Xi5Numerical``.
     """
     gamma = scenario.gamma
     if gamma is None:
@@ -306,10 +308,22 @@ def _three_factor_cases(beta1: float, gamma):
     case index of gamma: an int for a float ratio, an array for an array of them."""
     if beta1 > 0.0:
         return _four_point_cases((ThreeFactorLabel.XI2, ThreeFactorLabel.XI1, ThreeFactorLabel.XI3), _CUBE[1:5], _xi3_weights(gamma))
-    # No closed-form weight vanishes on the edges of beta_1 < 0, so they stay constants.
-    xi1, xi4 = _CUBE[1:4], (_CUBE[1], _CUBE[5], _CUBE[6])
-    table = ((ThreeFactorLabel.XI1, xi1, _THIRDS), (ThreeFactorLabel.XI4, xi4, _THIRDS), (ThreeFactorLabel.XI5_NUMERICAL, None, None))
-    return table, _case_index(gamma > -3.0, gamma < -1.2)
+    # Constant edges, as no float lies between -6/5 and the float -1.2; a float off the band skips its weights (None).
+    index = _case_index(gamma > -3.0, gamma < -1.2)
+    band = _band_weights(gamma) if isinstance(gamma, np.ndarray) or index == 2 else None
+    return _BAND_ENDS + ((ThreeFactorLabel.XI5_NUMERICAL, _BAND, band),), index
+
+
+def _band_weights(gamma):
+    """Weights on ``_BAND`` of the D-optimum at -3 < gamma < -6/5 with beta_1 < 0, unchecked and evaluated as in
+    ``_xi3_weights``: w2 = (7g^2 + 7g + 6)/(16g^2), w3 = w4 = (3g + 1)^2 (5g + 6)/(96g^2 (g + 1)), w6 = w7 = -(g + 3)
+    (3g + 2)^2/(48g^2 (g + 1)). The excess is -8g(g + 1)/(2g + 1)^2 at v1 and v8, -24g(g + 1)/(4g + 1)^2 at v5."""
+    one, g = _tamed(1.0, gamma)
+    gg, s, t = g * g, 3.0 * g + one, 3.0 * g + 2.0 * one
+    w2 = (7.0 * gg + 7.0 * one * g + 6.0 * (one * one)) / (16.0 * gg)
+    w3 = s * s * (5.0 * g + 6.0 * one) / (96.0 * gg * (g + one))
+    w6 = -(g + 3.0 * one) * (t * t) / (48.0 * gg * (g + one))
+    return (w2, w3, w3, w6, w6)
 
 
 def _four_point_cases(labels, points, weights):

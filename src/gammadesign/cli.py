@@ -24,6 +24,8 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .model_core import (
     Design,
     ExperimentalRegion,
@@ -274,9 +276,10 @@ def _cmd_reproduce(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{args.target}.csv"
     if args.target == "table2":
-        family, gammas = ThreeFactorFamily(-1), (-2.9, -2.5, -2.0, -1.5, -1.23)
-        _, solved = family._path(gammas, SolverParams())
-        rows = [[gamma, *w.tolist()] for gamma, (w, _) in zip(gammas, solved)]  # one weight per vertex, in vertex order
+        family, gammas = ThreeFactorFamily(-1), np.array((-2.9, -2.5, -2.0, -1.5, -1.23))
+        rows = np.column_stack((gammas, np.zeros((len(gammas), len(family.vertices)))))  # gamma, a weight per vertex
+        for points, weights, group in family._optima(gammas):
+            rows[np.ix_(group, [1 + family.vertices.index(point) for point in points])] = weights
         _write(",".join(("gamma",) + THREE_FACTOR_VERTEX_NAMES) + "\n" + _csv_rows(rows, _CSV_FLOAT_FORMAT), path)
     else:
         family = "three-factor" if args.target == "example1" else "interaction"

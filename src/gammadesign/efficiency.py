@@ -6,11 +6,10 @@ grid of the ratio gamma that indexes the optimality subregions, on whole
 arrays: the grid's betas are one array per family, and the classifiers'
 private case function evaluates the closed-form weights on the whole grid.
 The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
-those weights, so their signs decide each ratio's case; no Design is built
-per ratio; the ratios without a closed form are solved along one path, whose
-first point starts from the best of the family's closed forms there. Each
-design and each case present (the solved one on the family's vertices) takes
-one stacked Cholesky factorization, judged singular or not by array reductions. An
+those weights, so their signs decide each ratio's case, and the band edges
+-3 and -6/5 are constants; no Design is built per ratio and no ratio is solved.
+Each design and each case present takes one stacked Cholesky factorization,
+judged singular or not by array reductions. An
 efficiency is of degree 0 in beta, so M is built at betas scaled by the
 kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
 scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
@@ -67,9 +66,6 @@ __all__ = [
     "interaction_benchmark_designs",
 ]
 
-# Solver tolerance for reference designs without a closed form; tight
-# enough that reference error stays far below sweep reporting precision.
-_REFERENCE_PARAMS = SolverParams(convergence_tol=1e-10)
 # Smallest table that CSV output prints from integers. Below about 250 entries one % operation costs less
 # than the integer path's fixed cost of some 25 numpy calls: on a shared 2-vCPU x86 host, 45 entries took
 # 19 us by % and 71 us from integers, 1,000 entries 208 us and 81 us.
@@ -111,19 +107,16 @@ class _Family:
         if not self.admissible(gamma):
             raise ValidationError(f"gamma={gamma!r} is outside the admissible range")
         ((points, (weights,), _),) = self._optima(np.array([gamma]))
-        return Design(np.asarray(points)[weights != 0.0], weights[weights != 0.0])  # a solved optimum's zeros dropped
+        return Design(points, weights)
 
-    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple | np.ndarray, np.ndarray, np.ndarray]]:
+    def _optima(self, gammas: np.ndarray) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
         """Optima at the admissible ratios ``gammas``, one (support, weights, rows) group per case present with a weight
-        row per ratio: a closed form on its own support, the solved case on the judged vertices by ``_path`` in grid order."""
+        row per ratio: each case a closed form on its own support."""
         table, index = self._cases(gammas)
         groups = []
         for case, (_, points, weights) in enumerate(table):
             rows = np.flatnonzero(index == case)
-            if points is None and len(rows):
-                X, path = self._path(gammas[rows], _REFERENCE_PARAMS)
-                groups.append((X, np.array([w for w, _ in path]), rows))
-            elif len(rows):
+            if len(rows):
                 groups.append((points, np.broadcast_to(_as_columns(weights), (len(gammas), len(points)))[rows], rows))
         return groups
 
@@ -133,7 +126,7 @@ class _Family:
         table, _ = self._cases(gammas[0])
         starts = []
         for _, points, weights in table:
-            if points is not None:
+            if weights is not None:  # a float ratio off the band skips the band weights
                 start = np.zeros(len(self.vertices))
                 start[[self.vertices.index(point) for point in points]] = weights
                 starts.append(start)

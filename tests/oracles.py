@@ -212,6 +212,41 @@ def exact_simplex_margins(nu: int, a: float, b: float, beta) -> dict[tuple[float
     return margins
 
 
+def exact_band_weights(g: Fraction) -> tuple[Fraction, ...]:
+    """The stated D-optimal weights on v2, v3, v4, v6, v7 of [1,2]^3 at the ratio
+    g = beta/beta_1 of the band -3 < g < -6/5 with beta_1 < 0, exactly."""
+    w2 = (7 * g * g + 7 * g + 6) / (16 * g * g)
+    w3 = (3 * g + 1) ** 2 * (5 * g + 6) / (96 * g * g * (g + 1))
+    w6 = -(g + 3) * (3 * g + 2) ** 2 / (48 * g * g * (g + 1))
+    return (w2, w3, w3, w6, w6)
+
+
+def exact_d_excess(beta, points, weights, candidates) -> list[Fraction]:
+    """u(x) f(x)' M^-1 f(x) - p of the first-order model at each candidate x, in
+    rational arithmetic on the given numbers: M = sum_i w_i u(x_i) x_i x_i' with
+    u = (beta'x)^-2, inverted by Gauss-Jordan elimination."""
+    beta = [Fraction(c) for c in beta]
+    p = len(beta)
+    u = lambda x: 1 / sum(c * Fraction(xj) for c, xj in zip(beta, x)) ** 2
+    M = [[sum(Fraction(w) * u(x) * Fraction(x[i]) * Fraction(x[j]) for x, w in zip(points, weights)) for j in range(p)] for i in range(p)]
+    inv = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if M[r][col] != 0)
+        M[col], M[pivot], inv[col], inv[pivot] = M[pivot], M[col], inv[pivot], inv[col]
+        scale = M[col][col]
+        M[col], inv[col] = [v / scale for v in M[col]], [v / scale for v in inv[col]]
+        for r in range(p):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
+                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    excess = []
+    for x in candidates:
+        f = [Fraction(c) for c in x]
+        excess.append(u(x) * sum(f[i] * inv[i][j] * f[j] for i in range(p) for j in range(p)) - p)
+    return excess
+
+
 # --------------------------------------------------------------------------
 # the verification report with every tuple built when it is made
 

@@ -45,6 +45,7 @@ from gammadesign import (
     verify_optimality,
     xi3_weights,
 )
+from gammadesign import analytic_designs
 
 from oracles import drop_vertex_forms, equal_beta_edges, min_trace_weight, trace_inverse, ulp_steps, unit_scaled
 
@@ -393,10 +394,11 @@ def test_classifier_negative_and_zero_beta1():
     assert c.label is ThreeFactorLabel.XI4
     assert c.design.points == (V[1], V[5], V[6])
 
-    c = classify_three_factor(ThreeFactorScenario(-1.0, 2.0))  # gamma = -2
+    c = classify_three_factor(ThreeFactorScenario(-1.0, 2.0))  # gamma = -2, in the band, now a closed form
     assert c.label is ThreeFactorLabel.XI5_NUMERICAL
-    assert c.design is None
-    assert c.numerical
+    assert c.design.points == (V[1], V[2], V[3], V[5], V[6])
+    assert c.design.weights == (5 / 16, 25 / 96, 25 / 96, 1 / 12, 1 / 12)
+    assert not c.numerical
     assert c.gamma == pytest.approx(-2.0)
 
     c = classify_three_factor(ThreeFactorScenario(0.0, 3.0))
@@ -455,6 +457,40 @@ def test_classifier_closed_forms_pass_verification():
         assert report.passed, (sc, c.label, report.worst_excess)
 
 
+@given(st.floats(-3.0, -1.2, exclude_min=True, exclude_max=True), st.integers(-1000, 1000))
+@example(-2.0, -1000)
+@example(math.nextafter(-3.0, 0.0), 1000)
+def test_band_weights_are_bit_identical_at_scaled_beta(gamma, k):
+    """The band weights are of degree 0 in beta: at beta scaled by 2^k the ratio and every weight are the same bits."""
+    base = classify_three_factor(ThreeFactorScenario(-1.0, -gamma))
+    scaled = classify_three_factor(ThreeFactorScenario(-math.ldexp(1.0, k), -math.ldexp(gamma, k)))
+    assert base.label is scaled.label is ThreeFactorLabel.XI5_NUMERICAL
+    assert scaled.gamma == base.gamma and scaled.weights == base.weights
+
+
+def test_negative_beta1_off_the_band_skips_the_band_weights(counted_calls):
+    """A float ratio of beta_1 < 0 off the band, its edges included, leaves the band weights unevaluated, so Xi1 and
+    Xi4 cost no more than before the band had a closed form; a ratio in the band evaluates them once."""
+    calls = counted_calls(analytic_designs, "_band_weights")
+    for beta in (4.0, 3.0, 1.2, 1.1):
+        assert classify_three_factor(ThreeFactorScenario(-1.0, beta)).design.size == 3
+    assert calls == []
+    assert classify_three_factor(ThreeFactorScenario(-1.0, 2.0)).design.size == 5
+    assert calls == [(-2.0,)]
+
+
+def test_negative_beta1_at_huge_ratios_raises_no_warning():
+    """beta_1 = -2^-1000 puts the ratio at -2^1000: the classifier, the reference and a sweep that evaluates the
+    band weights elementwise at such ratios raise no RuntimeWarning, which the test configuration makes an error."""
+    family = ThreeFactorFamily(-1)
+    c = classify_three_factor(ThreeFactorScenario(-(2.0**-1000), 1.0))
+    assert c.label is ThreeFactorLabel.XI1 and c.gamma == -(2.0**1000) and c.design.size == 3
+    assert family.reference(-(2.0**1000)).size == 3
+    sweep = efficiency_sweep(family, three_factor_benchmark_designs(), (-(2.0**1000), -1.7976931348623157e308, -2.0, -1.5))
+    assert len(sweep.gammas) == 4 and not sweep.skipped
+    assert all(0.0 < value <= 1.0 + 1e-12 for row in sweep.values for value in row)
+
+
 def test_classifier_scale_invariant():
     for beta1, beta in [(1.0, 0.1), (1.0, -0.22), (-1.0, 1.3), (-1.0, 2.0)]:
         base = classify_three_factor(ThreeFactorScenario(beta1, beta))
@@ -509,6 +545,11 @@ def test_classifier_json_shape():
     assert obj["label"] == "Xi3"
     assert obj["numerical"] is False
     obj = classify_three_factor(ThreeFactorScenario(-1.0, 2.0)).to_json()
+    assert obj["label"] == "Xi5Numerical"
+    assert obj["design"]["points"] == [list(V[k]) for k in (1, 2, 3, 5, 6)]
+    assert obj["numerical"] is False
+    obj = d_optimal_interaction(1.0, 2.0, (1.0, 2.0, 0.5)).to_json()  # the one case left without a closed form
+    assert obj["label"] == "Case_v_FourPoint"
     assert obj["design"] is None
     assert obj["numerical"] is True
 

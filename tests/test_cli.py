@@ -145,9 +145,9 @@ CUBE_DESIGNS = {
     ),
     "cube_band": (
         ("--nu", "3", "--beta=-1,2,2"),
-        '{"points": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 1, 2], [2, 2, 1]], '
-        '"weights": [0.2604166667, 0.2604166667, 0.3125, 0.08333333333, 0.08333333333], '
-        '"provenance": "numerical"}\n',
+        '{"points": [[2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 1, 2], [2, 2, 1]], '
+        '"weights": [0.3125, 0.2604166667, 0.2604166667, 0.08333333333, 0.08333333333], '
+        '"provenance": "analytic"}\n',
     ),
     "cube_unequal_beta": (
         ("--nu", "3", "--beta=-1,2,3"),
@@ -169,18 +169,22 @@ def test_design_first_order_hypercube_branches(capsys, flags, stdout):
 
 
 def test_design_cube_band_weights_are_exact(capsys):
-    # gamma = -2 lies in the numerical band; its optimum is known exactly
+    # gamma = -2 lies in the band -3 < gamma < -1.2; its closed form prints the exact weights, in v1..v8 order
     payload = run_json(capsys, "design", "--region", "hypercube", "--a", "1", "--b", "2", "--nu", "3", "--beta=-1,2,2")
-    assert payload["weights"] == pytest.approx([25 / 96, 25 / 96, 5 / 16, 1 / 12, 1 / 12], abs=1e-10)
+    assert payload["points"] == [[2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 1, 2], [2, 2, 1]]
+    assert payload["weights"] == pytest.approx([5 / 16, 25 / 96, 25 / 96, 1 / 12, 1 / 12], abs=1e-10)
+    assert payload["provenance"] == "analytic"
 
 
 # ----------------------------------------------------------------- classify
 
 
 def test_classify_numerical_region(capsys):
+    """The band keeps its label Xi5Numerical, and now carries its closed-form design."""
     payload = run_json(capsys, "classify", "--beta1-sign", "neg", "--gamma", "-2")
     assert payload["label"] == "Xi5Numerical"
-    assert payload["design"] is None
+    assert payload["design"]["weights"] == pytest.approx([5 / 16, 25 / 96, 25 / 96, 1 / 12, 1 / 12], abs=1e-10)
+    assert payload["numerical"] is False
 
 
 def test_classify_closed_form(capsys):

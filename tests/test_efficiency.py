@@ -7,6 +7,7 @@ import dataclasses
 import math
 import pickle
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -435,8 +436,30 @@ def test_sweep_matches_per_row_d_efficiency(family, designs, gammas):
     np.testing.assert_allclose(sweep.values, expected, rtol=1e-12, atol=0.0)
 
 
-def test_negative_band_rows_use_solver_references():
-    assert all(classify_three_factor(NEG.scenario(g)).design is None for g in (-2.5, -2.0, -1.5))
+def test_negative_band_rows_use_closed_form_references():
+    """Band ratios get the classifier's closed form on {v2,v3,v4,v6,v7} as their reference, bit for bit."""
+    for gamma in (-2.5, -2.0, -1.5):
+        c = classify_three_factor(NEG.scenario(gamma))
+        assert c.label.value == "Xi5Numerical" and c.points == tuple(V[k] for k in (1, 2, 3, 5, 6))
+        assert NEG.reference(gamma) == c.design
+
+
+def test_band_sweep_and_table2_run_no_solver(monkeypatch, tmp_path):
+    """With the path solver replaced by a function that raises, wherever the package binds it, the band sweep,
+    its references and ``reproduce table2`` still run: every reference of both families is a closed form."""
+    from gammadesign import cli, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    for module in (solver, efficiency):
+        monkeypatch.setattr(module, "_solve_path", refuse)
+    sweep = efficiency_sweep(NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01))
+    assert len(sweep.gammas) == 179 and not sweep.skipped
+    assert NEG.reference(-2.0).size == 5
+    assert cli.run(["reproduce", "table2", "--outdir", str(tmp_path)]) == 0
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "table2.csv"
+    assert (tmp_path / "table2.csv").read_bytes() == golden.read_bytes()
 
 
 def test_singular_sweep_row_is_named():
@@ -507,9 +530,9 @@ def test_stacked_rules_name_their_first_failing_member():
 def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
     """A count, not a timing: a fallback to one factorization per row
     would make it grow with the grid. ``_factor`` holds the package's only
-    Cholesky call, so its calls count the factorizations. The numerical band
-    of the three-factor cube is one more stack, not one per ratio (186 stacks
-    on the default band grid when each solved ratio had its own)."""
+    Cholesky call, so its calls count the factorizations. The band of the
+    three-factor cube is one more stack, not one per ratio (186 stacks on the
+    default band grid when each ratio was solved on its own)."""
     calls = counted_calls(model_core, "_factor")
     designs = interaction_benchmark_designs()
     for step in (0.01, 0.005):  # 550 and 1099 ratios
@@ -519,8 +542,8 @@ def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
         efficiency_sweep(SQUARE, designs, grid)
         assert len(calls) <= len(designs) + len(supports) == 7
     calls.clear()
-    efficiency_sweep(NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01))  # 179 solved ratios
-    assert len([M for (M,) in calls if M.ndim == 3]) == 7 + 1  # the solver's own factorizations are of one M
+    efficiency_sweep(NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01))  # 179 band ratios
+    assert len(calls) == 7 + 1 and all(M.ndim == 3 for (M,) in calls)  # no solver factors one M
 
 
 @pytest.mark.parametrize(
@@ -600,6 +623,14 @@ def test_three_factor_grid_optima_match_the_classifier_at_its_edges(steps):
         gammas = [_ulp_steps(edge, k) for edge in edges for k in steps]
         results = [classify_three_factor(family.scenario(gamma)) for gamma in gammas]
         _assert_classifier_optima(_grid_optima(family, gammas), results)
+
+
+def test_band_grid_optima_are_the_classifiers_optima():
+    """The band weights evaluated elementwise on a grid are the bits the classifier gives each ratio."""
+    grid = gamma_grid(-2.99, -1.21, 0.01) + tuple(np.random.default_rng(7).uniform(-3.0, -1.2, 20_000).tolist())
+    results = [classify_three_factor(NEG.scenario(gamma)) for gamma in grid]
+    assert {result.label.value for result in results} == {"Xi5Numerical"}
+    _assert_classifier_optima(_grid_optima(NEG, grid), results)
 
 
 # ---------------------------------------------------------------- benchmarks

@@ -8,6 +8,11 @@ only where the exact margin is within rounding of zero; everywhere else the
 rule must give the exact verdict, and every design it calls optimal must
 verify. The inputs sit at seeded relative offsets of 1e-15 to 1e-8, and
 within 6 ulp, of edges on narrow and wide cubes and squares.
+
+The band's closed form on [1,2]^3 (beta_1 < 0, -3 < gamma < -6/5) is
+certified the same way: ``exact_band_weights`` and ``exact_d_excess`` give
+its weights and its D excess at every vertex in rational arithmetic, and
+sympy checks the stated forms as identities in the ratio.
 """
 
 from __future__ import annotations
@@ -30,15 +35,17 @@ from gammadesign import (
     classify_three_factor,
     d_optimal_interaction,
     equal_beta_threshold,
+    gamma_grid,
     interaction_vertices,
     is_simplex_design_d_optimal,
     multiplicative,
     region_vertices,
     simplex_design,
+    three_factor_vertices,
     verify_optimality,
 )
 
-from oracles import exact_drop_forms, exact_simplex_margins, ulp_steps
+from oracles import exact_band_weights, exact_d_excess, exact_drop_forms, exact_simplex_margins, ulp_steps
 
 # A float evaluation may miss the exact verdict only at margins this close to zero, relative.
 ROUNDING = 1e-13
@@ -233,3 +240,65 @@ def test_three_factor_constant_edges_decide_as_fractions(edge):
             want = ThreeFactorLabel.XI5_NUMERICAL
         c = classify_three_factor(ThreeFactorScenario(-1.0, -gamma))
         assert c.gamma == gamma and c.label is want, gamma
+
+
+# ---------------------------------------------------------------- the band's closed form
+
+CUBE_VERTICES = three_factor_vertices()
+BAND_SUPPORT = (1, 2, 3, 5, 6)  # v2, v3, v4, v6, v7
+# The default band grid, each float an exact rational, and rationals near each edge and at -2.
+BAND_RATIOS = [Fraction(g) for g in gamma_grid(-2.99, -1.21, 0.01)] + [
+    edge + Fraction(sign, 10**k) for edge, sign in ((Fraction(-3), 1), (Fraction(-6, 5), -1)) for k in (3, 9, 17)
+] + [Fraction(-2)]
+
+
+def test_band_closed_form_is_certified_exactly():
+    """At every rational ratio of the band -3 < g < -6/5 the stated weights are positive and sum to one, the
+    D excess of their design is 0 on its support, -8g(g+1)/(2g+1)^2 < 0 at v1 and v8 and -24g(g+1)/(4g+1)^2 < 0
+    at v5: the design is D-optimal by the equivalence theorem. At the grid's floats the classifier's weights
+    agree with the exact ones to relative 1e-14."""
+    for g in BAND_RATIOS:
+        weights = exact_band_weights(g)
+        assert min(weights) > 0 and sum(weights) == 1, g
+        support = [CUBE_VERTICES[k] for k in BAND_SUPPORT]
+        excess = exact_d_excess((-1, -g, -g), support, weights, CUBE_VERTICES)
+        assert [excess[k] for k in BAND_SUPPORT] == [0] * 5, g
+        assert excess[0] == excess[7] == -8 * g * (g + 1) / (2 * g + 1) ** 2 < 0, g
+        assert excess[4] == -24 * g * (g + 1) / (4 * g + 1) ** 2 < 0, g
+        if g.denominator & (g.denominator - 1) == 0:  # a float of the grid
+            c = classify_three_factor(ThreeFactorScenario(-1.0, -float(g)))
+            assert c.points == tuple(support)
+            assert all(abs(Fraction(wf) - w) <= Fraction(1, 10**14) * w for wf, w in zip(c.weights, weights)), g
+
+
+def test_band_closed_form_identities_in_sympy():
+    """The stated weights, as functions of g, sum to one, and the D excess of their design is identically 0 on
+    the support and the stated forms at v1, v8 and v5: a check of the stated form, not a solve."""
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    g = sp.symbols("g")
+    weights = exact_band_weights(g)
+    assert sp.cancel(sum(weights) - 1) == 0
+    beta = sp.Matrix([-1, -g, -g])
+    f = {k: sp.Matrix([int(c) for c in x]) for k, x in enumerate(CUBE_VERTICES)}
+    u = {k: 1 / (beta.T * f[k])[0] ** 2 for k in f}
+    M = sum((w * u[k] * f[k] * f[k].T for k, w in zip(BAND_SUPPORT, weights)), sp.zeros(3, 3))
+    inverse = DomainMatrix.from_Matrix(M).to_field().inv().to_Matrix()  # exact, over the rational functions of g
+    excess = {k: sp.cancel(u[k] * (f[k].T * inverse * f[k])[0] - 3) for k in f}
+    assert all(excess[k] == 0 for k in BAND_SUPPORT)
+    assert sp.cancel(excess[0] + 8 * g * (g + 1) / (2 * g + 1) ** 2) == 0
+    assert sp.cancel(excess[7] + 8 * g * (g + 1) / (2 * g + 1) ** 2) == 0
+    assert sp.cancel(excess[4] + 24 * g * (g + 1) / (4 * g + 1) ** 2) == 0
+
+
+@pytest.mark.parametrize("edge, inward", [(-3.0, 1), (-1.2, -1)])
+def test_band_weights_next_to_the_edges_are_positive_and_verify(edge, inward):
+    """At the first floats inside the band every weight of the closed form is positive (about 2.5e-17 for v6 and
+    v7 next to -3), and the design passes verification at the default tolerance."""
+    for k in range(1, 4):
+        gamma = ulp_steps(edge, inward * k)
+        c = classify_three_factor(ThreeFactorScenario(-1.0, -gamma))
+        assert c.label is ThreeFactorLabel.XI5_NUMERICAL and min(c.weights) > 0.0, gamma
+        report = verify_optimality(GammaModel.first_order(3), (-1.0, -gamma, -gamma), c.design, Criterion.D, CUBE_VERTICES)
+        assert report.passed, (gamma, report.worst_excess)
