@@ -8,12 +8,12 @@ private case function evaluates the closed-form weights on the whole grid.
 The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
 those weights, so their signs decide each ratio's case, and the band edges
 -3 and -6/5 are constants; no Design is built per ratio and no ratio is solved.
-Each design and each case present takes one stacked Cholesky factorization,
-judged singular or not by array reductions. An
-efficiency is of degree 0 in beta, so M is built at betas scaled by the
+A sweep forms one stack of M per design and per case present, and the kernel's
+``_logdets`` eliminates all of them at once; ``d_efficiency`` is a stack of two.
+An efficiency is of degree 0 in beta, so M is built at betas scaled by the
 kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
 scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
-A failing stack names its row by the ``_member`` index the kernel sets.
+A failing member names its stack and row by the ``_member`` index the kernel sets.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .model_core import (
     _ArrayBacked,
     _check_bounds,
     _check_dimension,
-    _factor,
     _floats,
     _information,
+    _logdets,
     _positive_predictor,
     _predictor,
     _scaled_beta,
@@ -72,22 +72,21 @@ __all__ = [
 _INTEGER_ROWS_MIN_ENTRIES = 256
 
 
-def _logdets(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
-    """log det M of one support (a design's judged array, or a library-built table) at each row of the (G, p)
-    stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one product, one factorization."""
+def _information_stack(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
+    """The (p, p, G) stack of M of one support (a design's judged array, or a library-built table) at each row of the
+    (G, p) stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one product."""
     F, eta = _positive_predictor(model, betas, np.asarray(points))
-    return _factor(_information(F, np.asarray(weights) * eta**-2))[1]
+    return _information(F, np.asarray(weights) * eta**-2)
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
     """Efficiency of ``design`` relative to ``optimal`` at ``beta``, read by ``_scaled_beta``: it is of degree 0.
-    Either design off the model's dimension raises ValidationError, naming it."""
+    Either design off the model's dimension raises ValidationError, naming it. Both are one two-member stack."""
     _check_dimension(design.dimension, model.nu, "design", "model")
     _check_dimension(optimal.dimension, model.nu, "optimal design", "model")
     betas = np.array([_scaled_beta(model, beta)[0]])
-    ld_design = _logdets(model, betas, design._pts, design._wts)
-    ld_optimal = _logdets(model, betas, optimal._pts, optimal._wts)
-    return float(np.exp((ld_design - ld_optimal) / model.p)[0])
+    ld = _logdets(np.concatenate([_information_stack(model, betas, d._pts, d._wts) for d in (design, optimal)], axis=-1))
+    return float(np.exp((ld[:1] - ld[1:]) / model.p)[0])
 
 
 class _Family:
@@ -325,10 +324,10 @@ def efficiency_sweep(
     Inadmissible grid points, non-finite ones included, are skipped and
     recorded in ``skipped``. A design whose points do not have the model's
     dimension raises before anything is solved, naming the design. Each
-    support is evaluated once, as one stack over its rows. The first
-    singular or nonpositive stack (the reference supports in case order,
-    then the designs in order) raises, naming its design and the gamma of
-    its first failing row. A 1-D float64 array of ratios is read as it is.
+    support is one stack over its rows, and one elimination takes them all.
+    The first singular or nonpositive stack (the reference supports in case
+    order, then the designs in order) raises, naming its design and the gamma
+    of its first failing row. A 1-D float64 array of ratios is read as it is.
     """
     one_d = isinstance(gammas, np.ndarray) and gammas.ndim == 1 and gammas.dtype == np.float64
     grid = gammas if one_d else np.array(_floats(gammas, "gammas"))
@@ -341,15 +340,26 @@ def efficiency_sweep(
     ok, betas = _admissible(family, grid)
     kept = grid[ok]
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
-    # One factorization per case present and one per design.
-    stacks = [("reference", 0, points, weights, rows) for points, weights, rows in family._optima(kept)]
-    stacks += [(name, column, d._pts, d._wts, slice(None)) for column, (name, d) in enumerate(designs.items(), 1)]
-    ld = np.empty((len(kept), 1 + len(names)))  # column 0 the reference's log-dets, then one per design
-    for name, column, points, weights, rows in stacks:
+    stacks = [(0, points, weights, rows) for points, weights, rows in family._optima(kept)]
+    stacks += [(column, d._pts, d._wts, np.arange(len(kept))) for column, d in enumerate(designs.values(), 1)]
+    Ms, failure = [np.empty((model.p, model.p, 0))], None
+    for column, points, weights, at in stacks:
         try:
-            ld[rows, column] = _logdets(model, betas[rows], points, weights)
-        except (SingularInformation, NonpositivePredictor) as exc:
-            raise type(exc)(f"gamma={float(kept[rows][exc._member])!r}, design {name}: {exc}") from exc
+            Ms.append(_information_stack(model, betas[at], points, weights))
+        except NonpositivePredictor as exc:
+            failure = exc, column, at[exc._member]
+            break  # a singular stack before this one raises first
+    rows = np.concatenate([at for *_, at in stacks])  # each member's row and column of ld, by stack in order
+    columns = np.repeat([column for column, *_ in stacks], [len(at) for *_, at in stacks])
+    try:
+        logdets = _logdets(np.concatenate(Ms, axis=-1))  # the stacks before a nonpositive one, if any
+    except SingularInformation as exc:
+        failure = exc, columns[exc._member], rows[exc._member]
+    if failure:
+        exc, column, row = failure
+        raise type(exc)(f"gamma={float(kept[row])!r}, design {(('reference',) + names)[column]}: {exc}") from exc
+    ld = np.empty((len(kept), 1 + len(names)))  # column 0 the reference's log-dets, then one per design
+    ld[rows, columns] = logdets
     table = np.column_stack((kept, np.exp((ld[:, 1:] - ld[:, :1]) / model.p)))
     return EfficiencySweep(family.name, table, names, tuple(skipped))
 

@@ -11,10 +11,10 @@ its dimension against the one it must have, naming both (``_candidate_set``
 judges a solver's or verification's candidates); ``_check_beta`` is the
 one beta rule, and ``_scaled_beta`` reads a caller's beta by it at one
 scale, for ``_columns`` (G = [sqrt(u_i) f_i]) and ``_scaled_intensities``
-(u); one design's M is one product (G w) G', ``_gram``, and a stack over
-parameter points one product over a table of outer products; one Cholesky
-factor L gives log det M, one solve L^-1 G. A stacked rule sets the index
-of the first failing member of its stack on its error, as ``_member``.
+(u); one design's M is one product (G w) G', ``_gram``, its Cholesky factor L
+gives log det M and one solve L^-1 G; a stack over parameter points is one
+product over a table of outer products, and one LDL' elimination gives its
+log-dets. A stacked rule sets the index of its first failing member, ``_member``.
 
 A ``Design`` keeps read-only arrays. Caller points are judged and searched
 for coincident pairs; an array the library built enters by ``_distinct``,
@@ -489,49 +489,49 @@ def _gram(G: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _information(F: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The (G, p, p) stack M_g = sum_i V_gi f_i f_i' for a (G, n) stack V of weights w u at G parameter points, as
-    V K over the table K of the flattened outer products of the rows of F, formed once for the whole stack."""
+    """The (p, p, G) stack of M_g = sum_i V_gi f_i f_i' for a (G, n) stack V of weights w u at G parameter points, as K' V'
+    over the table K of the flattened outer products of the rows of F, formed once, member last as ``_logdets`` reads it."""
     K = (F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
-    return (V @ K).reshape(len(V), F.shape[1], F.shape[1])
+    return (K.T @ V.T).reshape(F.shape[1], F.shape[1], len(V))
 
 
-def _factor(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Lower Cholesky factor L of M, and log det M = 2 sum(log diag L); a
-    (G, p, p) stack is factored in one call and gives (G,) log-dets.
-
-    This is the package's one singularity rule: SingularInformation is
-    raised when a pivot is nan or min diag(L)**2 <= 1e-12 * max diag(M),
-    for any matrix of a stack, naming the smallest pivot of the first that
-    fails, and setting its index as ``_member``. A failed factorization
-    returns nan pivots.
-    """
+def _factor(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor L of one p x p matrix M and log det M = 2 sum(log diag L), for the solver and verification.
+    SingularInformation names the smallest pivot when one is nan (a failed factorization gives nan pivots) or under the
+    floor of ``_above_floor``. The log-det comes first: pivots are positive or nan, and min() may skip a nan."""
     with np.errstate(invalid="ignore"):
         L = _lapack.cholesky_lo(M, signature="d->d")
-    if M.ndim == 2:  # Python floats: with a handful of parameters they cost less than numpy reductions
-        return L, _pivot_logdet(L.diagonal().tolist(), M.diagonal().tolist())
-    pivots = L.diagonal(0, -2, -1).T.copy()  # (p, G): reduced over contiguous rows, in row order
-    smallest = pivots.min(axis=0)  # nan for a nan pivot
-    failing = np.flatnonzero(~_above_floor(smallest, M.diagonal(0, -2, -1).T.copy().max(axis=0)))
-    if failing.size:
-        error = _singular(smallest[failing[0]])
-        error._member = int(failing[0])
-        raise error
-    return L, 2.0 * np.log(pivots).sum(axis=0)
-
-
-def _pivot_logdet(pivots: list[float], scales: list[float]) -> float:
-    """The pivot test of one matrix, then 2 sum(log pivots). The log-det comes first
-    (pivots are positive or nan), because it keeps a nan pivot that min() may skip."""
+    pivots = L.diagonal().tolist()  # Python floats: with a handful of parameters they cost less than numpy reductions
     logdet = 2.0 * math.fsum(map(math.log, pivots))
     smallest = min(pivots) if logdet == logdet else math.nan
-    if not _above_floor(smallest, max(scales)):
+    if not _above_floor(smallest * smallest, max(M.diagonal().tolist())):
         raise _singular(smallest)
-    return logdet
+    return L, logdet
 
 
-def _above_floor(smallest, scale):
-    """The pivot floor, on floats or elementwise on arrays: smallest**2 > 1e-12 * scale."""
-    return smallest * smallest > _SINGULARITY_RTOL * scale
+def _logdets(M: np.ndarray) -> np.ndarray:
+    """log det M_g = sum_j log d_j of each member of the (p, p, G) stack M, over the squared pivots d_j of one LDL'
+    elimination without pivoting: p - 1 updates of the whole stack, a column at a time, elementwise in g, so a member's
+    log-det and verdict are bitwise its own alone. The first member whose min_j d_j fails the floor of ``_above_floor``
+    raises SingularInformation naming sqrt(min_j d_j) (nan if that is nan or nonpositive) and sets ``_member``."""
+    d, A = np.empty(M.shape[1:]), M
+    with np.errstate(all="ignore"):  # a failing member may divide by a zero pivot; the floor refuses it below
+        for j in range(len(M) - 1):
+            d[j] = A[0, 0]
+            A = A[1:, 1:] - A[1:, :1] / d[j] * A[:1, 1:]
+    d[-1] = A[0, 0]
+    smallest = np.minimum.reduce(d)  # nan for a nan pivot
+    failing = np.flatnonzero(~_above_floor(smallest, np.maximum.reduce(M.diagonal().T)))  # rows M[j, j, :]
+    if failing.size:
+        error = _singular(math.sqrt(smallest[failing[0]]) if smallest[failing[0]] > 0.0 else math.nan)
+        error._member = int(failing[0])
+        raise error
+    return sum(np.log(d))
+
+
+def _above_floor(square, scale):
+    """The package's one singularity rule, on floats or elementwise on arrays: squared pivots > 1e-12 * max diag M."""
+    return square > _SINGULARITY_RTOL * scale
 
 
 def _singular(smallest: float) -> SingularInformation:

@@ -54,6 +54,20 @@ def trace_inverse(kind: str, beta, points, weights) -> float:
     return float(np.trace(np.linalg.inv(M)))
 
 
+def logdet_tolerance(M) -> float:
+    """How far two backward-stable eliminations of the SPD matrix M, say a stacked LDL' and one Cholesky
+    factorization, may put log det M apart.
+
+    Each gives the log-det of some M + E with ||E||_2 <= p (p + 1) eps ||M||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10), which moves log det by at most |tr(M^-1 E)| <= p cond(M) ||E||_2 / ||M||_2; so the
+    two differ by at most twice that. The pivots lie in [lambda_min, lambda_max], so the p logs and their sum add
+    p^2 eps max|log lambda| each, again twice.
+    """
+    p, eps = len(M), np.finfo(float).eps
+    values = np.linalg.eigvalsh(M)
+    return 2.0 * (p * np.linalg.cond(M) * p * (p + 1) * eps + p * p * eps * np.abs(np.log(values)).max())
+
+
 def any_pair_within(points, tol: float) -> bool:
     """Whether some two points differ by less than ``tol`` in every
     coordinate, by comparing all pairs."""

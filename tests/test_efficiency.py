@@ -496,9 +496,9 @@ def test_design_of_wrong_dimension_is_named_before_any_solve(counted_calls):
 
 def test_singular_design_row_is_named_without_reevaluation(counted_calls):
     """A design column, not the reference, fails at a later row: the point (0.5, 0.5) of "low" has
-    predictor gamma + 0.25, about 3e-17 there. The sweep names that design and that gamma from the stack
-    it evaluated, with no more factorizations than a grid that passes; each row was evaluated again."""
-    calls = counted_calls(model_core, "_factor")
+    predictor gamma + 0.25, about 3e-17 there. The sweep names that design and that gamma from the one
+    elimination it ran, as a grid that passes runs one: no row is evaluated again."""
+    calls = counted_calls(model_core, "_logdets")
     designs = {
         "xi1": interaction_benchmark_designs()["xi1"],
         "low": Design([(0.5, 0.5), (1.0, 4.0), (4.0, 1.0)], [1 / 3] * 3),
@@ -508,7 +508,27 @@ def test_singular_design_row_is_named_without_reevaluation(counted_calls):
     calls.clear()
     with pytest.raises(SingularInformation, match=r"gamma=-0\.24999999999999997, design low"):
         efficiency_sweep(SQUARE, designs, (0.0, -0.24999999999999997))
-    assert len(calls) <= passing
+    assert len(calls) == passing == 1
+
+
+@pytest.mark.parametrize("order", [("thin", "far"), ("far", "thin")])
+def test_first_failing_stack_in_order_is_named_singular_or_nonpositive(counted_calls, order):
+    """"thin" has two points for three parameters, so it is singular at every row; "far" has a nonpositive
+    predictor at gamma = -0.4 only. Whichever comes first is named, at its first failing row, from one
+    elimination: a nonpositive later stack does not preempt a singular earlier one, nor the reverse."""
+    calls = counted_calls(model_core, "_logdets")
+    stacks = {
+        "thin": Design([(1.0, 4.0), (4.0, 1.0)], [0.5, 0.5]),
+        "far": Design([(1.0, 1.0), (4.0, 1.0), (10.0, 0.1)], [1 / 3] * 3),
+    }
+    error, message = (
+        (SingularInformation, r"gamma=1\.0, design thin: information matrix is numerically singular")
+        if order[0] == "thin"
+        else (NonpositivePredictor, r"gamma=-0\.4, design far: predictor is not positive")
+    )
+    with pytest.raises(error, match=message):
+        efficiency_sweep(SQUARE, {name: stacks[name] for name in order}, (1.0, -0.4))
+    assert len(calls) == 1
 
 
 def test_stacked_rules_name_their_first_failing_member():
@@ -516,7 +536,7 @@ def test_stacked_rules_name_their_first_failing_member():
     design fails at two rows names the first of them."""
     tiny = np.diag([1.0, 1e-14])
     with pytest.raises(SingularInformation) as singular:
-        model_core._factor(np.array([np.eye(2), tiny, np.eye(2), tiny]))
+        model_core._logdets(np.stack([np.eye(2), tiny, np.eye(2), tiny], axis=-1))
     assert singular.value._member == 1
     betas = np.array([(1.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
     with pytest.raises(NonpositivePredictor) as nonpositive:
@@ -528,22 +548,27 @@ def test_stacked_rules_name_their_first_failing_member():
 
 
 def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
-    """A count, not a timing: a fallback to one factorization per row
-    would make it grow with the grid. ``_factor`` holds the package's only
-    Cholesky call, so its calls count the factorizations. The band of the
-    three-factor cube is one more stack, not one per ratio (186 stacks on the
-    default band grid when each ratio was solved on its own)."""
-    calls = counted_calls(model_core, "_factor")
+    """A count, not a timing: a sweep runs one elimination over the stacks of every design and every
+    case present, and a fallback to one factorization per row, stack or case would show here.
+    ``_logdets`` is the only stacked elimination and ``_factor``, which verification and the solver call
+    on one matrix, the only Cholesky call; a sweep never makes it. The band of the three-factor cube is
+    one more stack of the one elimination."""
+    eliminations, factored = counted_calls(model_core, "_logdets"), counted_calls(model_core, "_factor")
     designs = interaction_benchmark_designs()
     for step in (0.01, 0.005):  # 550 and 1099 ratios
         grid = gamma_grid(-0.49, 5.0, step)
         supports = {SQUARE.reference(gamma).points for gamma in grid}
-        calls.clear()
+        eliminations.clear()
         efficiency_sweep(SQUARE, designs, grid)
-        assert len(calls) <= len(designs) + len(supports) == 7
-    calls.clear()
+        assert len(supports) == 3 and [M.shape for (M,) in eliminations] == [(3, 3, len(grid) * (1 + len(designs)))]
+    eliminations.clear()
     efficiency_sweep(NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01))  # 179 band ratios
-    assert len(calls) == 7 + 1 and all(M.ndim == 3 for (M,) in calls)  # no solver factors one M
+    assert [M.shape for (M,) in eliminations] == [(3, 3, 179 * 8)]
+    eliminations.clear()
+    d_efficiency(SQUARE.model, SQUARE.beta(1.0), designs["xi4"], SQUARE.reference(1.0))
+    assert [M.shape for (M,) in eliminations] == [(3, 3, 2)] and factored == []
+    verify_optimality(SQUARE.model, SQUARE.beta(1.0), SQUARE.reference(1.0), Criterion.D, SQUARE.vertices)
+    assert factored and all(M.shape == (3, 3) for (M,) in factored)  # ``_factor`` takes one p x p matrix only
 
 
 @pytest.mark.parametrize(
@@ -556,10 +581,10 @@ def test_sweep_factors_once_per_design_and_reference_support(counted_calls):
 )
 def test_closed_form_sweep_builds_no_design(built_designs, counted_calls, family, designs, grid):
     """Closed-form references are support and weights, never a Design per
-    ratio; the grid takes no public classifier call and no one-matrix pivot
-    test per ratio."""
+    ratio; the grid takes no public classifier call and no one-matrix
+    factorization per ratio."""
     classifier_calls = [counted_calls(analytic_designs, name) for name in ("classify_three_factor", "interaction_equal_beta")]
-    pivot_tests = counted_calls(model_core, "_pivot_logdet")
+    pivot_tests = counted_calls(model_core, "_factor")
     sweep = efficiency_sweep(family, designs, grid)
     assert len(sweep.gammas) == len(grid) and not sweep.skipped
     assert built_designs == []

@@ -1,13 +1,14 @@
 """Property tests of the numeric kernel: batched features, the Cholesky
 factor with its log-determinant, the whitened rows and the D- and
 A-sensitivities, each against the explicit formula rebuilt in
-``oracles``; and the stacked forms of the predictor and the factor,
-each against a loop of one-point calls."""
+``oracles``; and the stacked predictor and the stacked elimination,
+each against a loop of one-member calls."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from gammadesign.model_core import (
     _factor,
     _gram,
     _information,
+    _logdets,
     _positive_predictor,
     _whitened,
 )
 
-from oracles import raw_features, raw_information, raw_intensities
+from oracles import logdet_tolerance, raw_features, raw_information, raw_intensities
 
 MODELS = st.one_of(st.integers(2, 6).map(GammaModel.first_order), st.just(GammaModel.interaction()))
 
@@ -116,9 +118,8 @@ def test_sensitivities_match_inverse_formula(case):
 
 @st.composite
 def information_stacks(draw):
-    """A stack of 1..8 information matrices of one model, each from its own
-    design and positive beta on [0.5, 2]^nu with cond(M) < 1e4, and a
-    drawn member index."""
+    """A (p, p, G) stack of 1..8 information matrices of one model, each from its own
+    design and positive beta on [0.5, 2]^nu with cond(M) < 1e4, and a drawn member index."""
     model = draw(MODELS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = []
@@ -128,12 +129,18 @@ def information_stacks(draw):
         M = information_matrix(model, rng.uniform(0.1, 2.0, model.p), design)
         assume(np.linalg.cond(M) < 1e4)
         stack.append(M)
-    return np.array(stack), draw(st.integers(0, len(stack) - 1))
+    return np.stack(stack, axis=-1), draw(st.integers(0, len(stack) - 1))
+
+
+def _alone(stack, g):
+    """Member ``g`` of a (p, p, G) stack as a stack of its own."""
+    return stack[:, :, g : g + 1].copy()
 
 
 def _singular(M) -> bool:
+    """The verdict of ``_logdets`` on a (p, p, G) stack."""
     try:
-        _factor(M)
+        _logdets(M)
     except SingularInformation:
         return True
     return False
@@ -141,13 +148,15 @@ def _singular(M) -> bool:
 
 @given(information_stacks())
 def test_stacked_factor_matches_per_matrix_loop(case):
+    """Exact: each member's log-det is bitwise the routine's on that member alone. Approximate: it agrees with the
+    one-matrix Cholesky ``_factor`` within the backward-error bound of ``logdet_tolerance``."""
     stack, _ = case
-    L, logdets = _factor(stack)
-    assert logdets.shape == (len(stack),)
-    for M, L_row, logdet in zip(stack, L, logdets):
-        L_one, logdet_one = _factor(M)
-        np.testing.assert_allclose(L_row, L_one, rtol=1e-12, atol=0.0)
-        assert logdet == pytest.approx(logdet_one, rel=1e-12, abs=1e-12)
+    logdets = _logdets(stack)
+    assert logdets.shape == (stack.shape[-1],)
+    for g, logdet in enumerate(logdets):
+        assert logdet == _logdets(_alone(stack, g))[0]
+        M = stack[:, :, g]
+        assert abs(logdet - _factor(M)[1]) <= logdet_tolerance(M)
 
 
 @given(information_stacks(), st.sampled_from([-1e-6, 0.0, 1e-17, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-4]))
@@ -155,15 +164,16 @@ def test_stack_with_one_singular_member_raises_as_that_member_does(case, ratio):
     """One member gets its smallest eigenvalue set to ``ratio`` times its
     largest, across the pivot floor and into indefiniteness."""
     stack, bad = case
-    values, vectors = np.linalg.eigh(stack[bad])
+    values, vectors = np.linalg.eigh(stack[:, :, bad])
     values[0] = ratio * values[-1]
-    stack[bad] = (vectors * values) @ vectors.T
-    assert not any(_singular(M) for k, M in enumerate(stack) if k != bad)
-    if _singular(stack[bad]):
-        with pytest.raises(SingularInformation):
-            _factor(stack)
+    stack[:, :, bad] = (vectors * values) @ vectors.T
+    assert not any(_singular(_alone(stack, g)) for g in range(stack.shape[-1]) if g != bad)
+    if _singular(_alone(stack, bad)):
+        with pytest.raises(SingularInformation) as error:
+            _logdets(stack)
+        assert error.value._member == bad
     else:
-        np.testing.assert_allclose(_factor(stack)[1][bad], _factor(stack[bad])[1], rtol=1e-12)
+        assert _logdets(stack)[bad] == _logdets(_alone(stack, bad))[0]
 
 
 def _entry_with_floor(square: float, ulps: int) -> float:
@@ -186,31 +196,37 @@ def _entry_with_floor(square: float, ulps: int) -> float:
 def test_stack_member_at_the_pivot_floor_raises_as_it_does_alone(case, ulps, power):
     """The member diag(s^2, X, .., X) * 4**power has smallest pivot s * 2**power,
     and its pivot squared lies 1 ulp below the floor 1e-12 * max diag M, on it,
-    or 1 ulp above it (``ulps`` = 1, 0, -1): scaling by powers of 4 is exact."""
+    or 1 ulp above it (``ulps`` = 1, 0, -1): scaling by powers of 4 is exact, and
+    so is the elimination of a diagonal matrix, so the stack and ``_factor`` give one verdict."""
     stack, bad = case
     s = 1.0 + 2.0**-10  # s^2 is exact, and its ulp neighbours share its binade
-    p = stack.shape[-1]
-    stack[bad] = np.diag([s * s] + [_entry_with_floor(s * s, ulps)] * (p - 1)) * 4.0**power
-    assert _singular(stack[bad]) == (ulps >= 0)
+    p = stack.shape[0]
+    stack[:, :, bad] = np.diag([s * s] + [_entry_with_floor(s * s, ulps)] * (p - 1)) * 4.0**power
+    assert _singular(_alone(stack, bad)) == (ulps >= 0)
     if ulps >= 0:
         with pytest.raises(SingularInformation):
-            _factor(stack)
+            _factor(stack[:, :, bad])
+        with pytest.raises(SingularInformation, match=re.escape(f"smallest pivot {math.ldexp(s, power):.3e})")):
+            _logdets(stack)
     else:
-        assert _factor(stack)[1][bad] == pytest.approx(_factor(stack[bad])[1], rel=1e-12)
+        logdet = _logdets(stack)[bad]
+        assert logdet == _logdets(_alone(stack, bad))[0]
+        logs = np.abs(np.log(stack[:, :, bad].diagonal()))  # the pivots are exact: only the logs and their sum round
+        assert logdet == pytest.approx(_factor(stack[:, :, bad])[1], rel=0.0, abs=4 * p * p * np.finfo(float).eps * logs.max())
 
 
 @given(information_stacks(), st.booleans())
 def test_stack_member_with_a_nan_pivot_raises(case, last):
-    """A nan in M gives a nan pivot; the one-matrix test must not let min() skip it."""
+    """A nan in M gives a nan pivot; the smallest pivot of the member is then nan, in the stack and alone."""
     stack, bad = case
     if last:
-        stack[bad, -1, 0] = stack[bad, 0, -1] = np.nan  # only the last pivot is nan
+        stack[-1, 0, bad] = stack[0, -1, bad] = np.nan  # only the last pivot is nan
     else:
-        stack[bad, 0, 0] = np.nan
-    assert np.isnan(np.linalg.cholesky(stack[bad]).diagonal()).any()
-    for M in (stack, stack[bad]):
+        stack[0, 0, bad] = np.nan
+    assert np.isnan(np.linalg.cholesky(stack[:, :, bad]).diagonal()).any()
+    for M in (stack, _alone(stack, bad)):
         with pytest.raises(SingularInformation, match="smallest pivot nan"):
-            _factor(M)
+            _logdets(M)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -219,8 +235,9 @@ def test_stack_error_names_the_first_failing_members_smallest_pivot(p):
     tiny = 1e-20 * np.eye(p)  # pivots 1e-10, but a well-conditioned matrix
     failing, later = np.eye(p), np.eye(p)
     failing[0, 0], later[0, 0] = 1e-14, 1e-16  # pivots 1e-7 and 1e-8
-    with pytest.raises(SingularInformation, match=r"smallest pivot 1\.000e-07\)"):
-        _factor(np.array([tiny, failing, tiny, later]))
+    with pytest.raises(SingularInformation, match=r"smallest pivot 1\.000e-07\)") as error:
+        _logdets(np.stack([tiny, failing, tiny, later], axis=-1))
+    assert error.value._member == 1
 
 
 @given(MODELS, st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -247,7 +264,7 @@ def test_stacked_intensities_match_per_beta_calls(model, seed, size):
 
 @given(admissible_designs(), st.integers(1, 6))
 def test_gram_and_stacked_table_give_single_and_stacked_information(case, size):
-    """M = (G w) G' by ``_gram`` over the columns G = F' / eta for one weight vector, and the (G, p, p)
+    """M = (G w) G' by ``_gram`` over the columns G = F' / eta for one weight vector, and the (p, p, G)
     stack from G parameter points at once by ``_information`` over the table of outer products."""
     model, beta, design, _ = case
     kind = model.kind.value
@@ -258,8 +275,8 @@ def test_gram_and_stacked_table_give_single_and_stacked_information(case, size):
         _gram(F.T / eta[0], design._wts), raw_information(kind, beta, design.points, design.weights), rtol=1e-12
     )
     stack = _information(F, design._wts * eta**-2)
-    assert stack.shape == (size, model.p, model.p)
-    for M, b in zip(stack, betas):
+    assert stack.shape == (model.p, model.p, size)
+    for M, b in zip(np.moveaxis(stack, -1, 0), betas):
         np.testing.assert_allclose(M, raw_information(kind, b, design.points, design.weights), rtol=1e-12)
 
 

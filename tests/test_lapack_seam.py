@@ -1,7 +1,9 @@
 """The kernel's LAPACK seam against ``np.linalg`` as the reference: the gufuncs
 that ``model_core`` calls directly give, bitwise, what the public functions
 give, and a failed factorization reaches the singularity rule as a nan pivot,
-with no warning. Every test here raises warnings as errors."""
+with no warning. A stack's log-dets never reach the seam: ``_logdets`` runs
+without it and reports an indefinite member as a nan pivot too. Every test
+here raises warnings as errors."""
 
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from gammadesign import (
     verify_optimality,
 )
 from gammadesign import model_core, solver
-from gammadesign.model_core import _a_sensitivities, _factor, _whitened
+from gammadesign.model_core import _a_sensitivities, _factor, _logdets, _whitened
 from gammadesign.solver import _gain, multiplicative
+
+from oracles import logdet_tolerance
 
 # The public functions in the seam's call form: the reference the gufuncs are held to.
 NUMPY_LINALG = SimpleNamespace(
@@ -46,7 +50,7 @@ def warnings_as_errors():
 
 @st.composite
 def spd_stacks(draw):
-    """A (G, p, p) stack of symmetric positive definite matrices A A' + p I, 2 <= p <= 10,
+    """A (G, p, p) array of symmetric positive definite matrices A A' + p I, 2 <= p <= 10,
     and a (p, n) right-hand side."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p, size, n = draw(st.integers(2, 10)), draw(st.integers(1, 8)), draw(st.integers(1, 64))
@@ -56,17 +60,21 @@ def spd_stacks(draw):
 
 @given(spd_stacks())
 def test_factor_is_numpy_cholesky_bitwise(case):
-    """L of one matrix and of a stack equals ``np.linalg.cholesky``'s, and so do the
-    log-dets taken from it: 2 sum(log pivots) as a float sum, or per member of a stack."""
+    """L of one matrix equals ``np.linalg.cholesky``'s, and so does the log-det taken from it, 2 sum(log pivots) as a
+    float sum. A stack never reaches the seam: ``_logdets`` runs with no LAPACK module at all, each member's log-det
+    is bitwise that member's alone, and it lies within ``logdet_tolerance`` of the log-det from numpy's factor."""
     stack, _ = case
-    L, logdets = _factor(stack)
-    expected = np.linalg.cholesky(stack)
-    assert np.array_equal(L, expected)
-    assert np.array_equal(logdets, 2.0 * np.log(expected.diagonal(0, -2, -1).T.copy()).sum(axis=0))
-    for M, L_one in zip(stack, expected):
+    for M in stack:
         L, logdet = _factor(M)
-        assert np.array_equal(L, L_one)
-        assert logdet == 2.0 * math.fsum(map(math.log, L_one.diagonal().tolist()))
+        expected = np.linalg.cholesky(M)
+        assert np.array_equal(L, expected)
+        assert logdet == 2.0 * math.fsum(map(math.log, expected.diagonal().tolist()))
+    members = np.stack(list(stack), axis=-1)
+    with mock.patch.object(model_core, "_lapack", SimpleNamespace()):
+        logdets = _logdets(members)
+        assert all(logdet == _logdets(members[:, :, g : g + 1])[0] for g, logdet in enumerate(logdets))
+    for M, logdet in zip(stack, logdets):
+        assert abs(logdet - 2.0 * np.log(np.linalg.cholesky(M).diagonal()).sum()) <= logdet_tolerance(M)
 
 
 @given(spd_stacks(), st.floats(-0.9, 2.0))
@@ -109,8 +117,9 @@ def test_solve_and_verification_are_bitwise_the_numpy_runs(nu, seed):
 
 @given(spd_stacks(), st.data())
 def test_indefinite_member_is_a_nan_pivot(case, data):
-    """A member that ``np.linalg.cholesky`` refuses fails the one singularity rule as a nan
-    pivot, alone or in a stack, where it is named as the first failing member."""
+    """A member that ``np.linalg.cholesky`` refuses fails the one singularity rule as a nan pivot: alone through
+    ``_factor``, whose failed factorization gives nan pivots, and through ``_logdets``, alone or in a stack, where
+    its nonpositive pivot is reported as nan and it is named as the first failing member."""
     stack, _ = case
     bad = data.draw(st.integers(0, len(stack) - 1))
     values, vectors = np.linalg.eigh(stack[bad])
@@ -118,9 +127,13 @@ def test_indefinite_member_is_a_nan_pivot(case, data):
     stack[bad] = (vectors * values) @ vectors.T
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(stack[bad])
-    for M in (stack, stack[bad]):
-        with pytest.raises(SingularInformation, match=r"smallest pivot nan\)"):
-            _factor(M)
+    with pytest.raises(SingularInformation, match=r"smallest pivot nan\)"):
+        _factor(stack[bad])
+    members = np.stack(list(stack), axis=-1)
+    for M, member in ((members, bad), (members[:, :, bad : bad + 1], 0)):
+        with pytest.raises(SingularInformation, match=r"smallest pivot nan\)") as error:
+            _logdets(M)
+        assert error.value._member == member
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
