@@ -19,6 +19,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -95,11 +97,17 @@ def render_json(value) -> str:
 
 
 def _write(text: str, path: str | Path | None) -> None:
-    """Write text to the file at ``path``, or to stdout when it is None."""
+    """Write text to the file at ``path``, or to stdout when it is None, as ``Path.write_text`` encodes it. A new file
+    gets mode 0o666 less the umask. An existing file is rewritten in place from its start, with no truncation to zero
+    first, which costs the file system far more than the write, and a regular file is then cut to the length written;
+    a device or pipe such as /dev/null is not cut, as ftruncate fails on it. Neither way is atomic."""
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w") as file:
+            file.write(text)
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                file.truncate()
 
 
 def _emit(value, path: str | Path | None) -> None:

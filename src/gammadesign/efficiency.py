@@ -8,8 +8,9 @@ private case function evaluates the closed-form weights on the whole grid.
 The subregion edges -5/23, 1/5, -ab/(3b-a) and ab/(b-3a) are roots of
 those weights, so their signs decide each ratio's case, and the band edges
 -3 and -6/5 are constants; no Design is built per ratio and no ratio is solved.
-A sweep forms one stack of M per design and per case present, and the kernel's
-``_logdets`` eliminates all of them at once; ``d_efficiency`` is a stack of two.
+A sweep forms one stack of M per design and per case present, each written into
+its columns of one array allocated up front, and the kernel's ``_logdets``
+eliminates that array at once; ``d_efficiency`` is a stack of two.
 An efficiency is of degree 0 in beta, so M is built at betas scaled by the
 kernel: ``d_efficiency`` reads its beta by ``_scaled_beta``, and a sweep
 scales each grid row by ``_tamed``, so eta**-2 stays in range at any ratio.
@@ -72,11 +73,12 @@ __all__ = [
 _INTEGER_ROWS_MIN_ENTRIES = 256
 
 
-def _information_stack(model: GammaModel, betas: np.ndarray, points, weights) -> np.ndarray:
+def _information_stack(model: GammaModel, betas: np.ndarray, points, weights, out=None) -> np.ndarray:
     """The (p, p, G) stack of M of one support (a design's judged array, or a library-built table) at each row of the
-    (G, p) stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one product."""
+    (G, p) stack ``betas``, scaled by the kernel, with one weight vector or a (G, n) stack of them: one product,
+    written into the (p*p, G) array ``out`` when one is given, as ``_information`` writes it."""
     F, eta = _positive_predictor(model, betas, np.asarray(points))
-    return _information(F, np.asarray(weights) * eta**-2)
+    return _information(F, np.asarray(weights) * eta**-2, out)
 
 
 def d_efficiency(model: GammaModel, beta: Sequence[float], design: Design, optimal: Design) -> float:
@@ -321,12 +323,12 @@ def efficiency_sweep(
 ) -> EfficiencySweep:
     """Efficiency of each design against the local optimum at every ratio.
 
-    Inadmissible grid points, non-finite ones included, are skipped and
-    recorded in ``skipped``. A design whose points do not have the model's
-    dimension raises before anything is solved, naming the design. Each
-    support is one stack over its rows, and one elimination takes them all.
-    The first singular or nonpositive stack (the reference supports in case
-    order, then the designs in order) raises, naming its design and the gamma
+    Inadmissible grid points, non-finite ones included, are skipped and recorded in
+    ``skipped``. A design whose points do not have the model's dimension raises
+    before anything is solved, naming the design. Each support is one stack over
+    its rows, formed in its slice of one preallocated array, which one elimination
+    takes whole. The first singular or nonpositive stack (the reference supports in
+    case order, then the designs in order) raises, naming its design and the gamma
     of its first failing row. A 1-D float64 array of ratios is read as it is.
     """
     one_d = isinstance(gammas, np.ndarray) and gammas.ndim == 1 and gammas.dtype == np.float64
@@ -342,17 +344,18 @@ def efficiency_sweep(
     skipped = [f"gamma={gamma:g} is outside the admissible range" for gamma in grid[~ok].tolist()]
     stacks = [(0, points, weights, rows) for points, weights, rows in family._optima(kept)]
     stacks += [(column, d._pts, d._wts, np.arange(len(kept))) for column, d in enumerate(designs.values(), 1)]
-    Ms, failure = [np.empty((model.p, model.p, 0))], None
-    for column, points, weights, at in stacks:
-        try:
-            Ms.append(_information_stack(model, betas[at], points, weights))
-        except NonpositivePredictor as exc:
-            failure = exc, column, at[exc._member]
-            break  # a singular stack before this one raises first
     rows = np.concatenate([at for *_, at in stacks])  # each member's row and column of ld, by stack in order
     columns = np.repeat([column for column, *_ in stacks], [len(at) for *_, at in stacks])
+    M, start, failure = np.empty((model.p**2, len(rows))), 0, None  # each stack's product goes into its columns
+    for column, points, weights, at in stacks:
+        try:
+            _information_stack(model, betas[at], points, weights, M[:, start : start + len(at)])
+        except NonpositivePredictor as exc:
+            failure, M = (exc, column, at[exc._member]), M[:, :start]
+            break  # a singular stack before this one raises first
+        start += len(at)
     try:
-        logdets = _logdets(np.concatenate(Ms, axis=-1))  # the stacks before a nonpositive one, if any
+        logdets = _logdets(M.reshape(model.p, model.p, -1))  # the stacks before a nonpositive one, if any
     except SingularInformation as exc:
         failure = exc, columns[exc._member], rows[exc._member]
     if failure:

@@ -488,11 +488,12 @@ def _gram(G: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (G * w) @ G.T
 
 
-def _information(F: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _information(F: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (p, p, G) stack of M_g = sum_i V_gi f_i f_i' for a (G, n) stack V of weights w u at G parameter points, as K' V'
-    over the table K of the flattened outer products of the rows of F, formed once, member last as ``_logdets`` reads it."""
+    over the table K of the flattened outer products of the rows of F, formed once, member last as ``_logdets`` reads it.
+    The product is written into ``out``, a (p*p, G) array or a column slice of a wider one, when that is given."""
     K = (F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
-    return (K.T @ V.T).reshape(F.shape[1], F.shape[1], len(V))
+    return np.matmul(K.T, V.T, out=out).reshape(F.shape[1], F.shape[1], len(V))
 
 
 def _factor(M: np.ndarray) -> tuple[np.ndarray, float]:

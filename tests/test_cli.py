@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +358,37 @@ def test_output_to_a_directory_exits_one(capsys, tmp_path):
     assert json.loads(line)["error"]["type"] == "IsADirectoryError"
 
 
+def test_output_to_a_read_only_file_exits_one(capsys, tmp_path):
+    """An existing file the user may not write is refused at open: exit 1, one PermissionError, the file untouched."""
+    target = tmp_path / "design.json"
+    target.write_text("kept")
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        pytest.skip("this user may write a file whose mode forbids it (root with CAP_DAC_OVERRIDE)")
+    code, out, err = run_cli(capsys, "design", "--nu", "3", "--region", "orthant", "--output", str(target))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "PermissionError" and target.read_text() == "kept"
+
+
+def test_output_to_a_device_is_written_without_truncation(capsys):
+    """/dev/null is no regular file, so the writer does not cut it to length, which would fail with EINVAL."""
+    code, out, err = run_cli(capsys, "efficiency", "--family", "interaction", "--output", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_new_output_file_has_the_mode_of_write_text(capsys, tmp_path):
+    """A new file is created with mode 0o666 less the umask, as ``Path.write_text`` creates one."""
+    umask = os.umask(0o027)
+    try:
+        code, _, err = run_cli(capsys, "reproduce", "table2", "--outdir", str(tmp_path))
+        (tmp_path / "reference.csv").write_text("")
+    finally:
+        os.umask(umask)
+    assert code == 0, err
+    assert stat.S_IMODE((tmp_path / "table2.csv").stat().st_mode) == stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode) == 0o640
+
+
 # -------------------------------------------------------------------- solve
 
 
@@ -544,6 +577,17 @@ def test_reproduce_matches_golden_bytes(capsys, tmp_path, target):
     code, _, err = run_cli(capsys, "reproduce", target, "--outdir", str(tmp_path))
     assert code == 0, err
     assert (tmp_path / f"{target}.csv").read_bytes() == (GOLDEN_DIR / f"{target}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [10_240, -100], ids=["longer", "shorter"])
+@pytest.mark.parametrize("target", ["table2", "example1", "example2"])
+def test_reproduce_over_an_existing_file_leaves_the_golden_bytes(capsys, tmp_path, target, extra):
+    """An existing file is rewritten in place: one longer than the golden is cut to its length, one shorter grows."""
+    golden = (GOLDEN_DIR / f"{target}.csv").read_bytes()
+    (tmp_path / f"{target}.csv").write_bytes(b"junk\r\n" * ((len(golden) + extra) // 6))
+    code, _, err = run_cli(capsys, "reproduce", target, "--outdir", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / f"{target}.csv").read_bytes() == golden
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

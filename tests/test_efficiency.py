@@ -531,6 +531,49 @@ def test_first_failing_stack_in_order_is_named_singular_or_nonpositive(counted_c
     assert len(calls) == 1
 
 
+def _stack_products(family, designs, gammas):
+    """Each stack of a sweep, formed on its own by ``_information_stack``: the reference supports in case
+    order, then the designs in order."""
+    grid = np.array(gammas)
+    ok, betas = _admissible(family, grid)
+    stacks = family._optima(grid[ok]) + [(d._pts, d._wts, slice(None)) for d in designs.values()]
+    return [efficiency._information_stack(family.model, betas[rows], points, weights) for points, weights, rows in stacks]
+
+
+@pytest.mark.parametrize(
+    "family, designs, grid",
+    [
+        (POS, three_factor_benchmark_designs(), gamma_grid(-0.24, 1.0)),  # example1
+        (NEG, three_factor_benchmark_designs(), gamma_grid(-2.99, -1.21, 0.01)),  # the band
+        (SQUARE, interaction_benchmark_designs(), gamma_grid(-0.49, 5.0)),  # example2
+    ],
+    ids=["example1", "band", "example2"],
+)
+def test_sweep_stack_is_bitwise_the_concatenation_of_its_products(counted_calls, family, designs, grid):
+    """A sweep writes each stack's product into its slice of one preallocated array, which its one elimination
+    reads: bitwise the concatenation of the products formed one stack at a time."""
+    calls = counted_calls(model_core, "_logdets")
+    efficiency_sweep(family, designs, grid)
+    ((M,),) = calls
+    expected = np.concatenate(_stack_products(family, designs, grid), axis=-1)
+    assert M.shape == expected.shape and M.tobytes() == expected.tobytes()
+
+
+def test_nonpositive_stack_cuts_the_preallocated_stack_before_it(counted_calls):
+    """"far" is nonpositive at gamma = -0.4, so the one elimination reads only the reference stacks before it,
+    bitwise, and the sweep names "far" at that gamma, as ``test_first_failing_stack_in_order_is_named_singular_or_nonpositive``."""
+    calls = counted_calls(model_core, "_logdets")
+    designs = {
+        "far": Design([(1.0, 1.0), (4.0, 1.0), (10.0, 0.1)], [1 / 3] * 3),
+        "thin": Design([(1.0, 4.0), (4.0, 1.0)], [0.5, 0.5]),
+    }
+    with pytest.raises(NonpositivePredictor, match=r"gamma=-0\.4, design far: predictor is not positive"):
+        efficiency_sweep(SQUARE, designs, (1.0, -0.4))
+    ((M,),) = calls
+    expected = np.concatenate(_stack_products(SQUARE, {}, (1.0, -0.4)), axis=-1)
+    assert M.shape == expected.shape == (3, 3, 2) and M.tobytes() == expected.tobytes()
+
+
 def test_stacked_rules_name_their_first_failing_member():
     """Two members of each stack fail; the rule sets the index of the first, and a sweep whose
     design fails at two rows names the first of them."""
